@@ -3,8 +3,8 @@
 Subcommands: ``gsvkit solve|coil|rank|density``, each writing deterministic
 result files into ``--out`` and emitting a JSON run report on stdout.
 
-Exit codes: 0 success, 2 input error, 3 solver failure, 4 not-SPD resistance,
-5 constant column, 6 invalid probabilities.
+Exit codes: 0 success, else the ``exit_code`` of the GsvError raised (see
+``errors``); an unreadable file or a bad flag value exits 2, an input error.
 """
 
 from __future__ import annotations
@@ -21,53 +21,14 @@ import numpy as np
 
 from . import matrix_io
 from .density_model import build_density, check_positivity_chain, density_norm, density_trace
-from .errors import (
-    AllZero,
-    ColumnNormMismatch,
-    ConstantVector,
-    ConvergenceFailure,
-    DimensionTooLarge,
-    EmptyStack,
-    GsvError,
-    LengthMismatch,
-    MassExceedsOne,
-    NegativeProbability,
-    NonFiniteInput,
-    NotSPD,
-    NotStandardized,
-    NotSymmetric,
-    ParseError,
-    ShapeMismatch,
-    TooShort,
-    WrongShape,
-    ZeroVector,
-)
+from .errors import GsvError, ParseError
 from .gsv_solver import OperatorStack, WeightedProblem, brute_force_max, gsv_solve, weighted_gsv_solve
 from .stat_norm import StatMatrix, score_rows
 
 SCHEMA_VERSION = 1
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_SOLVER = 3
-EXIT_NOT_SPD = 4
-EXIT_CONSTANT_COLUMN = 5
-EXIT_BAD_PROBABILITIES = 6
-
-_INPUT_ERRORS = (
-    ParseError,
-    ShapeMismatch,
-    WrongShape,
-    EmptyStack,
-    NonFiniteInput,
-    ColumnNormMismatch,
-    LengthMismatch,
-    TooShort,
-    NotStandardized,
-    NotSymmetric,
-    DimensionTooLarge,
-    ZeroVector,
-)
+# Stderr prefix per exit code; codes 4-6 name their failure in the message.
+_PREFIXES = {2: "input error: ", 3: "solver failure: "}
 
 
 @dataclass
@@ -268,13 +229,27 @@ def cmd_density(rho, trials=10000, seed=42, out=".") -> RunReport:
     )
 
 
+def _checked(convert, ok, rule):
+    """argparse type converting with ``convert`` and rejecting values failing ``ok``."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gsvkit",
         description="Compute generalized supporting vectors and run the application pipelines.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--gap-rtol", type=float, default=1e-10,
+    common.add_argument("--gap-rtol", default=1e-10,
+                        type=_checked(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
                         help="eigenvalue merge tolerance (default 1e-10)")
     common.add_argument("--oracle-samples", type=int, default=0,
                         help="sphere samples for the lower-bound oracle (default 0 = off)")
@@ -304,7 +279,8 @@ def build_parser():
     p_density = sub.add_parser("density", parents=[common],
                                help="evaluate a truncated probability density model")
     p_density.add_argument("rho", help="single-column CSV with header 'rho'")
-    p_density.add_argument("--trials", type=int, default=10000,
+    p_density.add_argument("--trials", default=10000,
+                           type=_checked(int, lambda v: v >= 1, "must be at least 1"),
                            help="unit-vector samples for the positivity chain (default 10000)")
 
     return parser
@@ -329,26 +305,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         report = _dispatch(args)
-    except _INPUT_ERRORS as exc:
-        print(f"gsvkit {args.subcommand}: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (AllZero, ConvergenceFailure) as exc:
-        print(f"gsvkit {args.subcommand}: solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except NotSPD as exc:
-        print(f"gsvkit {args.subcommand}: {exc}", file=sys.stderr)
-        return EXIT_NOT_SPD
-    except ConstantVector as exc:
-        print(f"gsvkit {args.subcommand}: {exc}", file=sys.stderr)
-        return EXIT_CONSTANT_COLUMN
-    except (NegativeProbability, MassExceedsOne) as exc:
-        print(f"gsvkit {args.subcommand}: {exc}", file=sys.stderr)
-        return EXIT_BAD_PROBABILITIES
-    except OSError as exc:
-        print(f"gsvkit {args.subcommand}: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (GsvError, OSError) as exc:
+        code = getattr(exc, "exit_code", 2)  # an unreadable file is an input error
+        print(f"gsvkit {args.subcommand}: {_PREFIXES.get(code, '')}{exc}", file=sys.stderr)
+        return code
     print(json.dumps(report.to_dict(), indent=2))
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

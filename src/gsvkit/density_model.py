@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MassExceedsOne, NegativeProbability, NonFiniteInput, NotSymmetric
 from .gsv_solver import as_stack, gsv_solve
-from .spectra_core import _frozen_array
+from .spectra_core import _frozen_array, _symmetrized
 
 _MASS_ATOL = 1e-12
 _CHAIN_CHUNK = 1 << 14
@@ -122,13 +122,12 @@ def joint_magnitude_state(ops):
     selfadjoint observables); for symmetric T the Gram term T^T T equals T^2,
     so the solve delegates directly to :func:`gsv_solve`.
 
-    Raises NotSymmetric when a matrix deviates from symmetry beyond 1e-10
-    relative (Frobenius).
+    Each observable is symmetrized under the package's one symmetry rule.
+    Raises NotSymmetric for a non-square matrix, or when the relative
+    Frobenius asymmetry ``||T - T^T|| / ||T||`` exceeds 1e-10.
     """
-    ops = as_stack(ops)
-    for k, t in enumerate(ops.mats):
+    mats = as_stack(ops).mats
+    for k, t in enumerate(mats):
         if t.shape[0] != t.shape[1]:
             raise NotSymmetric(f"observable {k} is not square: shape {t.shape}")
-        if np.linalg.norm(t - t.T) > 1e-10 * np.linalg.norm(t):
-            raise NotSymmetric(f"observable {k} is not symmetric to 1e-10 relative")
-    return gsv_solve(ops)
+    return gsv_solve([_symmetrized(t, f"observable {k}") for k, t in enumerate(mats)])

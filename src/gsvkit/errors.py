@@ -1,15 +1,17 @@
 """Exception hierarchy shared by all gsvkit modules.
 
 Every error raised on a documented contract violation derives from
-:class:`GsvError`, so callers (notably the CLI) can map failure classes to
-exit codes without string matching.
+:class:`GsvError`.  Each class carries the CLI exit status of its failure
+kind in ``exit_code``, so the CLI maps errors to exit codes without string
+matching or a list of classes.
 """
 
 from __future__ import annotations
 
 
 class GsvError(Exception):
-    """Base class for all gsvkit contract violations."""
+    """Base class for all gsvkit contract violations; ``exit_code`` 2 is an input error."""
+    exit_code = 2
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +32,7 @@ class NonFiniteInput(GsvError):
 
 class AllZero(GsvError):
     """Every matrix in the stack is identically zero; the maximization is degenerate."""
+    exit_code = 3
 
 
 class NotSymmetric(GsvError):
@@ -67,6 +70,7 @@ class ParseError(GsvError):
 
 class ConvergenceFailure(GsvError):
     """The eigendecomposition backend failed within its iteration budget."""
+    exit_code = 3
 
     def __init__(self, message, iterations):
         super().__init__(f"{message} (iteration budget: {iterations})")
@@ -75,6 +79,7 @@ class ConvergenceFailure(GsvError):
 
 class NotSPD(GsvError):
     """Cholesky factorization failed; ``pivot`` is the 1-based failing pivot index."""
+    exit_code = 4
 
     def __init__(self, pivot):
         super().__init__(
@@ -89,6 +94,7 @@ class NotSPD(GsvError):
 
 class ConstantVector(GsvError):
     """A vector (or column) has no variability, so it cannot be standardized."""
+    exit_code = 5
 
     def __init__(self, message="vector is constant", column=None):
         if column is not None:
@@ -115,7 +121,9 @@ class LengthMismatch(GsvError):
 
 class NegativeProbability(GsvError):
     """A probability entry is negative."""
+    exit_code = 6
 
 
 class MassExceedsOne(GsvError):
     """Probabilities sum to more than one beyond tolerance."""
+    exit_code = 6

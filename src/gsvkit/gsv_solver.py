@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
 
 from .errors import (
     ColumnNormMismatch,
@@ -20,15 +19,15 @@ from .errors import (
     DimensionTooLarge,
     NonFiniteInput,
     NotSPD,
-    NotSymmetric,
     ShapeMismatch,
     WrongShape,
 )
 from .spectra_core import (
     _frozen_array,
+    _gram,
+    _symmetrized,
+    _top_eigenspace,
     fix_column_signs,
-    gram_sum,
-    max_eigenpair,
     validated_matrices,
 )
 
@@ -116,18 +115,18 @@ def gsv_solve(stack, gap_rtol=1e-10):
     orthonormal basis of its (gap-merged) eigenspace, and a direct
     re-evaluation of the objective at the first basis column.
 
-    Raises AllZero for an all-zero stack and propagates ConvergenceFailure
-    from the eigen backend.
+    The stack is validated once, on entry.  Raises AllZero for an all-zero
+    stack, NonFiniteInput when the Gram sum overflows, and propagates
+    ConvergenceFailure from the eigen backend.
     """
     stack = as_stack(stack)
-    pair = max_eigenpair(gram_sum(stack), gap_rtol=gap_rtol)
-    check = objective_value(stack, pair.vectors[:, 0])
+    lam, basis, residual = _top_eigenspace(_gram(stack.mats), gap_rtol)
     return GsvSolution(
-        lambda_max=pair.value,
-        basis=pair.vectors,
-        multiplicity=pair.multiplicity,
-        objective_check=check,
-        residual=pair.residual,
+        lambda_max=lam,
+        basis=basis,
+        multiplicity=basis.shape[1],
+        objective_check=objective_value(stack, basis[:, 0]),
+        residual=residual,
     )
 
 
@@ -198,11 +197,9 @@ class WeightedProblem:
             )
         if not np.all(np.isfinite(r)):
             raise NonFiniteInput("resistance matrix contains non-finite entries")
-        asym = np.linalg.norm(r - r.T)
-        if asym > 1e-8 * np.linalg.norm(r):
-            raise NotSymmetric("resistance matrix is not symmetric")
+        r = _symmetrized(r, "resistance matrix")
         object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "resistance", _frozen_array((r + r.T) / 2.0))
+        object.__setattr__(self, "resistance", _frozen_array(r))
 
     @property
     def n_nodes(self):
@@ -211,6 +208,9 @@ class WeightedProblem:
 
 def _upper_cholesky(r):
     """Upper-triangular C with ``R = C^T C``; NotSPD carries the failing pivot."""
+    # Deferred: importing scipy.linalg costs ~0.2 s and only the coil path needs it.
+    from scipy.linalg import lapack
+
     c, info = lapack.dpotrf(r, lower=0, clean=1)
     if info > 0:
         raise NotSPD(info)
@@ -232,6 +232,8 @@ def weighted_gsv_solve(prob, gap_rtol=1e-10):
     Returns ``(psi, solution)``.  Raises NotSPD (with the failing pivot
     index, no automatic regularization) and propagates solver errors.
     """
+    from scipy.linalg import solve_triangular  # deferred like _upper_cholesky's lapack
+
     if not isinstance(prob, WeightedProblem):
         raise TypeError("weighted_gsv_solve expects a WeightedProblem")
     c = _upper_cholesky(prob.resistance)

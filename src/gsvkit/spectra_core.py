@@ -24,7 +24,7 @@ from .errors import (
 )
 
 # Relative Frobenius asymmetry above this is a caller bug, not round-off.
-ASYMMETRY_RTOL = 1e-8
+ASYMMETRY_RTOL = 1e-10
 
 # Sweep budget the LAPACK symmetric driver enforces per off-diagonal element;
 # reported when the backend signals non-convergence (it exposes no count).
@@ -36,6 +36,21 @@ def _frozen_array(a, dtype=float):
     out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
+
+
+def _symmetrized(a, name):
+    """``(a + a.T) / 2`` for a finite square ``a``: the package's one symmetry rule.
+
+    Raises NotSymmetric when ``||a - a.T||_F > ASYMMETRY_RTOL * ||a||_F``.
+    """
+    asym = np.linalg.norm(a - a.T)
+    bound = ASYMMETRY_RTOL * np.linalg.norm(a)
+    if asym > bound:
+        raise NotSymmetric(
+            f"{name} is not symmetric: asymmetry {asym:.3e} exceeds "
+            f"{ASYMMETRY_RTOL:.0e} * ||A||_F = {bound:.3e}"
+        )
+    return (a + a.T) / 2.0
 
 
 def validated_matrices(mats):
@@ -102,14 +117,7 @@ class SymmetricMatrix:
             raise ShapeMismatch("dimension must be at least 1")
         if not np.all(np.isfinite(a)):
             raise NonFiniteInput("symmetric matrix contains non-finite entries")
-        scale = np.linalg.norm(a)
-        asym = np.linalg.norm(a - a.T)
-        if asym > ASYMMETRY_RTOL * scale:
-            raise NotSymmetric(
-                f"asymmetry {asym:.3e} exceeds {ASYMMETRY_RTOL:.0e} * ||A||_F = "
-                f"{ASYMMETRY_RTOL * scale:.3e}"
-            )
-        object.__setattr__(self, "entries", _frozen_array((a + a.T) / 2.0))
+        object.__setattr__(self, "entries", _frozen_array(_symmetrized(a, "matrix")))
 
     @property
     def dim(self):
@@ -149,24 +157,59 @@ class EigenPair:
         return self.vectors.shape[1]
 
 
-def gram_sum(stack):
-    """Accumulate ``S = sum_i A_i^T A_i`` over a stack of matrices.
+def _gram(mats):
+    """``sum_i A_i^T A_i`` over validated matrices; raises AllZero or NonFiniteInput.
 
-    ``stack`` is an OperatorStack or any sequence of real m_i x n arrays with
-    a shared column count.  Summation order is the fixed sequential order of
-    the stack, and the result is explicitly symmetrized.
-
-    Raises EmptyStack, ShapeMismatch, NonFiniteInput, or AllZero when every
-    matrix is identically zero (degenerate maximization).
+    Exactly symmetric as is: numpy forms ``a.T @ a`` by a mirrored rank-k update.
     """
-    mats = stack.mats if hasattr(stack, "mats") else validated_matrices(stack)
     if all(not np.any(a) for a in mats):
         raise AllZero("all matrices in the stack are zero")
     n = mats[0].shape[1]
     s = np.zeros((n, n), dtype=float)
     for a in mats:
         s += a.T @ a
-    return SymmetricMatrix(s)
+    if not np.all(np.isfinite(s)):
+        raise NonFiniteInput("symmetric matrix contains non-finite entries")
+    return s
+
+
+def gram_sum(stack):
+    """Accumulate ``S = sum_i A_i^T A_i`` over a stack of matrices.
+
+    ``stack`` is an OperatorStack or any sequence of real m_i x n arrays with
+    a shared column count.  Summation order is the fixed sequential order of
+    the stack.
+
+    Raises EmptyStack, ShapeMismatch, NonFiniteInput, or AllZero when every
+    matrix is identically zero (degenerate maximization).
+    """
+    mats = stack.mats if hasattr(stack, "mats") else validated_matrices(stack)
+    return SymmetricMatrix(_gram(mats))
+
+
+def _top_eigenspace(s, gap_rtol, residual_rtol=1e-8):
+    """Eigensolve core shared by ``gsv_solve`` and :func:`max_eigenpair`.
+
+    ``s`` must be finite and exactly symmetric; returns EigenPair's
+    ``(value, vectors, residual)``.
+    """
+    if not 0.0 < gap_rtol < 1.0:
+        raise ValueError(f"gap_rtol must lie in (0, 1), got {gap_rtol}")
+    budget = _LAPACK_SWEEP_BUDGET * s.shape[0]
+    try:
+        w, v = np.linalg.eigh(s)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigendecomposition failed: {exc}", budget) from exc
+    lam = float(w[-1])
+    keep = np.abs(w - lam) <= gap_rtol * max(1.0, lam)
+    basis = fix_column_signs(v[:, keep])
+    residual = float(np.max(np.linalg.norm(s @ basis - lam * basis, axis=0)))
+    if residual > residual_rtol * max(1.0, abs(lam)):
+        raise ConvergenceFailure(
+            f"residual {residual:.3e} exceeds {residual_rtol:.0e} * max(1, |lambda|)",
+            budget,
+        )
+    return lam, basis, residual
 
 
 def max_eigenpair(s, gap_rtol=1e-10, residual_rtol=1e-8):
@@ -192,24 +235,7 @@ def max_eigenpair(s, gap_rtol=1e-10, residual_rtol=1e-8):
     """
     if not isinstance(s, SymmetricMatrix):
         s = SymmetricMatrix(s)
-    if not 0.0 < gap_rtol < 1.0:
-        raise ValueError(f"gap_rtol must lie in (0, 1), got {gap_rtol}")
-    budget = _LAPACK_SWEEP_BUDGET * s.dim
-    try:
-        w, v = np.linalg.eigh(s.entries)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigendecomposition failed: {exc}", budget) from exc
-    lam = float(w[-1])
-    keep = np.abs(w - lam) <= gap_rtol * max(1.0, lam)
-    basis = fix_column_signs(v[:, keep])
-    residual = float(
-        np.max(np.linalg.norm(s.entries @ basis - lam * basis, axis=0))
-    )
-    if residual > residual_rtol * max(1.0, abs(lam)):
-        raise ConvergenceFailure(
-            f"residual {residual:.3e} exceeds {residual_rtol:.0e} * max(1, |lambda|)",
-            budget,
-        )
+    lam, basis, residual = _top_eigenspace(s.entries, gap_rtol, residual_rtol)
     return EigenPair(lam, basis, residual, rtol=residual_rtol)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     ConstantVector,
     LengthMismatch,
+    NonFiniteInput,
     NotStandardized,
     NotSymmetric,
     ShapeMismatch,
@@ -44,7 +45,7 @@ class StatVector:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if not np.all(np.isfinite(v)):
-            raise ShapeMismatch("vector contains non-finite entries")
+            raise NonFiniteInput("vector contains non-finite entries")
         mean = float(np.mean(v))
         object.__setattr__(self, "values", _frozen_array(v))
         object.__setattr__(self, "mean", mean)
@@ -78,7 +79,7 @@ def standardize(x):
     if m < 2:
         raise TooShort(f"standardization needs m >= 2, got m={m}")
     if not np.all(np.isfinite(x)):
-        raise ShapeMismatch("vector contains non-finite entries")
+        raise NonFiniteInput("vector contains non-finite entries")
     mu = float(np.mean(x))
     sigma = _population_std(x, mu)
     if sigma <= 1e-14 * max(1.0, abs(mu)):

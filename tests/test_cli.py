@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gsvkit import cli, matrix_io
+from gsvkit.errors import GsvError
 from gsvkit.gsv_solver import gsv_solve
 
 SAMPLE_CSV = str(importlib.resources.files("gsvkit") / "data" / "sample_locations.csv")
@@ -324,3 +325,41 @@ def test_rank_no_standardize_requires_standardized(tmp_path, capsys):
     data.write_text("id,a\nr0,5.0\nr1,6.0\nr2,7.0\n")
     code, _, _ = run_cli(capsys, ["rank", data, "--no-standardize"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "{a}", "--gap-rtol", "0"], "must lie in (0, 1), got 0"),
+        (["solve", "{a}", "--gap-rtol", "1"], "must lie in (0, 1), got 1"),
+        (["solve", "{a}", "--gap-rtol", "abc"], "invalid float value: 'abc'"),
+        (["density", "{rho}", "--trials", "0"], "must be at least 1, got 0"),
+    ],
+)
+def test_exit_2_with_usage_on_bad_flag_values(tmp_path, capsys, argv, message):
+    files = {"a": write_matrix(tmp_path / "a.csv", np.eye(2)), "rho": tmp_path / "rho.csv"}
+    files["rho"].write_text("rho\n0.5\n")
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main([str(arg).format(**files) for arg in argv])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gsvkit") and message in err
+    assert "Traceback" not in err
+
+
+# The README's "Exit codes" table; every other GsvError is an input error (2).
+README_EXIT_CODES = {
+    "AllZero": 3,
+    "ConvergenceFailure": 3,
+    "NotSPD": 4,
+    "ConstantVector": 5,
+    "NegativeProbability": 6,
+    "MassExceedsOne": 6,
+}
+
+
+@pytest.mark.parametrize(
+    "cls", [GsvError, *GsvError.__subclasses__()], ids=lambda cls: cls.__name__
+)
+def test_error_exit_codes_match_readme_table(cls):
+    assert cls.exit_code == README_EXIT_CODES.get(cls.__name__, 2)

@@ -7,6 +7,7 @@ from gsvkit.errors import (
     AllZero,
     ColumnNormMismatch,
     DimensionTooLarge,
+    GsvError,
     NotSPD,
     NotSymmetric,
     ShapeMismatch,
@@ -22,6 +23,7 @@ from gsvkit.gsv_solver import (
     objective_value,
     weighted_gsv_solve,
 )
+from gsvkit.spectra_core import gram_sum, max_eigenpair
 
 SQRT_HALF = np.sqrt(2.0) / 2.0
 
@@ -95,6 +97,16 @@ def test_solve_eigenvector_membership():
             )
 
 
+def test_solve_matches_validating_wrappers_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for shape in [(6, 4), (40, 7), (3, 9)]:
+        stack = [rng.normal(size=shape) for _ in range(3)]
+        sol = gsv_solve(stack)
+        pair = max_eigenpair(gram_sum(stack))
+        assert sol.lambda_max == pair.value and sol.residual == pair.residual
+        np.testing.assert_array_equal(sol.basis, pair.vectors)
+
+
 def test_solve_homogeneity():
     rng = np.random.default_rng(3)
     stack = [rng.normal(size=(6, 4)) for _ in range(2)]
@@ -127,6 +139,13 @@ def test_solve_reformulation_quotient_is_minimal():
 def test_solve_all_zero_rejected():
     with pytest.raises(AllZero):
         gsv_solve([np.zeros((3, 2))])
+
+
+@pytest.mark.parametrize("big", [np.full((3, 2), 1e200), np.diag([1e200, 1.0])])
+def test_solve_gram_overflow_raises_gsv_error(big):
+    # finite entries whose Gram sum overflows: a GsvError, never a ValueError or NaN
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GsvError):
+        gsv_solve([big])
 
 
 def test_operator_stack_validation_and_immutability():

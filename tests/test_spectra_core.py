@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsvkit.density_model import joint_magnitude_state
 from gsvkit.errors import (
     AllZero,
     ConvergenceFailure,
@@ -14,6 +15,7 @@ from gsvkit.errors import (
     ShapeMismatch,
     ZeroVector,
 )
+from gsvkit.gsv_solver import WeightedProblem
 from gsvkit.spectra_core import (
     EigenPair,
     SymmetricMatrix,
@@ -238,6 +240,25 @@ def test_symmetric_matrix_rejects_bad_shapes():
         SymmetricMatrix(np.zeros((2, 3)))
     with pytest.raises(ShapeMismatch):
         SymmetricMatrix(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        SymmetricMatrix,
+        lambda a: WeightedProblem((np.ones((2, 2)),), a),
+        lambda a: joint_magnitude_state([a]),
+    ],
+    ids=["SymmetricMatrix", "WeightedProblem", "joint_magnitude_state"],
+)
+def test_one_symmetry_rule_at_1e_10_relative(build):
+    base = np.array([[2.0, 1.0], [1.0, 2.0]])
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    # ||base + t skew - (base + t skew)^T||_F / ||base||_F = 2 sqrt(2) t / sqrt(10)
+    per_unit = 2.0 * np.sqrt(2.0) / np.linalg.norm(base)
+    build(base + 0.5e-10 / per_unit * skew)
+    with pytest.raises(NotSymmetric):
+        build(base + 2e-10 / per_unit * skew)
 
 
 def test_eigenpair_validates_orthonormality_and_residual():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gsvkit.errors import (
     ConstantVector,
     LengthMismatch,
+    NonFiniteInput,
     NotStandardized,
     NotSymmetric,
     ShapeMismatch,
@@ -72,6 +73,14 @@ def test_standardize_errors():
         standardize([1.0])
     with pytest.raises(ConstantVector):
         standardize([3.0, 3.0, 3.0])
+
+
+def test_non_finite_entries_raise_non_finite_input():
+    for bad in ([1.0, np.nan], [1.0, np.inf, 2.0]):
+        with pytest.raises(NonFiniteInput):
+            StatVector(bad)
+        with pytest.raises(NonFiniteInput):
+            standardize(bad)
 
 
 def test_standardize_norm_squared_is_m():
