@@ -19,14 +19,44 @@ def format_float(x):
     return format(float(x), ".17g")
 
 
-def _parse_float(token, path, line_no):
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(path, line_no, f"not a decimal number: {token!r}") from None
-    if not np.isfinite(value):
-        raise ParseError(path, line_no, f"non-finite value: {token!r}")
-    return value
+def _parse_body(path, reader, start, width=None, id_pos=None):
+    """Parse the CSV records from line ``start`` on into a dense float matrix.
+
+    Blank records are skipped.  Every other record must have ``width`` fields
+    (default: the first record's count); field ``id_pos``, if given, is left
+    out of the numeric parse.  Returns ``(records, data)``, ``records`` being
+    the non-blank ``(line_no, fields)`` pairs.  The body is converted by one
+    ``np.array`` call, which parses each field as ``float()`` does.  Only when
+    a width differs, that call fails or a value is non-finite are the records
+    rescanned in file order, to raise the ParseError of the first faulty line
+    (on one line, a wrong field count before a bad value).
+    """
+    records = [(line_no, fields) for line_no, fields in enumerate(reader, start) if fields]
+    if not records:
+        raise ParseError(path, start, "file contains no data rows")
+    width = width or len(records[0][1])
+    numeric = [f if id_pos is None else f[:id_pos] + f[id_pos + 1 :] for _, f in records]
+    if all(len(fields) == width for _, fields in records):
+        try:
+            data = np.array(numeric, dtype=float)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(data).all():
+                return records, data
+    for (line_no, fields), row in zip(records, numeric):
+        if len(fields) != width:
+            raise ParseError(path, line_no, f"row has {len(fields)} values, expected {width}")
+        for token in row:
+            try:
+                value = float(token)
+            except ValueError:
+                raise ParseError(
+                    path, line_no, f"not a decimal number: {token.strip()!r}"
+                ) from None
+            if not np.isfinite(value):
+                raise ParseError(path, line_no, f"non-finite value: {token.strip()!r}")
+    raise AssertionError("np.array rejected a body that float() accepts")
 
 
 def read_matrix_csv(path):
@@ -35,23 +65,8 @@ def read_matrix_csv(path):
     Raises ParseError (with file and line) on malformed values, ragged rows,
     or an empty file.
     """
-    rows = []
-    width = None
     with open(path, newline="", encoding="utf-8") as fh:
-        for line_no, record in enumerate(csv.reader(fh), start=1):
-            if not record:
-                continue
-            values = [_parse_float(tok.strip(), path, line_no) for tok in record]
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ParseError(
-                    path, line_no, f"row has {len(values)} values, expected {width}"
-                )
-            rows.append(values)
-    if not rows:
-        raise ParseError(path, 1, "file contains no data rows")
-    return np.array(rows, dtype=float)
+        return _parse_body(path, csv.reader(fh), 1)[1]
 
 
 def write_matrix_csv(path, arr):
@@ -78,16 +93,7 @@ def read_probability_csv(path):
             raise ParseError(path, 1, "file is empty") from None
         if [h.strip() for h in header] != ["rho"]:
             raise ParseError(path, 1, f"expected header 'rho', got {header!r}")
-        values = []
-        for line_no, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != 1:
-                raise ParseError(path, line_no, "expected exactly one column")
-            values.append(_parse_float(record[0].strip(), path, line_no))
-    if not values:
-        raise ParseError(path, 2, "no probability rows found")
-    return np.array(values, dtype=float)
+        return _parse_body(path, reader, 2, 1)[1].ravel()
 
 
 def read_table_csv(path):
@@ -108,23 +114,5 @@ def read_table_csv(path):
         names = [h for i, h in enumerate(header) if i != id_pos]
         if not names:
             raise ParseError(path, 1, "need at least one numeric column besides 'id'")
-        ids = []
-        rows = []
-        for line_no, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise ParseError(
-                    path, line_no, f"row has {len(record)} fields, expected {len(header)}"
-                )
-            ids.append(record[id_pos].strip())
-            rows.append(
-                [
-                    _parse_float(tok.strip(), path, line_no)
-                    for i, tok in enumerate(record)
-                    if i != id_pos
-                ]
-            )
-    if not rows:
-        raise ParseError(path, 2, "no data rows found")
-    return ids, names, np.array(rows, dtype=float)
+        records, data = _parse_body(path, reader, 2, len(header), id_pos)
+    return [fields[id_pos].strip() for _, fields in records], names, data

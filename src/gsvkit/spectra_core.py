@@ -166,8 +166,9 @@ def _gram(mats):
         raise AllZero("all matrices in the stack are zero")
     n = mats[0].shape[1]
     s = np.zeros((n, n), dtype=float)
-    for a in mats:
-        s += a.T @ a
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        for a in mats:
+            s += a.T @ a
     if not np.all(np.isfinite(s)):
         raise NonFiniteInput("symmetric matrix contains non-finite entries")
     return s

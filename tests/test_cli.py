@@ -2,12 +2,16 @@
 
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gsvkit
 from gsvkit import cli, matrix_io
-from gsvkit.errors import GsvError
+from gsvkit.errors import GsvError, ParseError
 from gsvkit.gsv_solver import gsv_solve
 
 SAMPLE_CSV = str(importlib.resources.files("gsvkit") / "data" / "sample_locations.csv")
@@ -253,6 +257,95 @@ def test_matrix_round_trip_bit_identical(tmp_path):
     back = matrix_io.read_matrix_csv(path)
     np.testing.assert_array_equal(back, arr)
 
+    table = tmp_path / "t.csv"
+    table.write_text("id,a,b,c,d\n" + "".join(
+        f"r{i}," + ",".join(matrix_io.format_float(v) for v in row) + "\n"
+        for i, row in enumerate(arr)
+    ))
+    ids, names, data = matrix_io.read_table_csv(table)
+    assert ids == [f"r{i}" for i in range(7)] and names == ["a", "b", "c", "d"]
+    np.testing.assert_array_equal(data, arr)
+
+
+# ---------------------------------------------------------------------------
+# CSV parsing: one rule for all three readers
+
+# reader, header line, numeric fields per record, id fields per record
+CSV_READERS = {
+    "matrix": (matrix_io.read_matrix_csv, None, 2, 0),
+    "table": (matrix_io.read_table_csv, "id,a,b", 2, 1),
+    "probability": (matrix_io.read_probability_csv, "rho", 1, 0),
+}
+
+
+def write_rows(path, reader, rows):
+    """Write numeric ``rows`` (None: a blank line) under the reader's header."""
+    _, header, _, ids = CSV_READERS[reader]
+    lines = [] if header is None else [header]
+    for i, row in enumerate(rows):
+        lines.append("" if row is None else ",".join([f"r{i}"] * ids + row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+# case: (rows for k numeric fields per record, index of the faulty row, message);
+# {n} and {w} are the faulty row's and the expected field counts as written.
+PARSE_FAULTS = {
+    "bad token": (lambda k: [["1"] * k, ["1"] * (k - 1) + [" x "]], 1,
+                  "not a decimal number: 'x'"),
+    "nan": (lambda k: [["1"] * k, ["nan"] * k], 1, "non-finite value: 'nan'"),
+    "inf": (lambda k: [["1"] * k, ["inf"] * k], 1, "non-finite value: 'inf'"),
+    "overflow": (lambda k: [["1"] * k, ["1e400"] * k], 1, "non-finite value: '1e400'"),
+    "long row": (lambda k: [["1"] * k, ["1"] * (k + 1)], 1, "row has {n} values, expected {w}"),
+    "short row": (lambda k: [["1"] * k, ["1"] * (k - 1)], 1, "row has {n} values, expected {w}"),
+    "after a blank line": (lambda k: [["1"] * k, None, ["y"] * k], 2,
+                           "not a decimal number: 'y'"),
+    "first faulty line wins": (lambda k: [["z"] * k, ["1"] * (k + 1)], 0,
+                               "not a decimal number: 'z'"),
+    "width before value": (lambda k: [["1"] * k, ["w"] * (k + 1)], 1,
+                           "row has {n} values, expected {w}"),
+    "empty body": (lambda k: [], 0, "file contains no data rows"),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, case",
+    [
+        (reader, case)
+        for reader in CSV_READERS
+        for case in PARSE_FAULTS
+        # a one-column record one value short is a blank line
+        if (reader, case) != ("probability", "short row")
+    ],
+)
+def test_parse_error_names_first_faulty_line(tmp_path, reader, case):
+    read, header, k, ids = CSV_READERS[reader]
+    make_rows, faulty, message = PARSE_FAULTS[case]
+    rows = make_rows(k)
+    path = tmp_path / "in.csv"
+    write_rows(path, reader, rows)
+    with pytest.raises(ParseError) as exc_info:
+        read(path)
+    line = faulty + 1 + (header is not None)
+    if rows:
+        message = message.format(n=len(rows[faulty]) + ids, w=k + ids)
+    assert str(exc_info.value) == f"{path}:{line}: {message}"
+    assert exc_info.value.line == line
+
+
+@pytest.mark.parametrize("reader", CSV_READERS)
+def test_readers_parse_fields_as_python_float(tmp_path, reader):
+    read, _, k, _ = CSV_READERS[reader]
+    fields = ['"1.5"', " -2.25 ", '" 3e-5 "', "1_000", "+.5", "0.1"]
+    rows = [fields[i : i + k] for i in range(0, len(fields), k)]
+    path = tmp_path / "in.csv"
+    write_rows(path, reader, [r for row in rows for r in (row, None)])
+    out = read(path)
+    data = out[2] if reader == "table" else out
+    assert data.shape == ((6,) if reader == "probability" else (3, 2))
+    assert data.ravel().tolist() == [float(f.strip().strip('"')) for f in fields]
+    if reader == "table":
+        assert out[:2] == (["r0", "r2", "r4"], ["a", "b"])
+
 
 # ---------------------------------------------------------------------------
 # exit codes
@@ -271,6 +364,21 @@ def test_exit_2_on_parse_errors(tmp_path, capsys):
 
     code, _, _ = run_cli(capsys, ["solve", tmp_path / "missing.csv"])
     assert code == 2
+
+
+def test_exit_2_on_gram_overflow_with_one_stderr_line(tmp_path):
+    big = write_matrix(tmp_path / "big.csv", np.full((3, 2), 1e200))
+    src = os.path.dirname(os.path.dirname(gsvkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gsvkit.cli", "solve", big],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "gsvkit solve: input error: symmetric matrix contains non-finite entries"
+    ]
 
 
 def test_exit_2_on_shape_mismatch(tmp_path, capsys):

@@ -144,7 +144,7 @@ def test_solve_all_zero_rejected():
 @pytest.mark.parametrize("big", [np.full((3, 2), 1e200), np.diag([1e200, 1.0])])
 def test_solve_gram_overflow_raises_gsv_error(big):
     # finite entries whose Gram sum overflows: a GsvError, never a ValueError or NaN
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GsvError):
+    with pytest.raises(GsvError):
         gsv_solve([big])
 
 
