@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,42 +30,24 @@ SCHEMA_VERSION = 1
 # Stderr prefix per exit code; codes 4-6 name their failure in the message.
 _PREFIXES = {2: "input error: ", 3: "solver failure: "}
 
-
-@dataclass
-class RunReport:
-    """Per-invocation run summary; serialized as a versioned JSON object."""
-
-    subcommand: str
-    inputs: dict
-    outputs: list = field(default_factory=list)
-    lambda_max: float = None
-    multiplicity: int = None
-    residual: float = None
-    psi_r_psi: float = None
-    seed: int = None
-    wall_time_ms: int = 0
-
-    def to_dict(self):
-        out = {
-            "schema": SCHEMA_VERSION,
-            "subcommand": self.subcommand,
-            "inputs": self.inputs,
-        }
-        for key in ("lambda_max", "multiplicity", "residual", "psi_r_psi", "seed"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        out["outputs"] = self.outputs
-        out["wall_time_ms"] = self.wall_time_ms
-        return out
+# An id the csv module's QUOTE_MINIMAL rule would quote when writing it.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def _digest(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _digests(paths):
-    return {str(p): _digest(p) for p in paths}
+def _report(subcommand, inputs, outputs, start, solution=None, **extra):
+    """The JSON run report; extras (``psi_r_psi``, ``seed``) that are ``None`` are left out."""
+    report = {
+        "schema": SCHEMA_VERSION,
+        "subcommand": subcommand,
+        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
+    }
+    if solution is not None:
+        report.update(lambda_max=solution.lambda_max, multiplicity=solution.multiplicity,
+                      residual=solution.residual)
+    report.update((key, value) for key, value in extra.items() if value is not None)
+    report["outputs"] = [str(p) for p in outputs]
+    report["wall_time_ms"] = int((time.perf_counter() - start) * 1000)
+    return report
 
 
 def _out_dir(out):
@@ -78,9 +60,10 @@ def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
+    return path
 
 
-def cmd_solve(matrix_files, gap_rtol=1e-10, oracle_samples=0, seed=42, out=".") -> RunReport:
+def cmd_solve(matrix_files, gap_rtol=1e-10, oracle_samples=0, seed=42, out=".") -> dict:
     """Solve the stacked maximization for matrices read from headerless CSVs.
 
     Writes ``solution.json``; with ``oracle_samples > 0`` the sampled
@@ -109,21 +92,12 @@ def cmd_solve(matrix_files, gap_rtol=1e-10, oracle_samples=0, seed=42, out=".") 
         lower = brute_force_max(stack, int(oracle_samples), seed)
         payload["oracle_lower_bound"] = lower
         payload["oracle_gap"] = solution.lambda_max - lower
-    out_path = _out_dir(out) / "solution.json"
-    _write_json(out_path, payload)
-    return RunReport(
-        subcommand="solve",
-        inputs=_digests(matrix_files),
-        outputs=[str(out_path)],
-        lambda_max=solution.lambda_max,
-        multiplicity=solution.multiplicity,
-        residual=solution.residual,
-        seed=int(seed) if sampling else None,
-        wall_time_ms=int((time.perf_counter() - start) * 1000),
-    )
+    out_path = _write_json(_out_dir(out) / "solution.json", payload)
+    return _report("solve", matrix_files, [out_path], start, solution,
+                   seed=int(seed) if sampling else None)
 
 
-def cmd_coil(ex, ey, ez, r, gap_rtol=1e-10, out=".") -> RunReport:
+def cmd_coil(ex, ey, ez, r, gap_rtol=1e-10, out=".") -> dict:
     """Energy-constrained solve for field matrices E_x, E_y, E_z and resistance R.
 
     Writes ``psi.csv`` (one nodal value per row) and ``psi_normalized.csv``
@@ -153,23 +127,16 @@ def cmd_coil(ex, ey, ez, r, gap_rtol=1e-10, out=".") -> RunReport:
     matrix_io.write_vector_csv(psi_path, psi)
     psi_max = psi[np.argmax(np.abs(psi))]
     matrix_io.write_vector_csv(norm_path, psi / psi_max)
-    return RunReport(
-        subcommand="coil",
-        inputs=_digests([ex, ey, ez, r]),
-        outputs=[str(psi_path), str(norm_path)],
-        lambda_max=solution.lambda_max,
-        multiplicity=solution.multiplicity,
-        residual=solution.residual,
-        psi_r_psi=energy,
-        wall_time_ms=int((time.perf_counter() - start) * 1000),
-    )
+    return _report("coil", [ex, ey, ez, r], [psi_path, norm_path], start, solution,
+                   psi_r_psi=energy)
 
 
-def cmd_rank(data, standardize_flag=True, gap_rtol=1e-10, out=".") -> RunReport:
+def cmd_rank(data, standardize_flag=True, gap_rtol=1e-10, out=".") -> dict:
     """Rank table rows by their supporting-vector scores.
 
     Writes ``ranking.csv`` (rank, id, score; descending score) and
-    ``scores_plot.csv`` (id, score in input order, bar-chart ready).
+    ``scores_plot.csv`` (id, score in input order, bar-chart ready); an id
+    is CSV-quoted where the csv module would quote it.
     """
     start = time.perf_counter()
     ids, names, raw = matrix_io.read_table_csv(data)
@@ -179,29 +146,21 @@ def cmd_rank(data, standardize_flag=True, gap_rtol=1e-10, out=".") -> RunReport:
         m = StatMatrix.from_standardized(raw)
     scores, solution = score_rows(m, gap_rtol=gap_rtol)
     order = np.argsort(-scores, kind="stable")
+    ids = ['"' + i.replace('"', '""') + '"' if _NEEDS_QUOTES.search(i) else i for i in ids]
     out_base = _out_dir(out)
     rank_path = out_base / "ranking.csv"
     plot_path = out_base / "scores_plot.csv"
+    cells = [f"{row_id},{matrix_io.format_float(s)}\n" for row_id, s in zip(ids, scores)]
     with open(rank_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("rank,id,score\n")
-        for pos, i in enumerate(order, start=1):
-            fh.write(f"{pos},{ids[i]},{matrix_io.format_float(scores[i])}\n")
+        fh.writelines(f"{pos},{cells[i]}" for pos, i in enumerate(order, start=1))
     with open(plot_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("id,score\n")
-        for i, row_id in enumerate(ids):
-            fh.write(f"{row_id},{matrix_io.format_float(scores[i])}\n")
-    return RunReport(
-        subcommand="rank",
-        inputs=_digests([data]),
-        outputs=[str(rank_path), str(plot_path)],
-        lambda_max=solution.lambda_max,
-        multiplicity=solution.multiplicity,
-        residual=solution.residual,
-        wall_time_ms=int((time.perf_counter() - start) * 1000),
-    )
+        fh.writelines(cells)
+    return _report("rank", [data], [rank_path, plot_path], start, solution)
 
 
-def cmd_density(rho, trials=10000, seed=42, out=".") -> RunReport:
+def cmd_density(rho, trials=10000, seed=42, out=".") -> dict:
     """Evaluate a truncated probability density model read from a rho CSV.
 
     Writes ``density.json`` with the operator norm, supporting state index,
@@ -218,15 +177,8 @@ def cmd_density(rho, trials=10000, seed=42, out=".") -> RunReport:
         "tail": model.tail,
         "positivity_chain_ok": check_positivity_chain(model, int(trials), seed),
     }
-    out_path = _out_dir(out) / "density.json"
-    _write_json(out_path, payload)
-    return RunReport(
-        subcommand="density",
-        inputs=_digests([rho]),
-        outputs=[str(out_path)],
-        seed=int(seed),
-        wall_time_ms=int((time.perf_counter() - start) * 1000),
-    )
+    out_path = _write_json(_out_dir(out) / "density.json", payload)
+    return _report("density", [rho], [out_path], start, seed=int(seed))
 
 
 def _checked(convert, ok, rule):
@@ -247,69 +199,65 @@ def build_parser():
         prog="gsvkit",
         description="Compute generalized supporting vectors and run the application pipelines.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--gap-rtol", default=1e-10,
-                        type=_checked(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-                        help="eigenvalue merge tolerance (default 1e-10)")
-    common.add_argument("--oracle-samples", type=int, default=0,
-                        help="sphere samples for the lower-bound oracle (default 0 = off)")
-    common.add_argument("--seed", type=int, default=42,
-                        help="seed for any sampling (default 42)")
-    common.add_argument("--out", default=".", help="output directory (default .)")
+    # one parent per shared flag; each subcommand takes exactly the flags its cmd_* reads
+    gap_rtol = argparse.ArgumentParser(add_help=False)
+    gap_rtol.add_argument("--gap-rtol", default=1e-10,
+                          type=_checked(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+                          help="eigenvalue merge tolerance (default 1e-10)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=42, help="seed for any sampling (default 42)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".", help="output directory (default .)")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[common],
+    p_solve = sub.add_parser("solve", parents=[gap_rtol, seed, out],
                              help="maximize the stacked objective for CSV matrices")
     p_solve.add_argument("matrices", nargs="+", help="headerless CSV matrix files")
+    p_solve.add_argument("--oracle-samples", default=0,
+                         type=_checked(int, lambda v: v >= 0, "must be at least 0"),
+                         help="sphere samples for the lower-bound oracle (default 0 = off)")
+    p_solve.set_defaults(run=lambda a: cmd_solve(
+        a.matrices, gap_rtol=a.gap_rtol, oracle_samples=a.oracle_samples, seed=a.seed, out=a.out))
 
-    p_coil = sub.add_parser("coil", parents=[common],
+    p_coil = sub.add_parser("coil", parents=[gap_rtol, out],
                             help="energy-constrained solve for field matrices")
     p_coil.add_argument("ex", help="E_x field matrix CSV (H x N)")
     p_coil.add_argument("ey", help="E_y field matrix CSV (H x N)")
     p_coil.add_argument("ez", help="E_z field matrix CSV (H x N)")
     p_coil.add_argument("r", help="SPD resistance matrix CSV (N x N)")
+    p_coil.set_defaults(run=lambda a: cmd_coil(
+        a.ex, a.ey, a.ez, a.r, gap_rtol=a.gap_rtol, out=a.out))
 
-    p_rank = sub.add_parser("rank", parents=[common],
+    p_rank = sub.add_parser("rank", parents=[gap_rtol, out],
                             help="rank table rows by supporting-vector score")
     p_rank.add_argument("data", help="CSV with an 'id' column plus numeric columns")
     p_rank.add_argument("--no-standardize", action="store_true",
                         help="treat the columns as already standardized")
+    p_rank.set_defaults(run=lambda a: cmd_rank(
+        a.data, standardize_flag=not a.no_standardize, gap_rtol=a.gap_rtol, out=a.out))
 
-    p_density = sub.add_parser("density", parents=[common],
+    p_density = sub.add_parser("density", parents=[seed, out],
                                help="evaluate a truncated probability density model")
     p_density.add_argument("rho", help="single-column CSV with header 'rho'")
     p_density.add_argument("--trials", default=10000,
                            type=_checked(int, lambda v: v >= 1, "must be at least 1"),
                            help="unit-vector samples for the positivity chain (default 10000)")
+    p_density.set_defaults(run=lambda a: cmd_density(
+        a.rho, trials=a.trials, seed=a.seed, out=a.out))
 
     return parser
-
-
-def _dispatch(args):
-    if args.subcommand == "solve":
-        return cmd_solve(args.matrices, gap_rtol=args.gap_rtol,
-                         oracle_samples=args.oracle_samples, seed=args.seed, out=args.out)
-    if args.subcommand == "coil":
-        return cmd_coil(args.ex, args.ey, args.ez, args.r,
-                        gap_rtol=args.gap_rtol, out=args.out)
-    if args.subcommand == "rank":
-        return cmd_rank(args.data, standardize_flag=not args.no_standardize,
-                        gap_rtol=args.gap_rtol, out=args.out)
-    if args.subcommand == "density":
-        return cmd_density(args.rho, trials=args.trials, seed=args.seed, out=args.out)
-    raise ValueError(f"unknown subcommand {args.subcommand!r}")
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        report = _dispatch(args)
+        report = args.run(args)
     except (GsvError, OSError) as exc:
         code = getattr(exc, "exit_code", 2)  # an unreadable file is an input error
         print(f"gsvkit {args.subcommand}: {_PREFIXES.get(code, '')}{exc}", file=sys.stderr)
         return code
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(report, indent=2))
     return 0
 
 

@@ -30,8 +30,36 @@ from .spectra_core import _frozen_array
 _STANDARDIZED_ATOL = 1e-12
 
 
-def _population_std(values, mean):
-    return float(np.sqrt(np.mean((values - mean) ** 2)))
+def _moments(x):
+    """Mean and population std of a finite vector, computed without overflow.
+
+    Works on ``y = x * 2**-e``, the power of two putting ``max|x|`` in
+    [0.5, 1), and returns ``(y - mean_y, mean_y, std_y, e)``; ``x``'s own
+    mean and std are ``mean_y * 2**e`` and ``std_y * 2**e``.  Scaling by a
+    power of two is exact, so in range these equal the unscaled values bit
+    for bit.
+    """
+    e = int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
+    y = np.ldexp(x, -e)
+    mean = float(np.mean(y))
+    centered = y - mean
+    return centered, mean, float(np.sqrt(np.mean(centered**2))), e
+
+
+def _standardized(x):
+    """``(values, mean, std)`` of a 1-D float array with m >= 2; see ``standardize``."""
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("vector contains non-finite entries")
+    centered, mean, std, e = _moments(x)
+    mu, sigma = float(np.ldexp(mean, e)), float(np.ldexp(std, e))
+    if sigma <= 1e-14 * max(1.0, abs(mu)):
+        raise ConstantVector()
+    if x.shape[0] == 2:
+        # the only standardized vectors in R^2 are +-(1, -1); avoid round-off
+        values = np.array([1.0, -1.0]) if x[0] > x[1] else np.array([-1.0, 1.0])
+    else:
+        values = centered / std
+    return values, mu, sigma
 
 
 @dataclass(frozen=True)
@@ -46,10 +74,10 @@ class StatVector:
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if not np.all(np.isfinite(v)):
             raise NonFiniteInput("vector contains non-finite entries")
-        mean = float(np.mean(v))
+        _, mean, std, e = _moments(v)
         object.__setattr__(self, "values", _frozen_array(v))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", _population_std(v, mean))
+        object.__setattr__(self, "mean", float(np.ldexp(mean, e)))
+        object.__setattr__(self, "std", float(np.ldexp(std, e)))
 
     def __len__(self):
         return self.values.shape[0]
@@ -78,18 +106,7 @@ def standardize(x):
     m = x.shape[0]
     if m < 2:
         raise TooShort(f"standardization needs m >= 2, got m={m}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("vector contains non-finite entries")
-    mu = float(np.mean(x))
-    sigma = _population_std(x, mu)
-    if sigma <= 1e-14 * max(1.0, abs(mu)):
-        raise ConstantVector()
-    if m == 2:
-        # the only standardized vectors in R^2 are +-(1, -1); avoid round-off
-        values = np.array([1.0, -1.0]) if x[0] > x[1] else np.array([-1.0, 1.0])
-    else:
-        values = (x - mu) / sigma
-    return StatVector(values)
+    return StatVector(_standardized(x)[0])
 
 
 def is_snv(x, tol=1e-10):
@@ -144,11 +161,9 @@ class StatMatrix:
         for j in range(n):
             name = columns[j] if columns is not None else j
             try:
-                data[:, j] = standardize(raw[:, j]).values
+                data[:, j], means[j], stds[j] = _standardized(raw[:, j])
             except ConstantVector:
                 raise ConstantVector(column=name) from None
-            means[j] = np.mean(raw[:, j])
-            stds[j] = _population_std(raw[:, j], means[j])
         return cls(data, means, stds, True)
 
     @classmethod

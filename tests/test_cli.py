@@ -1,5 +1,6 @@
 """End-to-end tests for the gsvkit command line: files, reports, exit codes."""
 
+import csv
 import importlib.resources
 import json
 import os
@@ -13,6 +14,7 @@ import gsvkit
 from gsvkit import cli, matrix_io
 from gsvkit.errors import GsvError, ParseError
 from gsvkit.gsv_solver import gsv_solve
+from gsvkit.stat_norm import StatMatrix
 
 SAMPLE_CSV = str(importlib.resources.files("gsvkit") / "data" / "sample_locations.csv")
 
@@ -83,6 +85,23 @@ def test_solve_report_key_sets(tmp_path, capsys):
         capsys, ["solve", a, "--oracle-samples", "100", "--out", tmp_path / "o2"]
     )
     assert "seed" in sampled
+
+    diagnostics = ["lambda_max", "multiplicity", "residual"]
+    _, paths, r_path = _coil_fixture(tmp_path, np.random.default_rng(87), np.eye(5))
+    _, coil, _ = run_cli(capsys, ["coil", *paths, r_path, "--out", tmp_path / "o3"])
+    assert list(coil) == [
+        "schema", "subcommand", "inputs", *diagnostics, "psi_r_psi", "outputs", "wall_time_ms",
+    ]
+    _, rank, _ = run_cli(capsys, ["rank", SAMPLE_CSV, "--out", tmp_path / "o4"])
+    assert list(rank) == [
+        "schema", "subcommand", "inputs", *diagnostics, "outputs", "wall_time_ms",
+    ]
+    rho = tmp_path / "rho.csv"
+    rho.write_text("rho\n0.5\n")
+    _, density, _ = run_cli(capsys, ["density", rho, "--out", tmp_path / "o5"])
+    assert list(density) == [
+        "schema", "subcommand", "inputs", "seed", "outputs", "wall_time_ms",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +197,32 @@ def test_rank_duplicated_column_scores(tmp_path, capsys):
     scores = np.array([float(r.split(",")[1]) for r in plot])
     std_col = (col - col.mean()) / np.sqrt(np.mean((col - col.mean()) ** 2))
     np.testing.assert_allclose(scores, np.sqrt(2.0) * std_col, atol=1e-10)
+
+
+def test_rank_quotes_ids_that_need_it(tmp_path, capsys):
+    data = tmp_path / "quoted.csv"
+    data.write_text('id,a\n"loc,1",1.0\n"say ""hi""",3.0\nplain,2.0\n')
+    code, _, _ = run_cli(capsys, ["rank", data, "--out", tmp_path / "out"])
+    assert code == 0
+    for name, width in (("ranking.csv", 3), ("scores_plot.csv", 2)):
+        text = (tmp_path / "out" / name).read_text(encoding="utf-8")
+        rows = list(csv.reader(text.splitlines()))[1:]
+        assert [len(row) for row in rows] == [width] * 3, name
+        assert sorted(row[width - 2] for row in rows) == ["loc,1", "plain", 'say "hi"'], name
+    assert "\nplain," in text  # an id without a comma or quote is written as is
+
+
+def test_rank_standardizes_columns_near_1e200(tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    data.write_text("id,a,b\nr0,1e200,1\nr1,-1e200,2\nr2,3e200,5\n")
+    code, report, _ = run_cli(capsys, ["rank", data, "--out", tmp_path / "out"])
+    assert code == 0
+    m = StatMatrix.from_raw(matrix_io.read_table_csv(data)[2])
+    np.testing.assert_allclose(m.data[:, 0], [0.0, -np.sqrt(1.5), np.sqrt(1.5)], atol=1e-14)
+    np.testing.assert_allclose(m.col_stds, [np.sqrt(8.0 / 3.0) * 1e200, np.sqrt(26.0) / 3.0])
+    b = np.array([1.0, 2.0, 5.0])
+    expected = np.column_stack([m.data[:, 0], (b - b.mean()) / b.std()])
+    assert report["lambda_max"] == pytest.approx(np.linalg.norm(expected, 2) ** 2, rel=1e-12)
 
 
 def test_rank_repeated_runs_identical(tmp_path, capsys):
@@ -442,6 +487,11 @@ def test_rank_no_standardize_requires_standardized(tmp_path, capsys):
         (["solve", "{a}", "--gap-rtol", "1"], "must lie in (0, 1), got 1"),
         (["solve", "{a}", "--gap-rtol", "abc"], "invalid float value: 'abc'"),
         (["density", "{rho}", "--trials", "0"], "must be at least 1, got 0"),
+        (["solve", "{a}", "--oracle-samples", "-1"], "must be at least 0, got -1"),
+        (["rank", "{a}", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["coil", "{a}", "{a}", "{a}", "{a}", "--oracle-samples", "5"],
+         "unrecognized arguments: --oracle-samples 5"),
+        (["density", "{rho}", "--gap-rtol", "1e-8"], "unrecognized arguments: --gap-rtol 1e-8"),
     ],
 )
 def test_exit_2_with_usage_on_bad_flag_values(tmp_path, capsys, argv, message):
