@@ -205,7 +205,9 @@ def build_parser():
                           type=_checked(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
                           help="eigenvalue merge tolerance (default 1e-10)")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=42, help="seed for any sampling (default 42)")
+    seed.add_argument("--seed", default=42,
+                      type=_checked(int, lambda v: v >= 0, "must be at least 0"),
+                      help="seed for any sampling (default 42)")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=".", help="output directory (default .)")
 

@@ -9,7 +9,7 @@ in this diagonal representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class DensityModel:
     """Truncated probability vector (rho_1 ... rho_N) plus the dropped tail mass."""
 
     probs: np.ndarray
-    tail: float = 0.0
+    tail: float = field(init=False)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float).reshape(-1)

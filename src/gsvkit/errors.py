@@ -69,12 +69,8 @@ class ParseError(GsvError):
 
 
 class ConvergenceFailure(GsvError):
-    """The eigendecomposition backend failed within its iteration budget."""
+    """The eigensolve failed: the backend's own error message, or a violated post-condition."""
     exit_code = 3
-
-    def __init__(self, message, iterations):
-        super().__init__(f"{message} (iteration budget: {iterations})")
-        self.iterations = int(iterations)
 
 
 class NotSPD(GsvError):

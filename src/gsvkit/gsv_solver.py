@@ -40,12 +40,13 @@ class OperatorStack:
     """Ordered list of real m_i x n matrices sharing the column count n."""
 
     mats: tuple
-    ncols: int = 0
 
     def __post_init__(self):
-        mats = validated_matrices(self.mats)
-        object.__setattr__(self, "mats", mats)
-        object.__setattr__(self, "ncols", mats[0].shape[1])
+        object.__setattr__(self, "mats", validated_matrices(self.mats))
+
+    @property
+    def ncols(self):
+        return self.mats[0].shape[1]
 
     def __len__(self):
         return len(self.mats)
@@ -83,14 +84,13 @@ class GsvSolution:
 
     lambda_max: float
     basis: np.ndarray
-    multiplicity: int
     objective_check: float
     residual: float
 
     def __post_init__(self):
         basis = _frozen_array(self.basis)
-        if basis.ndim != 2 or basis.shape[1] != self.multiplicity:
-            raise ShapeMismatch("basis must be n x multiplicity")
+        if basis.ndim != 2 or basis.shape[1] < 1:
+            raise ShapeMismatch("basis must be a 2-D array with r >= 1 columns")
         norms = np.linalg.norm(basis, axis=0)
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ValueError("basis columns must be unit vectors to 1e-12")
@@ -101,6 +101,10 @@ class GsvSolution:
                 "objective re-evaluation disagrees with lambda_max beyond 1e-8"
             )
         object.__setattr__(self, "basis", basis)
+
+    @property
+    def multiplicity(self):
+        return self.basis.shape[1]
 
     @property
     def whole_sphere(self):
@@ -124,7 +128,6 @@ def gsv_solve(stack, gap_rtol=1e-10):
     return GsvSolution(
         lambda_max=lam,
         basis=basis,
-        multiplicity=basis.shape[1],
         objective_check=objective_value(stack, basis[:, 0]),
         residual=residual,
     )
@@ -170,7 +173,6 @@ def gsv_solve_2col_equalnorm(a):
     return GsvSolution(
         lambda_max=lam,
         basis=basis,
-        multiplicity=basis.shape[1],
         objective_check=float(np.sum((a @ basis[:, 0]) ** 2)),
         residual=residual,
     )
@@ -200,10 +202,6 @@ class WeightedProblem:
         r = _symmetrized(r, "resistance matrix")
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "resistance", _frozen_array(r))
-
-    @property
-    def n_nodes(self):
-        return self.resistance.shape[0]
 
 
 def _upper_cholesky(r):
@@ -247,8 +245,7 @@ def weighted_gsv_solve(prob, gap_rtol=1e-10):
     if abs(energy - 1.0) > 1e-8:
         raise ConvergenceFailure(
             f"whitened solution violates psi^T R psi = 1 (got {energy!r}); "
-            "resistance matrix is too ill-conditioned",
-            0,
+            "resistance matrix is too ill-conditioned"
         )
     return psi, solution
 

@@ -26,9 +26,8 @@ from .errors import (
 # Relative Frobenius asymmetry above this is a caller bug, not round-off.
 ASYMMETRY_RTOL = 1e-10
 
-# Sweep budget the LAPACK symmetric driver enforces per off-diagonal element;
-# reported when the backend signals non-convergence (it exposes no count).
-_LAPACK_SWEEP_BUDGET = 30
+# The published residual bound: ||S v - lambda v||_2 <= RESIDUAL_RTOL * max(1, |lambda|).
+RESIDUAL_RTOL = 1e-8
 
 
 def _frozen_array(a, dtype=float):
@@ -130,13 +129,12 @@ class EigenPair:
 
     ``vectors`` is n x r with r the multiplicity; ``residual`` is the max over
     columns v of ``||S v - value * v||_2`` and must satisfy
-    ``residual <= rtol * max(1, |value|)`` for the ``rtol`` declared here.
+    ``residual <= RESIDUAL_RTOL * max(1, |value|)``.
     """
 
     value: float
     vectors: np.ndarray
     residual: float
-    rtol: float = 1e-8
 
     def __post_init__(self):
         v = _frozen_array(self.vectors)
@@ -145,10 +143,10 @@ class EigenPair:
         gram = v.T @ v
         if np.max(np.abs(gram - np.eye(v.shape[1]))) > 1e-10:
             raise ValueError("eigenvector columns are not orthonormal to 1e-10")
-        if self.residual > self.rtol * max(1.0, abs(self.value)):
+        if self.residual > RESIDUAL_RTOL * max(1.0, abs(self.value)):
             raise ValueError(
-                f"residual {self.residual:.3e} violates the declared bound "
-                f"{self.rtol:.0e} * max(1, |value|)"
+                f"residual {self.residual:.3e} violates the bound "
+                f"{RESIDUAL_RTOL:.0e} * max(1, |value|)"
             )
         object.__setattr__(self, "vectors", v)
 
@@ -188,7 +186,7 @@ def gram_sum(stack):
     return SymmetricMatrix(_gram(mats))
 
 
-def _top_eigenspace(s, gap_rtol, residual_rtol=1e-8):
+def _top_eigenspace(s, gap_rtol):
     """Eigensolve core shared by ``gsv_solve`` and :func:`max_eigenpair`.
 
     ``s`` must be finite and exactly symmetric; returns EigenPair's
@@ -196,24 +194,22 @@ def _top_eigenspace(s, gap_rtol, residual_rtol=1e-8):
     """
     if not 0.0 < gap_rtol < 1.0:
         raise ValueError(f"gap_rtol must lie in (0, 1), got {gap_rtol}")
-    budget = _LAPACK_SWEEP_BUDGET * s.shape[0]
     try:
         w, v = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigendecomposition failed: {exc}", budget) from exc
+        raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     lam = float(w[-1])
     keep = np.abs(w - lam) <= gap_rtol * max(1.0, lam)
     basis = fix_column_signs(v[:, keep])
     residual = float(np.max(np.linalg.norm(s @ basis - lam * basis, axis=0)))
-    if residual > residual_rtol * max(1.0, abs(lam)):
+    if residual > RESIDUAL_RTOL * max(1.0, abs(lam)):
         raise ConvergenceFailure(
-            f"residual {residual:.3e} exceeds {residual_rtol:.0e} * max(1, |lambda|)",
-            budget,
+            f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * max(1, |lambda|)"
         )
     return lam, basis, residual
 
 
-def max_eigenpair(s, gap_rtol=1e-10, residual_rtol=1e-8):
+def max_eigenpair(s, gap_rtol=1e-10):
     """Largest eigenvalue of a symmetric matrix with its merged eigenspace.
 
     Eigenvalues within ``gap_rtol * max(1, lambda_max)`` of the maximum are
@@ -226,18 +222,15 @@ def max_eigenpair(s, gap_rtol=1e-10, residual_rtol=1e-8):
         Input matrix (arrays are validated and symmetrized).
     gap_rtol : float
         Relative-with-floor eigenvalue merge tolerance, in (0, 1).
-    residual_rtol : float
-        Residual bound declared on the returned EigenPair.
 
     Raises
     ------
     ConvergenceFailure
-        If the backend fails, or the residual bound cannot be met.
+        If the backend fails, or the residual bound ``RESIDUAL_RTOL`` cannot be met.
     """
     if not isinstance(s, SymmetricMatrix):
         s = SymmetricMatrix(s)
-    lam, basis, residual = _top_eigenspace(s.entries, gap_rtol, residual_rtol)
-    return EigenPair(lam, basis, residual, rtol=residual_rtol)
+    return EigenPair(*_top_eigenspace(s.entries, gap_rtol))
 
 
 def rayleigh_quotient(s, x):

@@ -10,7 +10,7 @@ the multivariate ranking pipeline built on the supporting-vector solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +52,7 @@ def _standardized(x):
         raise NonFiniteInput("vector contains non-finite entries")
     centered, mean, std, e = _moments(x)
     mu, sigma = float(np.ldexp(mean, e)), float(np.ldexp(std, e))
-    if sigma <= 1e-14 * max(1.0, abs(mu)):
+    if sigma <= 1e-14 * float(np.max(np.abs(x))):
         raise ConstantVector()
     if x.shape[0] == 2:
         # the only standardized vectors in R^2 are +-(1, -1); avoid round-off
@@ -67,8 +67,8 @@ class StatVector:
     """Real vector together with its own mean and population standard deviation."""
 
     values: np.ndarray
-    mean: float = 0.0
-    std: float = 0.0
+    mean: float = field(init=False)
+    std: float = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
@@ -100,7 +100,8 @@ def standardize(x):
     standardizes to ``(1, -1)`` or ``(-1, 1)``.
 
     Raises TooShort for m < 2 and ConstantVector when the standard deviation
-    vanishes (below ``1e-14 * max(1, |mean|)``).
+    vanishes relative to the vector's own magnitude (at most
+    ``1e-14 * max|x|``), so the verdict does not depend on the input's units.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     m = x.shape[0]

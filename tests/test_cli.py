@@ -225,6 +225,17 @@ def test_rank_standardizes_columns_near_1e200(tmp_path, capsys):
     assert report["lambda_max"] == pytest.approx(np.linalg.norm(expected, 2) ** 2, rel=1e-12)
 
 
+def test_rank_standardizes_columns_near_1e_minus_20(tmp_path, capsys):
+    data = tmp_path / "tiny.csv"
+    data.write_text("id,a,b\nr0,1e-20,1\nr1,2e-20,2\nr2,5e-20,5\nr3,3e-20,4\n")
+    code, report, err = run_cli(capsys, ["rank", data, "--out", tmp_path / "out"])
+    assert code == 0, err
+    m = StatMatrix.from_raw(matrix_io.read_table_csv(data)[2])
+    a = np.array([1.0, 2.0, 5.0, 3.0])
+    np.testing.assert_allclose(m.data[:, 0], (a - a.mean()) / a.std(), atol=1e-14)
+    assert report["lambda_max"] == pytest.approx(np.linalg.norm(m.data, 2) ** 2, rel=1e-12)
+
+
 def test_rank_repeated_runs_identical(tmp_path, capsys):
     outputs = set()
     for i in range(3):
@@ -426,6 +437,16 @@ def test_exit_2_on_gram_overflow_with_one_stderr_line(tmp_path):
     ]
 
 
+def test_import_does_not_load_scipy():
+    # Only the coil path needs scipy.linalg, which adds ~0.2 s to every CLI start.
+    src = os.path.dirname(os.path.dirname(gsvkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, gsvkit, gsvkit.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_exit_2_on_shape_mismatch(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.csv", np.eye(2))
     b = write_matrix(tmp_path / "b.csv", np.eye(3))
@@ -492,6 +513,8 @@ def test_rank_no_standardize_requires_standardized(tmp_path, capsys):
         (["coil", "{a}", "{a}", "{a}", "{a}", "--oracle-samples", "5"],
          "unrecognized arguments: --oracle-samples 5"),
         (["density", "{rho}", "--gap-rtol", "1e-8"], "unrecognized arguments: --gap-rtol 1e-8"),
+        (["solve", "{a}", "--oracle-samples", "10", "--seed", "-1"], "must be at least 0, got -1"),
+        (["density", "{rho}", "--seed", "-1"], "must be at least 0, got -1"),
     ],
 )
 def test_exit_2_with_usage_on_bad_flag_values(tmp_path, capsys, argv, message):

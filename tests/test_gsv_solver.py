@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from gsvkit.density_model import DensityModel
 from gsvkit.errors import (
     AllZero,
     ColumnNormMismatch,
+    ConvergenceFailure,
     DimensionTooLarge,
     GsvError,
     NotSPD,
@@ -23,7 +25,8 @@ from gsvkit.gsv_solver import (
     objective_value,
     weighted_gsv_solve,
 )
-from gsvkit.spectra_core import gram_sum, max_eigenpair
+from gsvkit.spectra_core import EigenPair, gram_sum, max_eigenpair
+from gsvkit.stat_norm import StatVector
 
 SQRT_HALF = np.sqrt(2.0) / 2.0
 
@@ -158,9 +161,36 @@ def test_operator_stack_validation_and_immutability():
 
 def test_gsv_solution_invariants_enforced():
     with pytest.raises(ValueError):
-        GsvSolution(1.0, np.array([[2.0], [0.0]]), 1, 1.0, 0.0)
+        GsvSolution(1.0, np.array([[2.0], [0.0]]), 1.0, 0.0)
     with pytest.raises(ValueError):
-        GsvSolution(1.0, np.array([[1.0], [0.0]]), 1, 2.0, 0.0)
+        GsvSolution(1.0, np.array([[1.0], [0.0]]), 2.0, 0.0)
+
+
+def test_gsv_solution_multiplicity_is_basis_width():
+    for mats in ([np.eye(3)], [np.diag([2.0, 2.0, 1.0])], [np.diag([1.0, 3.0, 2.0])]):
+        sol = gsv_solve(mats)
+        assert sol.multiplicity == sol.basis.shape[1]
+
+
+# Each value is derived from stored data or fixed by the published bound, so
+# the public API does not take it as an argument.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: OperatorStack((np.eye(2),), ncols=7),
+        lambda: GsvSolution(1.0, np.eye(2)[:, :1], 1, 1.0, 0.0),
+        lambda: StatVector(np.array([1.0, 2.0]), mean=5.0),
+        lambda: StatVector(np.array([1.0, 2.0]), std=9.0),
+        lambda: DensityModel(np.array([0.5]), tail=0.9),
+        lambda: max_eigenpair(np.eye(2), residual_rtol=1.0),
+        lambda: EigenPair(1.0, np.eye(2)[:, :1], 0.5, rtol=1.0),
+        lambda: ConvergenceFailure("m", iterations=90),
+    ],
+    ids=["ncols", "multiplicity", "mean", "std", "tail", "residual_rtol", "rtol", "iterations"],
+)
+def test_public_api_rejects_derived_or_fixed_arguments(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,8 @@ def test_max_eigenpair_backend_failure_maps_to_convergence_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", boom)
     with pytest.raises(ConvergenceFailure) as exc_info:
         max_eigenpair(SymmetricMatrix(np.eye(3)))
-    assert exc_info.value.iterations > 0
+    assert "Eigenvalues did not converge" in str(exc_info.value)
+    assert "iteration budget" not in str(exc_info.value)
 
 
 def test_rayleigh_bound_random_unit_vectors():
@@ -267,7 +268,7 @@ def test_eigenpair_validates_orthonormality_and_residual():
     with pytest.raises(ValueError):
         EigenPair(1.0, np.array([[1.0, 1.0], [0.0, 0.0]]), 0.0)
     with pytest.raises(ValueError):
-        EigenPair(1.0, good, residual=1.0, rtol=1e-8)
+        EigenPair(1.0, good, residual=1.0)
 
 
 def test_fix_column_signs_orientation():

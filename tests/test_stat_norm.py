@@ -75,6 +75,18 @@ def test_standardize_errors():
         standardize([3.0, 3.0, 3.0])
 
 
+@pytest.mark.parametrize("k", [-200, -70, 0, 40, 300])
+def test_standardize_is_invariant_under_power_of_two_scaling(k):
+    x = np.array([1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(standardize(x * 2.0**k).values, standardize(x).values)
+
+
+@pytest.mark.parametrize("c", [3.0, 3e-20, 1e200, 0.1, 1.0 / 3.0])
+def test_constant_vector_raises_at_every_scale(c):
+    with pytest.raises(ConstantVector):
+        standardize(np.full(5, c))
+
+
 def test_non_finite_entries_raise_non_finite_input():
     for bad in ([1.0, np.nan], [1.0, np.inf, 2.0]):
         with pytest.raises(NonFiniteInput):
