@@ -13,6 +13,9 @@ class GsvError(Exception):
     """Base class for all gsvkit contract violations; ``exit_code`` 2 is an input error."""
     exit_code = 2
 
+    def __init__(self, message):  # one message: no stray argument reaches the CLI's line
+        super().__init__(message)
+
 
 # ---------------------------------------------------------------------------
 # input / construction errors

@@ -119,12 +119,19 @@ def gsv_solve(stack, gap_rtol=1e-10):
     orthonormal basis of its (gap-merged) eigenspace, and a direct
     re-evaluation of the objective at the first basis column.
 
+    With fewer rows than columns in ``B = vstack(A_i)``, it eigendecomposes ``B B^T``
+    and maps u to ``B^T u / ||B^T u||``, unless lambda_max merges with zero.
+
     The stack is validated once, on entry.  Raises AllZero for an all-zero
     stack, NonFiniteInput when the Gram sum overflows, and propagates
     ConvergenceFailure from the eigen backend.
     """
     stack = as_stack(stack)
-    lam, basis, residual = _top_eigenspace(_gram(stack.mats), gap_rtol)
+    found = None
+    if sum(a.shape[0] for a in stack.mats) < stack.ncols:
+        rows = np.vstack(stack.mats)
+        found = _top_eigenspace(_gram((rows.T,)), gap_rtol, rows)
+    lam, basis, residual = found or _top_eigenspace(_gram(stack.mats), gap_rtol)
     return GsvSolution(
         lambda_max=lam,
         basis=basis,
@@ -225,7 +232,8 @@ def weighted_gsv_solve(prob, gap_rtol=1e-10):
     explicitly), runs :func:`gsv_solve` on the whitened stack and maps the
     first basis column phi back through ``psi = C^{-1} phi``.  Since
     ``||phi|| = 1``, the returned psi satisfies ``psi^T R psi = 1`` within
-    1e-8.
+    1e-8.  With 3H field rows below N nodes, that solve eigendecomposes the
+    3H x 3H ``B R^{-1} B^T`` of the stacked fields B, not an N x N matrix.
 
     Returns ``(psi, solution)``.  Raises NotSPD (with the failing pivot
     index, no automatic regularization) and propagates solver errors.

@@ -1,10 +1,11 @@
 """Dense symmetric linear-algebra substrate.
 
 Accumulates Gram sums ``S = sum_i A_i^T A_i``, extracts the maximal eigenpair
-with explicit multiplicity semantics, and reports residual diagnostics.  The
-eigendecomposition backend is LAPACK's dense symmetric driver (via
-``numpy.linalg.eigh``); the contract is the post-condition and residual bound,
-not the algorithm.
+with explicit multiplicity semantics, and reports residual diagnostics.  A
+stack ``B`` with fewer rows than columns is solved from the smaller ``B B^T``
+(the method of snapshots).  The eigendecomposition backend is LAPACK's dense
+symmetric driver (via ``numpy.linalg.eigh``); the contract is the
+post-condition and residual bound, not the algorithm.
 """
 
 from __future__ import annotations
@@ -85,16 +86,10 @@ def fix_column_signs(vectors):
     arbitrary.  Returns a new array; zero columns are left unchanged.
     """
     v = np.array(vectors, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    for j in range(v.shape[1]):
-        lead = np.argmax(np.abs(v[:, j]))
-        if v[lead, j] < 0:
-            v[:, j] = -v[:, j]
-    return v[:, 0] if squeeze else v
+    cols = v if v.ndim == 2 else v[:, None]  # a view: the flips land in v
+    # Exact: a column is multiplied by +-1, or a zero column by sign(0.0) = +0.0.
+    cols *= np.sign(cols[np.abs(cols).argmax(axis=0), np.arange(cols.shape[1])])
+    return v
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,8 @@ class EigenPair:
 def _gram(mats):
     """``sum_i A_i^T A_i`` over validated matrices; raises AllZero or NonFiniteInput.
 
-    Exactly symmetric as is: numpy forms ``a.T @ a`` by a mirrored rank-k update.
+    ``_gram((B.T,))`` is the Gram ``B B^T`` of the rows of B.  Exactly symmetric
+    as is: numpy forms ``a.T @ a`` by a mirrored rank-k update.
     """
     if all(not np.any(a) for a in mats):
         raise AllZero("all matrices in the stack are zero")
@@ -186,11 +182,13 @@ def gram_sum(stack):
     return SymmetricMatrix(_gram(mats))
 
 
-def _top_eigenspace(s, gap_rtol):
+def _top_eigenspace(s, gap_rtol, rows=None):
     """Eigensolve core shared by ``gsv_solve`` and :func:`max_eigenpair`.
 
     ``s`` must be finite and exactly symmetric; returns EigenPair's
-    ``(value, vectors, residual)``.
+    ``(value, vectors, residual)``.  With ``rows`` = B (M x n, M < n) and
+    ``s = B B^T``, they are those of ``B^T B``, never formed: u maps to
+    ``B^T u / ||B^T u||``.  None then means the merge reaches ``B^T B``'s zeros.
     """
     if not 0.0 < gap_rtol < 1.0:
         raise ValueError(f"gap_rtol must lie in (0, 1), got {gap_rtol}")
@@ -199,9 +197,19 @@ def _top_eigenspace(s, gap_rtol):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     lam = float(w[-1])
-    keep = np.abs(w - lam) <= gap_rtol * max(1.0, lam)
-    basis = fix_column_signs(v[:, keep])
-    residual = float(np.max(np.linalg.norm(s @ basis - lam * basis, axis=0)))
+    tol = gap_rtol * max(1.0, lam)
+    # lambda_max <= tol merges with zero; ROADMAP.md's relative merge rule ends this.
+    if rows is not None and lam <= tol:
+        return None
+    keep = np.abs(w - lam) <= tol
+    if rows is None:
+        basis = fix_column_signs(v[:, keep])
+        image = s @ basis
+    else:
+        x = rows.T @ v[:, keep]
+        basis = fix_column_signs(x / np.linalg.norm(x, axis=0))
+        image = rows.T @ (rows @ basis)
+    residual = float(np.max(np.linalg.norm(image - lam * basis, axis=0)))
     if residual > RESIDUAL_RTOL * max(1.0, abs(lam)):
         raise ConvergenceFailure(
             f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * max(1, |lambda|)"

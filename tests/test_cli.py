@@ -423,18 +423,19 @@ def test_exit_2_on_parse_errors(tmp_path, capsys):
 
 
 def test_exit_2_on_gram_overflow_with_one_stderr_line(tmp_path):
-    big = write_matrix(tmp_path / "big.csv", np.full((3, 2), 1e200))
     src = os.path.dirname(os.path.dirname(gsvkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gsvkit.cli", "solve", big],
-        capture_output=True, text=True, env=env, check=False,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [
-        "gsvkit solve: input error: symmetric matrix contains non-finite entries"
-    ]
+    for shape in [(3, 2), (1, 3)]:  # the n x n and the M x M Gram
+        big = write_matrix(tmp_path / "big.csv", np.full(shape, 1e200))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gsvkit.cli", "solve", big],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "gsvkit solve: input error: symmetric matrix contains non-finite entries"
+        ]
 
 
 def test_import_does_not_load_scipy():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gsvkit import gsv_solver
 from gsvkit.density_model import DensityModel
 from gsvkit.errors import (
     AllZero,
@@ -25,7 +26,7 @@ from gsvkit.gsv_solver import (
     objective_value,
     weighted_gsv_solve,
 )
-from gsvkit.spectra_core import EigenPair, gram_sum, max_eigenpair
+from gsvkit.spectra_core import RESIDUAL_RTOL, EigenPair, gram_sum, max_eigenpair
 from gsvkit.stat_norm import StatVector
 
 SQRT_HALF = np.sqrt(2.0) / 2.0
@@ -110,6 +111,69 @@ def test_solve_matches_validating_wrappers_bit_for_bit():
         np.testing.assert_array_equal(sol.basis, pair.vectors)
 
 
+# ---------------------------------------------------------------------------
+# wide stacks (fewer rows M than columns n), solved on the M x M side
+
+
+def wide_stack(rng, m, n, top, scale):
+    """An m x n (m < n) stack, split into up to 3 matrices, whose ``top``
+    largest singular values are equal to ``scale``; the rest lie below 0.9 * scale."""
+    u, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, m)))
+    sv = np.sort(rng.uniform(0.1, 0.9, size=m))[::-1]
+    sv[:top] = 1.0
+    b = scale * (u * sv) @ v.T
+    cuts = np.sort(rng.choice(np.arange(1, m), size=min(m - 1, 2), replace=False))
+    return np.split(b, cuts)
+
+
+def test_wide_solve_matches_n_side_reference():
+    rng = np.random.default_rng(17)
+    for case in range(120):
+        n = int(rng.integers(3, 30))
+        m = int(rng.integers(1, n))
+        scale = 10.0 ** int(rng.choice([-4, -2, 0, 2, 4]))
+        if case % 2:
+            top = int(rng.integers(1, min(m, 3) + 1))
+            stack = wide_stack(rng, m, n, top, scale)
+        else:
+            top = 1
+            stack = [scale * rng.normal(size=(m, n))]
+        sol = gsv_solve(stack)
+        # the untouched n-side route: eigendecomposition of the n x n Gram sum
+        ref = max_eigenpair(gram_sum(stack))
+        assert sol.multiplicity == ref.multiplicity == top
+        assert abs(sol.lambda_max - ref.value) <= 1e-12 * ref.value
+        np.testing.assert_allclose(
+            sol.basis @ sol.basis.T, ref.vectors @ ref.vectors.T, rtol=0, atol=1e-10
+        )
+        s = sum(a.T @ a for a in stack)
+        bound = RESIDUAL_RTOL * max(1.0, sol.lambda_max)
+        assert 0.0 < sol.residual <= bound  # measured, not assumed
+        assert np.max(np.linalg.norm(s @ sol.basis - sol.lambda_max * sol.basis, axis=0)) <= bound
+
+
+def test_wide_solve_edge_cases():
+    # lambda_max = 2e-12 merges with the structural zero: the n-side answer, bit for bit
+    tiny = [np.array([[1e-6, 1e-6]])]
+    sol, pair = gsv_solve(tiny), max_eigenpair(gram_sum(tiny))
+    assert sol.multiplicity == 2 and sol.whole_sphere
+    assert sol.lambda_max == pair.value
+    np.testing.assert_array_equal(sol.basis, pair.vectors)
+    # rank-deficient B: rank 1, maximizer r / ||r||
+    r = np.arange(1.0, 6.0)
+    sol = gsv_solve([np.vstack([r, 2.0 * r])])
+    assert sol.multiplicity == 1
+    assert sol.lambda_max == pytest.approx(5.0 * (r @ r), rel=1e-14)
+    np.testing.assert_allclose(sol.basis[:, 0], r / np.linalg.norm(r), atol=1e-15)
+    # two equal singular values
+    sol = gsv_solve([np.eye(2, 4)])
+    assert sol.lambda_max == 1.0 and sol.multiplicity == 2 and not sol.whole_sphere
+    np.testing.assert_array_equal(sol.basis @ sol.basis.T, np.diag([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(AllZero):
+        gsv_solve([np.zeros((1, 3)), np.zeros((1, 3))])
+
+
 def test_solve_homogeneity():
     rng = np.random.default_rng(3)
     stack = [rng.normal(size=(6, 4)) for _ in range(2)]
@@ -185,8 +249,10 @@ def test_gsv_solution_multiplicity_is_basis_width():
         lambda: max_eigenpair(np.eye(2), residual_rtol=1.0),
         lambda: EigenPair(1.0, np.eye(2)[:, :1], 0.5, rtol=1.0),
         lambda: ConvergenceFailure("m", iterations=90),
+        lambda: ConvergenceFailure("m", 90),
     ],
-    ids=["ncols", "multiplicity", "mean", "std", "tail", "residual_rtol", "rtol", "iterations"],
+    ids=["ncols", "multiplicity", "mean", "std", "tail", "residual_rtol", "rtol", "iterations",
+         "positional"],
 )
 def test_public_api_rejects_derived_or_fixed_arguments(build):
     with pytest.raises(TypeError):
@@ -291,6 +357,37 @@ def test_weighted_synthetic_energy_and_kkt():
     s = sum(a.T @ a for a in whitened)
     phi = sol.basis[:, 0]
     assert np.linalg.norm(s @ phi - sol.lambda_max * phi) <= 1e-8 * sol.lambda_max
+
+
+def test_weighted_wide_energy_and_kkt():
+    # 3 x 10 field rows below N = 60 nodes: the coil case, solved on the 30 x 30 side
+    rng = np.random.default_rng(9)
+    fields = tuple(rng.normal(size=(10, 60)) for _ in range(3))
+    l = rng.normal(size=(60, 60))
+    r = l.T @ l + 1e-3 * np.eye(60)
+    psi, sol = weighted_gsv_solve(WeightedProblem(fields, r))
+    assert abs(psi @ r @ psi - 1.0) <= 1e-8
+    # KKT residual of the whitened system, whitened by an explicit inverse here
+    c_inv = np.linalg.inv(np.linalg.cholesky(r).T)
+    s = sum((e @ c_inv).T @ (e @ c_inv) for e in fields)
+    phi = sol.basis[:, 0]
+    assert np.linalg.norm(s @ phi - sol.lambda_max * phi) <= 1e-8 * sol.lambda_max
+    np.testing.assert_allclose(c_inv @ phi, psi, rtol=0, atol=1e-10 * np.max(np.abs(psi)))
+
+
+def test_weighted_solve_calls_gsv_solve_once(monkeypatch):
+    # The traced coil benchmark expects one gsv_solver.gsv_solve span per weighted solve.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return gsv_solve(*args, **kwargs)
+
+    monkeypatch.setattr(gsv_solver, "gsv_solve", counted)
+    rng = np.random.default_rng(10)
+    fields = tuple(rng.normal(size=(4, 12)) for _ in range(3))
+    weighted_gsv_solve(WeightedProblem(fields, np.eye(12)))
+    assert len(calls) == 1
 
 
 def test_weighted_not_spd_reports_pivot():

@@ -271,6 +271,35 @@ def test_eigenpair_validates_orthonormality_and_residual():
         EigenPair(1.0, good, residual=1.0)
 
 
+def fix_column_signs_loop(vectors):
+    """Column-by-column reference for fix_column_signs on a 2-D block."""
+    v = np.array(vectors, dtype=float)
+    for j in range(v.shape[1]):
+        lead = np.argmax(np.abs(v[:, j]))
+        if v[lead, j] < 0:
+            v[:, j] = -v[:, j]
+    return v
+
+
+def test_fix_column_signs_matches_column_loop():
+    rng = np.random.default_rng(21)
+    blocks = []
+    for _ in range(200):
+        shape = (int(rng.integers(1, 9)), int(rng.integers(1, 5)))
+        blocks.append(rng.normal(size=shape))
+        # half-integers: tied magnitudes of both signs and zero columns
+        blocks.append(0.5 * rng.integers(-2, 3, size=shape))
+    blocks.append(np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, 1.0]]))
+    for block in blocks:
+        got, want = fix_column_signs(block), fix_column_signs_loop(block)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    vector = rng.normal(size=5)
+    np.testing.assert_array_equal(
+        fix_column_signs(vector), fix_column_signs_loop(vector[:, None])[:, 0]
+    )
+
+
 def test_fix_column_signs_orientation():
     v = np.array([[-0.8, 0.6], [0.6, 0.8]])
     fixed = fix_column_signs(v)
