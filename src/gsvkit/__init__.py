@@ -28,14 +28,7 @@ from .gsv_solver import (
     objective_value,
     weighted_gsv_solve,
 )
-from .spectra_core import (
-    EigenPair,
-    SymmetricMatrix,
-    fix_column_signs,
-    gram_sum,
-    max_eigenpair,
-    rayleigh_quotient,
-)
+from .spectra_core import fix_column_signs
 from .stat_norm import (
     CriticalSystem,
     StatMatrix,
@@ -53,12 +46,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CriticalSystem",
     "DensityModel",
-    "EigenPair",
     "GsvSolution",
     "OperatorStack",
     "StatMatrix",
     "StatVector",
-    "SymmetricMatrix",
     "WeightedProblem",
     "brute_force_max",
     "build_density",
@@ -68,15 +59,12 @@ __all__ = [
     "density_trace",
     "errors",
     "fix_column_signs",
-    "gram_sum",
     "gsv_solve",
     "gsv_solve_2col_equalnorm",
     "is_snv",
     "joint_magnitude_state",
-    "max_eigenpair",
     "objective_value",
     "rank_by_score",
-    "rayleigh_quotient",
     "score_rows",
     "snv_pair_identities",
     "standardize",

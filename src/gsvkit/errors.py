@@ -8,6 +8,8 @@ matching or a list of classes.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class GsvError(Exception):
     """Base class for all gsvkit contract violations; ``exit_code`` 2 is an input error."""
@@ -15,6 +17,9 @@ class GsvError(Exception):
 
     def __init__(self, message):  # one message: no stray argument reaches the CLI's line
         super().__init__(message)
+
+    def __reduce__(self):  # unpickle from args and attributes, not a subclass __init__
+        return copyreg.__newobj__, (type(self), *self.args), vars(self)
 
 
 # ---------------------------------------------------------------------------

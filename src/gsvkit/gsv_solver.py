@@ -24,10 +24,10 @@ from .errors import (
 )
 from .spectra_core import (
     _frozen_array,
-    _gram,
     _symmetrized,
-    _top_eigenspace,
     fix_column_signs,
+    gram_sum,
+    max_eigenpair,
     validated_matrices,
 )
 
@@ -119,19 +119,19 @@ def gsv_solve(stack, gap_rtol=1e-10):
     orthonormal basis of its (gap-merged) eigenspace, and a direct
     re-evaluation of the objective at the first basis column.
 
-    With fewer rows than columns in ``B = vstack(A_i)``, it eigendecomposes ``B B^T``
-    and maps u to ``B^T u / ||B^T u||``, unless lambda_max merges with zero.
-
-    The stack is validated once, on entry.  Raises AllZero for an all-zero
-    stack, NonFiniteInput when the Gram sum overflows, and propagates
-    ConvergenceFailure from the eigen backend.
+    The stack is validated once, by OperatorStack; then ``gram_sum`` and
+    ``max_eigenpair`` run on the smaller Gram: ``B B^T`` when ``B = vstack(A_i)``
+    has fewer rows than columns (u maps to ``B^T u / ||B^T u||``), unless
+    lambda_max merges with zero.  Raises EmptyStack, ShapeMismatch or
+    NonFiniteInput for an invalid stack, AllZero for an all-zero one,
+    NonFiniteInput when the Gram sum overflows, and ConvergenceFailure.
     """
     stack = as_stack(stack)
     found = None
     if sum(a.shape[0] for a in stack.mats) < stack.ncols:
         rows = np.vstack(stack.mats)
-        found = _top_eigenspace(_gram((rows.T,)), gap_rtol, rows)
-    lam, basis, residual = found or _top_eigenspace(_gram(stack.mats), gap_rtol)
+        found = max_eigenpair(gram_sum((rows.T,)), gap_rtol, rows)
+    lam, basis, residual = found or max_eigenpair(gram_sum(stack.mats), gap_rtol)
     return GsvSolution(
         lambda_max=lam,
         basis=basis,

@@ -1,16 +1,16 @@
-"""Dense symmetric linear-algebra substrate.
+"""Dense symmetric linear-algebra substrate: the two stages of every solve.
 
-Accumulates Gram sums ``S = sum_i A_i^T A_i``, extracts the maximal eigenpair
-with explicit multiplicity semantics, and reports residual diagnostics.  A
-stack ``B`` with fewer rows than columns is solved from the smaller ``B B^T``
-(the method of snapshots).  The eigendecomposition backend is LAPACK's dense
-symmetric driver (via ``numpy.linalg.eigh``); the contract is the
-post-condition and residual bound, not the algorithm.
+:func:`gram_sum` accumulates ``S = sum_i A_i^T A_i`` and :func:`max_eigenpair`
+extracts its maximal eigenpair, with explicit multiplicity and a checked
+residual, from inputs that ``OperatorStack`` validated once.  A stack ``B``
+with fewer rows than columns is solved from the smaller ``B B^T`` (the method
+of snapshots).  The backend is LAPACK's dense symmetric driver (via
+``numpy.linalg.eigh``); the contract is the post-condition and residual bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import (
     NonFiniteInput,
     NotSymmetric,
     ShapeMismatch,
-    ZeroVector,
 )
 
 # Relative Frobenius asymmetry above this is a caller bug, not round-off.
@@ -92,68 +91,28 @@ def fix_column_signs(vectors):
     return v
 
 
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Dense real symmetric matrix, exactly symmetrized on construction.
-
-    Entries are stored as ``(A + A.T) / 2``; asymmetry beyond
-    ``ASYMMETRY_RTOL`` times the Frobenius norm raises NotSymmetric instead
-    of being silently absorbed.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ShapeMismatch(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise ShapeMismatch("dimension must be at least 1")
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteInput("symmetric matrix contains non-finite entries")
-        object.__setattr__(self, "entries", _frozen_array(_symmetrized(a, "matrix")))
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     """Maximal eigenvalue with an orthonormal basis of its merged eigenspace.
 
     ``vectors`` is n x r with r the multiplicity; ``residual`` is the max over
-    columns v of ``||S v - value * v||_2`` and must satisfy
-    ``residual <= RESIDUAL_RTOL * max(1, |value|)``.
+    columns v of ``||S v - value * v||_2``, which :func:`max_eigenpair` has
+    already held to ``RESIDUAL_RTOL * max(1, |value|)``.
     """
 
     value: float
     vectors: np.ndarray
     residual: float
 
-    def __post_init__(self):
-        v = _frozen_array(self.vectors)
-        if v.ndim != 2 or v.shape[1] < 1:
-            raise ShapeMismatch("eigenvector block must be a 2-D array with r >= 1")
-        gram = v.T @ v
-        if np.max(np.abs(gram - np.eye(v.shape[1]))) > 1e-10:
-            raise ValueError("eigenvector columns are not orthonormal to 1e-10")
-        if self.residual > RESIDUAL_RTOL * max(1.0, abs(self.value)):
-            raise ValueError(
-                f"residual {self.residual:.3e} violates the bound "
-                f"{RESIDUAL_RTOL:.0e} * max(1, |value|)"
-            )
-        object.__setattr__(self, "vectors", v)
-
     @property
     def multiplicity(self):
         return self.vectors.shape[1]
 
 
-def _gram(mats):
-    """``sum_i A_i^T A_i`` over validated matrices; raises AllZero or NonFiniteInput.
+def gram_sum(mats):
+    """``S = sum_i A_i^T A_i`` in stack order; raises AllZero, or NonFiniteInput on overflow.
 
-    ``_gram((B.T,))`` is the Gram ``B B^T`` of the rows of B.  Exactly symmetric
+    ``mats`` must be validated already (``OperatorStack.mats``); ``gram_sum((B.T,))``
+    is the Gram ``B B^T`` of B's rows.  Returns a plain ndarray, exactly symmetric
     as is: numpy forms ``a.T @ a`` by a mirrored rank-k update.
     """
     if all(not np.any(a) for a in mats):
@@ -168,27 +127,16 @@ def _gram(mats):
     return s
 
 
-def gram_sum(stack):
-    """Accumulate ``S = sum_i A_i^T A_i`` over a stack of matrices.
+def max_eigenpair(s, gap_rtol=1e-10, rows=None):
+    """Largest eigenvalue of ``s`` and an orthonormal basis of its merged eigenspace.
 
-    ``stack`` is an OperatorStack or any sequence of real m_i x n arrays with
-    a shared column count.  Summation order is the fixed sequential order of
-    the stack.
-
-    Raises EmptyStack, ShapeMismatch, NonFiniteInput, or AllZero when every
-    matrix is identically zero (degenerate maximization).
-    """
-    mats = stack.mats if hasattr(stack, "mats") else validated_matrices(stack)
-    return SymmetricMatrix(_gram(mats))
-
-
-def _top_eigenspace(s, gap_rtol, rows=None):
-    """Eigensolve core shared by ``gsv_solve`` and :func:`max_eigenpair`.
-
-    ``s`` must be finite and exactly symmetric; returns EigenPair's
-    ``(value, vectors, residual)``.  With ``rows`` = B (M x n, M < n) and
-    ``s = B B^T``, they are those of ``B^T B``, never formed: u maps to
-    ``B^T u / ||B^T u||``.  None then means the merge reaches ``B^T B``'s zeros.
+    ``s`` must be finite and exactly symmetric, as :func:`gram_sum` returns it.
+    Eigenvalues within ``gap_rtol * max(1, lambda_max)`` of the maximum merge;
+    columns are oriented by :func:`fix_column_signs`.  With ``rows`` = B
+    (M x n, M < n) and ``s = B B^T``, the pair is that of ``B^T B``, never formed:
+    u maps to ``B^T u / ||B^T u||``, and None means the merge reaches its zeros.
+    Raises ValueError unless 0 < gap_rtol < 1, and ConvergenceFailure when the
+    backend fails or the residual exceeds ``RESIDUAL_RTOL * max(1, |lambda|)``.
     """
     if not 0.0 < gap_rtol < 1.0:
         raise ValueError(f"gap_rtol must lie in (0, 1), got {gap_rtol}")
@@ -214,41 +162,4 @@ def _top_eigenspace(s, gap_rtol, rows=None):
         raise ConvergenceFailure(
             f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * max(1, |lambda|)"
         )
-    return lam, basis, residual
-
-
-def max_eigenpair(s, gap_rtol=1e-10):
-    """Largest eigenvalue of a symmetric matrix with its merged eigenspace.
-
-    Eigenvalues within ``gap_rtol * max(1, lambda_max)`` of the maximum are
-    merged into a single eigenspace; the returned basis is orthonormal with
-    the deterministic sign orientation of :func:`fix_column_signs`.
-
-    Parameters
-    ----------
-    s : SymmetricMatrix or array_like
-        Input matrix (arrays are validated and symmetrized).
-    gap_rtol : float
-        Relative-with-floor eigenvalue merge tolerance, in (0, 1).
-
-    Raises
-    ------
-    ConvergenceFailure
-        If the backend fails, or the residual bound ``RESIDUAL_RTOL`` cannot be met.
-    """
-    if not isinstance(s, SymmetricMatrix):
-        s = SymmetricMatrix(s)
-    return EigenPair(*_top_eigenspace(s.entries, gap_rtol))
-
-
-def rayleigh_quotient(s, x):
-    """Evaluate ``x^T S x / x^T x`` for a nonzero vector ``x``."""
-    if not isinstance(s, SymmetricMatrix):
-        s = SymmetricMatrix(s)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != s.dim:
-        raise ShapeMismatch(f"vector length {x.shape[0]} != matrix dim {s.dim}")
-    nrm2 = float(x @ x)
-    if nrm2 == 0.0:
-        raise ZeroVector("Rayleigh quotient is undefined at the zero vector")
-    return float(x @ (s.entries @ x)) / nrm2
+    return EigenPair(lam, basis, residual)
