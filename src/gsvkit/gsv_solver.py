@@ -37,7 +37,10 @@ _ORACLE_CHUNK = 1 << 17
 
 @dataclass(frozen=True)
 class OperatorStack:
-    """Ordered list of real m_i x n matrices sharing the column count n."""
+    """Ordered read-only views of real m_i x n matrices sharing the column count n.
+
+    The stack does not own its arrays: do not write into an input while it is in use.
+    """
 
     mats: tuple
 
@@ -47,12 +50,6 @@ class OperatorStack:
     @property
     def ncols(self):
         return self.mats[0].shape[1]
-
-    def __len__(self):
-        return len(self.mats)
-
-    def __iter__(self):
-        return iter(self.mats)
 
 
 def as_stack(stack):
@@ -189,8 +186,8 @@ def gsv_solve_2col_equalnorm(a):
 class WeightedProblem:
     """Field matrices E_x, E_y, E_z (each H x N) with an SPD resistance R (N x N).
 
-    The solve maximizes the summed squared field responses subject to the
-    quadratic energy constraint ``psi^T R psi = 1``.
+    The solve maximizes the summed squared field responses subject to the quadratic energy
+    constraint ``psi^T R psi = 1``.  ``fields`` are read-only views, as in OperatorStack.
     """
 
     fields: tuple
@@ -206,9 +203,10 @@ class WeightedProblem:
             )
         if not np.all(np.isfinite(r)):
             raise NonFiniteInput("resistance matrix contains non-finite entries")
-        r = _symmetrized(r, "resistance matrix")
+        r = _symmetrized(r, "resistance matrix")  # a fresh C-ordered array, frozen in place
+        r.flags.writeable = False
         object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "resistance", _frozen_array(r))
+        object.__setattr__(self, "resistance", r)
 
 
 def _upper_cholesky(r):

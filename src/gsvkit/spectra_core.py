@@ -30,9 +30,9 @@ ASYMMETRY_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 
 
-def _frozen_array(a, dtype=float):
+def _frozen_array(a):
     """Return a C-contiguous, read-only float copy of ``a``."""
-    out = np.array(a, dtype=dtype, order="C")
+    out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out
 
@@ -53,20 +53,21 @@ def _symmetrized(a, name):
 
 
 def validated_matrices(mats):
-    """Validate a sequence of real matrices sharing a column count.
+    """Validate a sequence of real matrices sharing a column count, reading each once.
 
-    Returns a tuple of read-only 2-D float arrays.  Raises EmptyStack,
-    ShapeMismatch (inconsistent column counts or non-2-D input) or
-    NonFiniteInput.
+    Returns a tuple of read-only views of 2-D C-ordered float64 arrays: only a list,
+    another dtype or byte order, or a non-C layout is copied, to convert it.  Raises
+    EmptyStack, ShapeMismatch (inconsistent column counts or non-2-D input) or NonFiniteInput.
     """
     arrays = []
     for k, m in enumerate(mats):
-        a = np.asarray(m, dtype=float)
+        a = np.asarray(m, dtype=float, order="C")
         if a.ndim != 2:
             raise ShapeMismatch(f"matrix {k} is not 2-D (ndim={a.ndim})")
         if not np.all(np.isfinite(a)):
             raise NonFiniteInput(f"matrix {k} contains non-finite entries")
-        arrays.append(_frozen_array(a))
+        arrays.append(a.view())  # the caller's array keeps its own write flag
+        arrays[-1].flags.writeable = False
     if not arrays:
         raise EmptyStack("no matrices supplied")
     ncols = arrays[0].shape[1]
@@ -113,15 +114,16 @@ def gram_sum(mats):
 
     ``mats`` must be validated already (``OperatorStack.mats``); ``gram_sum((B.T,))``
     is the Gram ``B B^T`` of B's rows.  Returns a plain ndarray, exactly symmetric
-    as is: numpy forms ``a.T @ a`` by a mirrored rank-k update.
+    as is: numpy forms ``a.T @ a`` by a mirrored rank-k update.  AllZero is decided
+    from ``S``, by a rescan of the stack only when ``S`` is zero (squares may underflow).
     """
-    if all(not np.any(a) for a in mats):
-        raise AllZero("all matrices in the stack are zero")
     n = mats[0].shape[1]
     s = np.zeros((n, n), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
         for a in mats:
             s += a.T @ a
+    if not np.any(s) and not any(np.any(a) for a in mats):
+        raise AllZero("all matrices in the stack are zero")
     if not np.all(np.isfinite(s)):
         raise NonFiniteInput("symmetric matrix contains non-finite entries")
     return s

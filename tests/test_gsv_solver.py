@@ -1,5 +1,7 @@
 """Tests for the generalized supporting-vector solvers and the sampling oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,14 +103,18 @@ def test_solve_eigenvector_membership():
             )
 
 
-def test_solve_matches_validating_wrappers_bit_for_bit():
+def test_solve_matches_stacked_svd_reference():
+    # independent of the Gram: sigma_1^2 and v_1 from the SVD of the stacked matrix
     rng = np.random.default_rng(14)
     for shape in [(6, 4), (40, 7), (3, 9)]:
         stack = [rng.normal(size=shape) for _ in range(3)]
         sol = gsv_solve(stack)
-        pair = max_eigenpair(gram_sum(stack))
-        assert sol.lambda_max == pair.value and sol.residual == pair.residual
-        np.testing.assert_array_equal(sol.basis, pair.vectors)
+        _, sv, vt = np.linalg.svd(np.vstack(stack))
+        assert sol.multiplicity == 1
+        assert abs(sol.lambda_max - sv[0] ** 2) <= 1e-12 * sv[0] ** 2
+        np.testing.assert_allclose(
+            sol.basis @ sol.basis.T, np.outer(vt[0], vt[0]), rtol=0, atol=1e-10
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +223,64 @@ def test_solve_gram_overflow_raises_gsv_error(big):
 
 def test_operator_stack_validation_and_immutability():
     stack = OperatorStack((np.eye(2), np.ones((3, 2))))
-    assert stack.ncols == 2 and len(stack) == 2
+    assert stack.ncols == 2 and len(stack.mats) == 2
     assert not stack.mats[0].flags.writeable
     with pytest.raises(ShapeMismatch):
         OperatorStack((np.eye(2), np.eye(3)))
+
+
+def test_validation_keeps_read_only_views_of_float64_inputs():
+    rng = np.random.default_rng(19)
+    a = rng.normal(size=(10, 4))
+    r = np.diag(np.arange(1.0, 5.0))
+    prob = WeightedProblem((a, a, a), r)
+    for mats in (OperatorStack((a, a)).mats, prob.fields):
+        for m in mats:
+            assert np.shares_memory(m, a) and not m.flags.writeable
+    assert a.flags.writeable
+    # the resistance is symmetrized into an array of its own
+    assert not np.shares_memory(prob.resistance, r) and not prob.resistance.flags.writeable
+    assert r.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "convert",
+    [
+        np.asfortranarray,
+        lambda a: np.rint(10.0 * a).astype(int),
+        lambda a: a.tolist(),
+        lambda a: a.astype(">f8"),
+        lambda a: np.vstack([a, a])[2:8],
+    ],
+    ids=["fortran", "integer", "list", "big-endian", "row-slice"],
+)
+def test_validation_converts_other_inputs_to_c_float64(convert):
+    rng = np.random.default_rng(20)
+    m = convert(rng.normal(size=(6, 4)))
+    (view,) = OperatorStack((m,)).mats
+    assert view.dtype == np.float64 and view.dtype.isnative
+    assert view.flags.c_contiguous and not view.flags.writeable
+    sol, ref = gsv_solve([m]), gsv_solve([np.array(m, dtype=float, order="C")])
+    assert (sol.lambda_max, sol.residual, sol.objective_check) == (
+        ref.lambda_max,
+        ref.residual,
+        ref.objective_check,
+    )
+    np.testing.assert_array_equal(sol.basis, ref.basis)
+
+
+def test_solve_peak_memory_stays_below_a_quarter_of_the_stack():
+    # a copy of the input on the solve path would bring the peak to about 1x
+    rng = np.random.default_rng(21)
+    stack = [rng.normal(size=(4000, 200)) for _ in range(3)]
+    gsv_solve(stack)  # warm-up: lazy imports and caches are not measured
+    tracemalloc.start()
+    try:
+        gsv_solve(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * sum(a.nbytes for a in stack)
 
 
 def test_gsv_solution_invariants_enforced():

@@ -70,6 +70,19 @@ def test_gram_sum_errors():
         gram_sum([np.zeros((2, 2)), np.zeros((4, 2))])
 
 
+def test_gram_sum_all_zero_is_exact():
+    zero = np.zeros((2, 3))
+    calls = (lambda: gram_sum((zero, zero)), lambda: gram_sum((zero.T,)), lambda: gsv_solve([zero]))
+    for call in calls:
+        with pytest.raises(AllZero):  # never NonFiniteInput: a zero stack cannot overflow
+            call()
+    # nonzero entries whose squares underflow: the Gram is zero, the stack is not
+    tiny = np.full((2, 3), 1e-170)
+    for s in (gram_sum((tiny,)), gram_sum((tiny.T,))):
+        assert not np.any(s)
+    gsv_solve([tiny])
+
+
 def test_gram_sum_symmetry_is_bit_exact():
     rng = np.random.default_rng(7)
     for _ in range(50):
