@@ -65,7 +65,7 @@ def objective_value(stack, x):
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != stack.ncols:
         raise ShapeMismatch(f"vector length {x.shape[0]} != column count {stack.ncols}")
-    return float(sum(np.sum((a @ x) ** 2) for a in stack.mats))
+    return float(sum(((a @ x) ** 2).sum() for a in stack.mats))
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,10 @@ class GsvSolution:
         basis = _frozen_array(self.basis)
         if basis.ndim != 2 or basis.shape[1] < 1:
             raise ShapeMismatch("basis must be a 2-D array with r >= 1 columns")
-        norms = np.linalg.norm(basis, axis=0)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
+        norms = np.sqrt((basis * basis).sum(axis=0))
+        if not np.abs(norms - 1.0).max() <= 1e-12:  # "not <=": a NaN fails each check
             raise ValueError("basis columns must be unit vectors to 1e-12")
-        if abs(self.objective_check - self.lambda_max) > 1e-8 * max(
-            1.0, self.lambda_max
-        ):
+        if not abs(self.objective_check - self.lambda_max) <= 1e-8 * max(1.0, self.lambda_max):
             raise ValueError(
                 "objective re-evaluation disagrees with lambda_max beyond 1e-8"
             )
@@ -126,7 +124,7 @@ def gsv_solve(stack, gap_rtol=1e-10):
     stack = as_stack(stack)
     found = None
     if sum(a.shape[0] for a in stack.mats) < stack.ncols:
-        rows = np.vstack(stack.mats)
+        rows = np.concatenate(stack.mats)
         found = max_eigenpair(gram_sum((rows.T,)), gap_rtol, rows)
     lam, basis, residual = found or max_eigenpair(gram_sum(stack.mats), gap_rtol)
     return GsvSolution(

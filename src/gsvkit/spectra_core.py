@@ -64,10 +64,10 @@ def validated_matrices(mats):
         a = np.asarray(m, dtype=float, order="C")
         if a.ndim != 2:
             raise ShapeMismatch(f"matrix {k} is not 2-D (ndim={a.ndim})")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise NonFiniteInput(f"matrix {k} contains non-finite entries")
         arrays.append(a.view())  # the caller's array keeps its own write flag
-        arrays[-1].flags.writeable = False
+        arrays[-1].setflags(write=False)
     if not arrays:
         raise EmptyStack("no matrices supplied")
     ncols = arrays[0].shape[1]
@@ -86,9 +86,10 @@ def fix_column_signs(vectors):
     arbitrary.  Returns a new array; zero columns are left unchanged.
     """
     v = np.array(vectors, dtype=float)
-    cols = v if v.ndim == 2 else v[:, None]  # a view: the flips land in v
+    if v.ndim == 1 or v.shape[1] == 1:  # one column, as in nearly every solve
+        return -v if v.flat[np.abs(v).argmax()] < 0 else v
     # Exact: a column is multiplied by +-1, or a zero column by sign(0.0) = +0.0.
-    cols *= np.sign(cols[np.abs(cols).argmax(axis=0), np.arange(cols.shape[1])])
+    v *= np.sign(v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])])
     return v
 
 
@@ -117,14 +118,13 @@ def gram_sum(mats):
     as is: numpy forms ``a.T @ a`` by a mirrored rank-k update.  AllZero is decided
     from ``S``, by a rescan of the stack only when ``S`` is zero (squares may underflow).
     """
-    n = mats[0].shape[1]
-    s = np.zeros((n, n), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        for a in mats:
+        s = mats[0].T @ mats[0]
+        for a in mats[1:]:
             s += a.T @ a
-    if not np.any(s) and not any(np.any(a) for a in mats):
+    if not s.any() and not any(a.any() for a in mats):
         raise AllZero("all matrices in the stack are zero")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise NonFiniteInput("symmetric matrix contains non-finite entries")
     return s
 
@@ -151,16 +151,17 @@ def max_eigenpair(s, gap_rtol=1e-10, rows=None):
     # lambda_max <= tol merges with zero; ROADMAP.md's relative merge rule ends this.
     if rows is not None and lam <= tol:
         return None
-    keep = np.abs(w - lam) <= tol
+    keep = lam - w <= tol  # w ascends to lam: the same test as |w - lam| <= tol
     if rows is None:
         basis = fix_column_signs(v[:, keep])
         image = s @ basis
     else:
         x = rows.T @ v[:, keep]
-        basis = fix_column_signs(x / np.linalg.norm(x, axis=0))
+        basis = fix_column_signs(x / np.sqrt((x * x).sum(axis=0)))
         image = rows.T @ (rows @ basis)
-    residual = float(np.max(np.linalg.norm(image - lam * basis, axis=0)))
-    if residual > RESIDUAL_RTOL * max(1.0, abs(lam)):
+    d = image - lam * basis
+    residual = float(np.sqrt((d * d).sum(axis=0)).max())
+    if not residual <= RESIDUAL_RTOL * max(1.0, abs(lam)):  # a NaN fails too
         raise ConvergenceFailure(
             f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * max(1, |lambda|)"
         )

@@ -288,6 +288,12 @@ def test_gsv_solution_invariants_enforced():
         GsvSolution(1.0, np.array([[2.0], [0.0]]), 1.0, 0.0)
     with pytest.raises(ValueError):
         GsvSolution(1.0, np.array([[1.0], [0.0]]), 2.0, 0.0)
+    # a NaN fails every check it reaches
+    nan = float("nan")
+    for lam, basis, check in ((nan, [[1.0], [0.0]], 1.0), (1.0, [[nan], [0.0]], 1.0),
+                              (nan, [[nan], [0.0]], nan), (1.0, [[1.0], [0.0]], nan)):
+        with pytest.raises(ValueError):
+            GsvSolution(lam, np.array(basis), check, nan)
 
 
 def test_gsv_solution_multiplicity_is_basis_width():

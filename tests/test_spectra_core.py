@@ -186,6 +186,32 @@ def test_max_eigenpair_backend_failure_maps_to_convergence_failure(monkeypatch):
     assert "iteration budget" not in str(exc_info.value)
 
 
+def test_max_eigenpair_nan_residual_fails_the_bound(monkeypatch):
+    def nan_vectors(s):
+        return np.array([0.0, 1.0]), np.array([[1.0, np.nan], [0.0, np.nan]])
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_vectors)
+    with pytest.raises(ConvergenceFailure):
+        max_eigenpair(np.diag([0.0, 1.0]))
+
+
+def test_max_eigenpair_merge_boundary_is_exact():
+    # exact binary eigenvalues: lambda_max - w == gap_rtol * lambda_max merges, twice that does not
+    tol = 2.0**-30
+    merged = max_eigenpair(np.diag([1.0 - tol, 1.0]), gap_rtol=tol)
+    assert merged.multiplicity == 2 and merged.residual == tol
+    assert max_eigenpair(np.diag([1.0 - 2 * tol, 1.0]), gap_rtol=tol).multiplicity == 1
+    # the M side: row 1 of b holds three entries 2**-j per j, so ||row 1||^2 = 1 - 2**-30
+    b = np.zeros((2, 46))
+    b[0, 0] = 1.0
+    b[1, 1:] = np.repeat(2.0 ** -np.arange(1, 16), 3)
+    k = gram_sum((b.T,))
+    np.testing.assert_array_equal(k, np.diag([1.0, 1.0 - tol]))
+    pair = max_eigenpair(k, tol, b)
+    assert pair.multiplicity == 2 and pair.residual <= 1e-8
+    assert max_eigenpair(k, tol / 2, b).multiplicity == 1
+
+
 def test_rayleigh_bound_random_unit_vectors():
     rng = np.random.default_rng(13)
     mats = [rng.normal(size=(5, 4)) for _ in range(2)]
@@ -223,8 +249,9 @@ for stack in ([np.arange(12.0).reshape(4, 3)], [np.arange(8.0).reshape(2, 4)],
     start = len(spans)
     gsvkit.gsv_solve(stack)
     names = [rec[2] for rec in spans[start:]]
-    counts.append([names.count("spectra_core.gram_sum"),
-                   names.count("spectra_core.max_eigenpair")])
+    counts.append([names.count(name) for name in (
+        "gsv_solver.OperatorStack", "spectra_core.gram_sum", "spectra_core.max_eigenpair",
+        "gsv_solver.GsvSolution")])
 print(json.dumps(counts))
 """
 
@@ -238,8 +265,9 @@ def test_traced_solve_records_both_stages():
     proc = subprocess.run([sys.executable, "-c", TRACED_SOLVES], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path}, check=False)
     assert proc.returncode == 0, proc.stderr  # install raises MissedBinding on a stale alias
-    # tall 4 x 3 and wide 2 x 4: one of each; 1e-6 merges with zero, so the n side runs too
-    assert json.loads(proc.stdout) == [[1, 1], [1, 1], [2, 2]]
+    # tall 4 x 3 and wide 2 x 4: one of each; 1e-6 merges with zero, so the n side runs too.
+    # One validation at each end: validations_per_solve stays 2 on every path.
+    assert json.loads(proc.stdout) == [[1, 1, 1, 1], [1, 1, 1, 1], [1, 2, 2, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +311,9 @@ def test_fix_column_signs_matches_column_loop():
         # half-integers: tied magnitudes of both signs and zero columns
         blocks.append(0.5 * rng.integers(-2, 3, size=shape))
     blocks.append(np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, 1.0]]))
+    # single columns: a negative lead, a tie in |lead| of both signs, an all-zero column
+    blocks += [np.array([[0.5], [-2.0], [1.0]]), np.array([[-1.5], [1.5]]),
+               np.array([[1.5], [-1.5]]), np.array([[-0.0], [0.0], [-0.0]])]
     for block in blocks:
         got, want = fix_column_signs(block), fix_column_signs_loop(block)
         np.testing.assert_array_equal(got, want)
