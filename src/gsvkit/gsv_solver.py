@@ -23,6 +23,7 @@ from .errors import (
     WrongShape,
 )
 from .spectra_core import (
+    RESIDUAL_RTOL,
     _frozen_array,
     _symmetrized,
     fix_column_signs,
@@ -76,7 +77,7 @@ class GsvSolution:
     eigenspace of the Gram sum; every unit vector in its span (intersected
     with the unit sphere) attains ``lambda_max``.  ``objective_check`` is the
     objective re-evaluated from the stack at the first basis column, never
-    from the Gram matrix.
+    from the Gram matrix.  ``residual`` lies in ``[0, RESIDUAL_RTOL * max(1, |lambda_max|)]``.
     """
 
     lambda_max: float
@@ -95,6 +96,8 @@ class GsvSolution:
             raise ValueError(
                 "objective re-evaluation disagrees with lambda_max beyond 1e-8"
             )
+        if not 0.0 <= self.residual <= RESIDUAL_RTOL * max(1.0, abs(self.lambda_max)):
+            raise ValueError("residual must lie in [0, RESIDUAL_RTOL * max(1, |lambda_max|)]")
         object.__setattr__(self, "basis", basis)
 
     @property
@@ -212,7 +215,8 @@ def _upper_cholesky(r):
     # Deferred: importing scipy.linalg costs ~0.2 s and only the coil path needs it.
     from scipy.linalg import lapack
 
-    c, info = lapack.dpotrf(r, lower=0, clean=1)
+    # r.T is r (exactly symmetric), F-ordered: f2py makes a plain copy, not a transposing one
+    c, info = lapack.dpotrf(r.T, lower=0, clean=1)
     if info > 0:
         raise NotSPD(info)
     if info < 0:
@@ -240,11 +244,12 @@ def weighted_gsv_solve(prob, gap_rtol=1e-10):
         raise TypeError("weighted_gsv_solve expects a WeightedProblem")
     c = _upper_cholesky(prob.resistance)
     whitened = tuple(
-        solve_triangular(c, e.T, trans="T", lower=False).T for e in prob.fields
+        solve_triangular(c, e.T, trans="T", lower=False, check_finite=False).T
+        for e in prob.fields
     )
     solution = gsv_solve(whitened, gap_rtol=gap_rtol)
     phi = solution.basis[:, 0]
-    psi = solve_triangular(c, phi, lower=False)
+    psi = solve_triangular(c, phi, lower=False, check_finite=False)
     energy = float(psi @ (prob.resistance @ psi))
     if abs(energy - 1.0) > 1e-8:
         raise ConvergenceFailure(

@@ -4,8 +4,9 @@
 extracts its maximal eigenpair, with explicit multiplicity and a checked
 residual, from inputs that ``OperatorStack`` validated once.  A stack ``B``
 with fewer rows than columns is solved from the smaller ``B B^T`` (the method
-of snapshots).  The backend is LAPACK's dense symmetric driver (via
-``numpy.linalg.eigh``); the contract is the post-condition and residual bound.
+of snapshots).  The backend is LAPACK: below order ``_SUBSET_MIN_ORDER`` the
+full ``numpy.linalg.eigh``, from it up ``dsyevr`` (MRRR) for the top eigenvalues
+only.  The contract is the post-condition and residual bound.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ from .errors import (
 # Relative Frobenius asymmetry above this is a caller bug, not round-off.
 ASYMMETRY_RTOL = 1e-10
 
+# From this Gram order up, max_eigenpair computes only the top eigenvalues.  Below
+# it, one numpy eigh beats a subset solve that needs a second call for a cluster,
+# and small solves never pay the ~0.2 s scipy import (README.md has the timings).
+_SUBSET_MIN_ORDER = 32
+
 # The published residual bound: ||S v - lambda v||_2 <= RESIDUAL_RTOL * max(1, |lambda|).
 RESIDUAL_RTOL = 1e-8
 
@@ -42,14 +48,17 @@ def _symmetrized(a, name):
 
     Raises NotSymmetric when ``||a - a.T||_F > ASYMMETRY_RTOL * ||a||_F``.
     """
-    asym = np.linalg.norm(a - a.T)
+    t = a.T.copy()  # the one strided pass
+    asym = np.linalg.norm(a - t)
     bound = ASYMMETRY_RTOL * np.linalg.norm(a)
     if asym > bound:
         raise NotSymmetric(
             f"{name} is not symmetric: asymmetry {asym:.3e} exceeds "
             f"{ASYMMETRY_RTOL:.0e} * ||A||_F = {bound:.3e}"
         )
-    return (a + a.T) / 2.0
+    t += a
+    t /= 2.0
+    return t
 
 
 def validated_matrices(mats):
@@ -129,6 +138,28 @@ def gram_sum(mats):
     return s
 
 
+def _top_eigenpairs(s, gap_rtol):
+    """The top k eigenvalues of ``s`` (ascending) and their vectors, by ``dsyevr`` (MRRR).
+
+    k starts at 2 and doubles until the smallest eigenvalue found lies outside the
+    merge tolerance, or k = n: the merged top cluster is then complete.
+    """
+    # Deferred: importing scipy.linalg costs ~0.2 s, which small solves never pay.
+    from scipy.linalg import lapack
+
+    n = s.shape[0]
+    k = min(2, n)
+    while True:
+        # s.T is s, F-ordered: f2py makes a plain copy, not a transposing one
+        w, v, _, _, info = lapack.dsyevr(s.T, range="I", il=n - k + 1, iu=n)
+        if info:
+            raise ConvergenceFailure(f"eigendecomposition failed: dsyevr info = {info}")
+        w = w[:k]
+        if k == n or w[-1] - w[0] > gap_rtol * max(1.0, w[-1]):
+            return w, v
+        k = min(2 * k, n)
+
+
 def max_eigenpair(s, gap_rtol=1e-10, rows=None):
     """Largest eigenvalue of ``s`` and an orthonormal basis of its merged eigenspace.
 
@@ -138,14 +169,18 @@ def max_eigenpair(s, gap_rtol=1e-10, rows=None):
     (M x n, M < n) and ``s = B B^T``, the pair is that of ``B^T B``, never formed:
     u maps to ``B^T u / ||B^T u||``, and None means the merge reaches its zeros.
     Raises ValueError unless 0 < gap_rtol < 1, and ConvergenceFailure when the
-    backend fails or the residual exceeds ``RESIDUAL_RTOL * max(1, |lambda|)``.
+    backend fails (naming dsyevr's ``info``) or the residual exceeds
+    ``RESIDUAL_RTOL * max(1, |lambda|)``.
     """
     if not 0.0 < gap_rtol < 1.0:
         raise ValueError(f"gap_rtol must lie in (0, 1), got {gap_rtol}")
-    try:
-        w, v = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
+    if s.shape[0] >= _SUBSET_MIN_ORDER:
+        w, v = _top_eigenpairs(s, gap_rtol)
+    else:
+        try:
+            w, v = np.linalg.eigh(s)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     lam = float(w[-1])
     tol = gap_rtol * max(1.0, lam)
     # lambda_max <= tol merges with zero; ROADMAP.md's relative merge rule ends this.

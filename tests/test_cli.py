@@ -448,6 +448,28 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+COLD_CLI = r"""
+import sys
+from gsvkit.cli import main
+
+code = main(sys.argv[1:])
+print(code, "scipy.linalg" in sys.modules)
+"""
+
+
+def test_cold_small_solve_and_rank_do_not_load_scipy(tmp_path):
+    # Below the subset eigensolver's crossover, solve and rank run numpy's eigh alone.
+    rng = np.random.default_rng(3)
+    mats = [write_matrix(tmp_path / f"m{i}.csv", rng.standard_normal((40, 8))) for i in range(3)]
+    src = os.path.dirname(os.path.dirname(gsvkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in (["solve", *mats, "--oracle-samples", "1000"], ["rank", SAMPLE_CSV]):
+        proc = subprocess.run([sys.executable, "-c", COLD_CLI, *argv, "--out", str(tmp_path)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert proc.stdout.splitlines()[-1] == "0 False", (argv[0], proc.stderr)
+
+
 def test_exit_2_on_shape_mismatch(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.csv", np.eye(2))
     b = write_matrix(tmp_path / "b.csv", np.eye(3))

@@ -294,6 +294,12 @@ def test_gsv_solution_invariants_enforced():
                               (nan, [[nan], [0.0]], nan), (1.0, [[1.0], [0.0]], nan)):
         with pytest.raises(ValueError):
             GsvSolution(lam, np.array(basis), check, nan)
+    # the residual lies in [0, RESIDUAL_RTOL * max(1, |lambda_max|)]: NaN, negative or above fail
+    for lam, residual in ((1.0, nan), (1.0, -5.0), (1.0, -1e-300), (1.0, 2e-8), (4.0, 5e-8)):
+        with pytest.raises(ValueError, match="residual"):
+            GsvSolution(lam, np.array([[1.0], [0.0]]), lam, residual)
+    for lam, residual in ((1.0, 0.0), (1.0, 1e-8), (4.0, 4e-8)):
+        GsvSolution(lam, np.array([[1.0], [0.0]]), lam, residual)
 
 
 def test_gsv_solution_multiplicity_is_basis_width():

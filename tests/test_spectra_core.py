@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsvkit
+from gsvkit import spectra_core
 from gsvkit.density_model import joint_magnitude_state
 from gsvkit.errors import (
     AllZero,
@@ -21,7 +22,7 @@ from gsvkit.errors import (
     ShapeMismatch,
 )
 from gsvkit.gsv_solver import WeightedProblem, gsv_solve
-from gsvkit.spectra_core import fix_column_signs, gram_sum, max_eigenpair
+from gsvkit.spectra_core import RESIDUAL_RTOL, fix_column_signs, gram_sum, max_eigenpair
 
 
 def eig2x2_sym(a, b, c):
@@ -210,6 +211,79 @@ def test_max_eigenpair_merge_boundary_is_exact():
     pair = max_eigenpair(k, tol, b)
     assert pair.multiplicity == 2 and pair.residual <= 1e-8
     assert max_eigenpair(k, tol / 2, b).multiplicity == 1
+
+
+# ---------------------------------------------------------------------------
+# the top-cluster route: dsyevr subsets from _SUBSET_MIN_ORDER up
+
+CROSSOVER = spectra_core._SUBSET_MIN_ORDER
+
+
+def clustered_stack(rng, m, n, mult):
+    """Three row blocks of an m x n matrix whose top singular value 2 has multiplicity mult."""
+    p = min(m, n)
+    u, _ = np.linalg.qr(rng.standard_normal((m, p)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    sigma = np.concatenate([np.full(mult, 2.0), rng.uniform(0.2, 1.5, p - mult)])
+    return np.array_split((u * sigma) @ v.T, 3)
+
+
+@pytest.fixture
+def subset_calls(monkeypatch):
+    """Record the subset size k of every dsyevr call."""
+    from scipy.linalg import lapack
+
+    ks, real = [], lapack.dsyevr
+
+    def spy(a, **kw):
+        ks.append(kw["iu"] - kw["il"] + 1)
+        return real(a, **kw)
+
+    monkeypatch.setattr(lapack, "dsyevr", spy)
+    return ks
+
+
+@pytest.mark.parametrize("mult", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("order", [CROSSOVER, 3 * CROSSOVER + 5])
+@pytest.mark.parametrize("shape", ["tall", "square", "wide"])
+def test_subset_route_matches_full_eigh(shape, order, mult, subset_calls, monkeypatch):
+    rng = np.random.default_rng([order, mult, len(shape)])
+    m, n = {"tall": (3 * order, order), "square": (order, order), "wide": (order, 3 * order)}[shape]
+    stack = clustered_stack(rng, m, n, mult)
+    first, second = gsv_solve(stack), gsv_solve(stack)
+    # k doubles from 2 until the smallest eigenvalue found lies below the cluster
+    expected = {1: [2], 2: [2, 4], 3: [2, 4], 4: [2, 4, 8], 5: [2, 4, 8]}[mult]
+    assert subset_calls == expected * 2
+    monkeypatch.setattr(spectra_core, "_SUBSET_MIN_ORDER", 10**9)
+    full = gsv_solve(stack)
+    assert len(subset_calls) == 2 * len(expected)  # the reference ran numpy's full eigh
+    assert first.lambda_max == pytest.approx(full.lambda_max, rel=1e-12)
+    assert first.multiplicity == full.multiplicity == mult
+    np.testing.assert_allclose(first.basis @ first.basis.T, full.basis @ full.basis.T,
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(first.basis.T @ first.basis, np.eye(mult), rtol=0, atol=1e-12)
+    assert first.residual <= RESIDUAL_RTOL * max(1.0, abs(first.lambda_max))
+    assert first.lambda_max == second.lambda_max and first.residual == second.residual
+    np.testing.assert_array_equal(first.basis, second.basis)
+
+
+def test_subset_route_merge_boundary_is_exact():
+    # exact binary eigenvalues above the crossover, as in the eigh test above
+    tol = 2.0**-30
+    low = np.linspace(0.0, 0.5, 38)
+    assert 40 >= CROSSOVER
+    merged = max_eigenpair(np.diag(np.concatenate([low, [1.0 - tol, 1.0]])), gap_rtol=tol)
+    assert merged.multiplicity == 2 and merged.residual == tol
+    single = max_eigenpair(np.diag(np.concatenate([low, [1.0 - 2 * tol, 1.0]])), gap_rtol=tol)
+    assert single.multiplicity == 1
+
+
+def test_subset_route_failure_carries_lapack_info(monkeypatch):
+    from scipy.linalg import lapack
+
+    monkeypatch.setattr(lapack, "dsyevr", lambda a, **kw: (None, None, 0, None, 7))
+    with pytest.raises(ConvergenceFailure, match="info = 7"):
+        max_eigenpair(np.eye(CROSSOVER))
 
 
 def test_rayleigh_bound_random_unit_vectors():
