@@ -19,6 +19,7 @@ from .spectra_core import _frozen_array, _symmetrized
 
 _MASS_ATOL = 1e-12
 _CHAIN_CHUNK = 1 << 14
+_CHAIN_PANEL = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,23 +93,34 @@ def check_positivity_chain(d, trials, seed):
     Draws ``trials`` seeded Gaussian-normalized unit vectors x and checks the
     diagonal quadratic forms ``sum rho_n x_n^2 >= sum rho_n^2 x_n^2 >= -1e-12``
     for every sample.  Returns True iff the chain holds throughout.
+
+    Each chunk of up to ``_CHAIN_CHUNK`` samples is the ``(n, chunk)`` Gaussian
+    array of one ``standard_normal`` call, drawn in row panels of about
+    ``_CHAIN_PANEL`` values into one reused buffer: numpy fills C-order arrays
+    in sequence, so the panels hold the same draws in bounded memory.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     n = d.n_states
-    rho = d.probs
-    rho_sq = rho * rho
+    # rows of the per-sample sums: |x|^2, rho . x^2 and rho^2 . x^2
+    weights = np.stack([np.ones(n), d.probs, d.probs * d.probs])
+    buf = np.empty(min(n * min(trials, _CHAIN_CHUNK), _CHAIN_PANEL))
     remaining = trials
     while remaining > 0:
         chunk = min(remaining, _CHAIN_CHUNK)
-        x = rng.standard_normal((n, chunk))
-        sq_norms = np.sum(x**2, axis=0)
+        rows = _CHAIN_PANEL // chunk
+        sums = np.zeros((3, chunk))
+        for start in range(0, n, rows):
+            panel = buf[: min(rows, n - start) * chunk].reshape(-1, chunk)
+            rng.standard_normal(out=panel)
+            np.square(panel, out=panel)
+            sums += weights[:, start : start + panel.shape[0]] @ panel
+        sq_norms, first, second = sums
         ok = sq_norms > 0.0
-        xsq = x[:, ok] ** 2 / sq_norms[ok]
-        first = rho @ xsq
-        second = rho_sq @ xsq
+        first = first[ok] / sq_norms[ok]
+        second = second[ok] / sq_norms[ok]
         if not (np.all(first >= second) and np.all(second >= -1e-12)):
             return False
         remaining -= chunk

@@ -1,9 +1,13 @@
 """Tests for the truncated probability-density-operator model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gsvkit.density_model import (
+    _CHAIN_CHUNK,
+    _CHAIN_PANEL,
     DensityModel,
     build_density,
     check_positivity_chain,
@@ -128,6 +132,92 @@ def test_chain_reproducible():
     assert check_positivity_chain(d, 500, seed=9) == check_positivity_chain(
         d, 500, seed=9
     )
+
+
+def full_array_chain(d, trials, seed):
+    """The chain as one ``(n, chunk)`` array per chunk, dividing before the dot products."""
+    rng = np.random.default_rng(seed)
+    rho = d.probs
+    rho_sq = rho * rho
+    remaining = trials
+    while remaining > 0:
+        chunk = min(remaining, _CHAIN_CHUNK)
+        x = rng.standard_normal((d.n_states, chunk))
+        sq_norms = np.sum(x**2, axis=0)
+        ok = sq_norms > 0.0
+        xsq = x[:, ok] ** 2 / sq_norms[ok]
+        first = rho @ xsq
+        second = rho_sq @ xsq
+        if not (np.all(first >= second) and np.all(second >= -1e-12)):
+            return False
+        remaining -= chunk
+    return True
+
+
+def chain_models(n, rng):
+    """Models of ``n`` states: exact 0/1 entries, 1 - 2^-53, halving, random, and mass just over 1."""
+    one_first = np.zeros(n)
+    one_first[0] = 1.0
+    one_last = np.zeros(n)
+    one_last[-1] = 1.0
+    near_one = np.zeros(n)
+    near_one[n // 2] = 1.0 - 2.0**-53
+    over = np.full(n, 4e-13 / max(n - 1, 1))
+    over[0] = 1.0 + (5e-13 if n > 1 else 1e-12)
+    models = [one_first, one_last, near_one, 0.5 ** np.arange(1, n + 1), over,
+              rng.dirichlet(np.ones(n)) * rng.uniform(0.3, 1.0)]
+    return [build_density(p) for p in models]
+
+
+PANEL_ROWS = _CHAIN_PANEL // _CHAIN_CHUNK
+CHAIN_TRIALS = (1, _CHAIN_CHUNK - 1, _CHAIN_CHUNK, _CHAIN_CHUNK + 1, 40000)
+
+
+@pytest.mark.parametrize("n", sorted({1, 2, 3, PANEL_ROWS - 1, PANEL_ROWS, PANEL_ROWS + 1}))
+def test_chain_verdict_matches_full_array_formula(n):
+    rng = np.random.default_rng(36 + n)
+    verdicts = set()
+    for d in chain_models(n, rng):
+        for trials in CHAIN_TRIALS:
+            for seed in (0, 1, 2):
+                expected = full_array_chain(d, trials, seed)
+                assert check_positivity_chain(d, trials, seed) == expected, (d.probs, trials, seed)
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_chain_verdict_matches_full_array_formula_on_many_states():
+    # 1000 rows: panels of 4 rows for a full chunk, then 9 rows (the last one 1) for 7232 samples
+    halving, over, random = chain_models(1000, np.random.default_rng(37))[-3:]
+    cases = [(halving, 1), (over, 1), (random, 1),
+             (over, _CHAIN_CHUNK + 7232), (random, _CHAIN_CHUNK + 7232)]
+    verdicts = []
+    for d, trials in cases:
+        expected = full_array_chain(d, trials, 5)
+        assert check_positivity_chain(d, trials, 5) == expected, trials
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+
+
+def test_chain_false_on_mass_just_over_one():
+    # rho^2 > rho on the first state, so a sample weighted on it breaks D >= D^2
+    single = build_density([1 + 1e-12])
+    pair = build_density([1 + 5e-13, 5e-13])
+    assert [check_positivity_chain(single, t, seed=0) for t in (1, 100, 20000)] == [False] * 3
+    assert [check_positivity_chain(pair, t, seed=0) for t in (1, 100, 20000)] == [True, False, False]
+
+
+def test_chain_peak_memory_is_bounded():
+    # one (1000, 10000) draw alone would take 80 MB
+    d = build_density(np.full(1000, 1e-3))
+    check_positivity_chain(d, 10000, seed=0)  # warm-up: lazy imports and caches are not measured
+    tracemalloc.start()
+    try:
+        assert check_positivity_chain(d, 10000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
