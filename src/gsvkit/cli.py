@@ -203,7 +203,7 @@ def build_parser():
     gap_rtol = argparse.ArgumentParser(add_help=False)
     gap_rtol.add_argument("--gap-rtol", default=1e-10,
                           type=_checked(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-                          help="eigenvalue merge tolerance (default 1e-10)")
+                          help="eigenvalue merge tolerance, relative to lambda_max (default 1e-10)")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", default=42,
                       type=_checked(int, lambda v: v >= 0, "must be at least 0"),

@@ -38,6 +38,10 @@ class NonFiniteInput(GsvError):
     """An input array contains NaN or infinite entries."""
 
 
+class MaximumOverflow(GsvError):
+    """The maximum of a finite input, ``sum_i ||A_i x||^2``, exceeds the float64 range."""
+
+
 class AllZero(GsvError):
     """Every matrix in the stack is identically zero; the maximization is degenerate."""
     exit_code = 3

@@ -9,14 +9,17 @@ lower-bound oracle kept deliberately independent of the eigen path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    AllZero,
     ColumnNormMismatch,
     ConvergenceFailure,
     DimensionTooLarge,
+    MaximumOverflow,
     NonFiniteInput,
     NotSPD,
     ShapeMismatch,
@@ -35,18 +38,39 @@ from .spectra_core import (
 _ORACLE_MAX_DIM = 10
 _ORACLE_CHUNK = 1 << 17
 
+# Peak in [2^e, 2^(e+1)), |e| > _EXP_WINDOW: solve 2^-e * stack, dsyev's rescale but exact.
+# Inside, the Gram's top entry lies in [2^(2e), K 2^(2e+2)] (K < 2^53 rows or columns), within
+# [2^-485, 2^255], where eigh's dsyevd and dsyevr never rescale (sqrt(safmin/eps), safmin^(-1/4)).
+_EXP_WINDOW = 100
+
+
+def _rescaled(mats, peak):
+    """``(2^-e * mats, e)``, the peak scaled into [1, 2), outside the window; else ``(mats, 0)``."""
+    e = math.frexp(peak)[1] - 1
+    return (tuple(np.ldexp(a, -e) for a in mats), e) if abs(e) > _EXP_WINDOW else (mats, 0)
+
+
+def _scaled_back(lam, residual, e):
+    """``(lam, residual) * 2^(2e)``; MaximumOverflow, before numpy can warn, past float64."""
+    if math.frexp(lam)[1] + 2 * e > 1024:
+        raise MaximumOverflow(f"lambda_max = {lam!r} * 2**{2 * e} exceeds the float64 range")
+    return math.ldexp(lam, 2 * e), math.ldexp(residual, 2 * e)
+
 
 @dataclass(frozen=True)
 class OperatorStack:
-    """Ordered read-only views of real m_i x n matrices sharing the column count n.
+    """Read-only views of real m_i x n matrices sharing the column count n; ``peak`` is max |a_ij|.
 
     The stack does not own its arrays: do not write into an input while it is in use.
     """
 
     mats: tuple
+    peak: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mats", validated_matrices(self.mats))
+        mats, peak = validated_matrices(self.mats)
+        object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "peak", peak)
 
     @property
     def ncols(self):
@@ -117,19 +141,21 @@ def gsv_solve(stack, gap_rtol=1e-10):
     orthonormal basis of its (gap-merged) eigenspace, and a direct
     re-evaluation of the objective at the first basis column.
 
-    The stack is validated once, by OperatorStack; then ``gram_sum`` and
-    ``max_eigenpair`` run on the smaller Gram: ``B B^T`` when ``B = vstack(A_i)``
-    has fewer rows than columns (u maps to ``B^T u / ||B^T u||``), unless
-    lambda_max merges with zero.  Raises EmptyStack, ShapeMismatch or
-    NonFiniteInput for an invalid stack, AllZero for an all-zero one,
-    NonFiniteInput when the Gram sum overflows, and ConvergenceFailure.
+    The stack is validated once, by OperatorStack; a peak beyond ``2^±_EXP_WINDOW``
+    is solved as ``2^-e * stack``, exactly, and lambda_max scaled back by ``2^(2e)``.
+    Then ``gram_sum`` and ``max_eigenpair`` run on the smaller Gram: ``B B^T`` when
+    ``B = vstack(A_i)`` has fewer rows than columns (u maps to ``B^T u / ||B^T u||``).
+    Raises EmptyStack, ShapeMismatch or NonFiniteInput for an invalid stack, AllZero
+    for an all-zero one, MaximumOverflow past float64, and ConvergenceFailure.
     """
     stack = as_stack(stack)
-    found = None
-    if sum(a.shape[0] for a in stack.mats) < stack.ncols:
-        rows = np.concatenate(stack.mats)
-        found = max_eigenpair(gram_sum((rows.T,)), gap_rtol, rows)
-    lam, basis, residual = found or max_eigenpair(gram_sum(stack.mats), gap_rtol)
+    if stack.peak == 0.0:
+        raise AllZero("all matrices in the stack are zero")
+    mats, e = _rescaled(stack.mats, stack.peak)
+    wide = sum(a.shape[0] for a in mats) < stack.ncols
+    rows = np.concatenate(mats) if wide else None
+    lam, basis, residual = max_eigenpair(gram_sum((rows.T,) if wide else mats), gap_rtol, rows)
+    lam, residual = _scaled_back(lam, residual, e)
     return GsvSolution(
         lambda_max=lam,
         basis=basis,
@@ -150,15 +176,14 @@ def gsv_solve_2col_equalnorm(a):
     :func:`fix_column_signs` is applied to the returned vector.
 
     Raises WrongShape unless the matrix has exactly two columns and
-    ColumnNormMismatch if the column norms differ beyond
-    ``1e-12 * max(||a1||, 1)``.
+    ColumnNormMismatch if the column norms, rescaled as in :func:`gsv_solve`,
+    differ beyond ``1e-12 * max(||a1||, 1)``.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[1] != 2:
         raise WrongShape(f"expected an m x 2 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteInput("matrix contains non-finite entries")
-    a1, a2 = a[:, 0], a[:, 1]
+    (scaled,), e = _rescaled(*validated_matrices((a,)))
+    a1, a2 = scaled[:, 0], scaled[:, 1]
     n1, n2 = np.linalg.norm(a1), np.linalg.norm(a2)
     if abs(n1 - n2) > 1e-12 * max(n1, 1.0):
         raise ColumnNormMismatch(
@@ -173,8 +198,9 @@ def gsv_solve_2col_equalnorm(a):
         basis = fix_column_signs(np.array([[half], [half]]))
     else:
         basis = fix_column_signs(np.array([[-half], [half]]))
-    gram = a.T @ a
+    gram = scaled.T @ scaled
     residual = float(np.max(np.linalg.norm(gram @ basis - lam * basis, axis=0)))
+    lam, residual = _scaled_back(lam, residual, e)
     return GsvSolution(
         lambda_max=lam,
         basis=basis,
@@ -195,7 +221,7 @@ class WeightedProblem:
     resistance: np.ndarray
 
     def __post_init__(self):
-        fields = validated_matrices(self.fields)
+        fields, _ = validated_matrices(self.fields)
         n = fields[0].shape[1]
         r = np.asarray(self.resistance, dtype=float)
         if r.shape != (n, n):

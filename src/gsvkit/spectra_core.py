@@ -15,14 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AllZero,
-    ConvergenceFailure,
-    EmptyStack,
-    NonFiniteInput,
-    NotSymmetric,
-    ShapeMismatch,
-)
+from .errors import ConvergenceFailure, EmptyStack, NonFiniteInput, NotSymmetric, ShapeMismatch
 
 # Relative Frobenius asymmetry above this is a caller bug, not round-off.
 ASYMMETRY_RTOL = 1e-10
@@ -64,16 +57,18 @@ def _symmetrized(a, name):
 def validated_matrices(mats):
     """Validate a sequence of real matrices sharing a column count, reading each once.
 
-    Returns a tuple of read-only views of 2-D C-ordered float64 arrays: only a list,
-    another dtype or byte order, or a non-C layout is copied, to convert it.  Raises
-    EmptyStack, ShapeMismatch (inconsistent column counts or non-2-D input) or NonFiniteInput.
+    Returns read-only views of 2-D C-ordered float64 arrays (only a list, another dtype or
+    byte order, or a non-C layout is copied, to convert it) and their peak ``max |a_ij|``.
+    Raises EmptyStack, ShapeMismatch (a non-2-D input, unequal column counts) or NonFiniteInput.
     """
-    arrays = []
+    arrays, peak = [], 0.0
     for k, m in enumerate(mats):
         a = np.asarray(m, dtype=float, order="C")
         if a.ndim != 2:
             raise ShapeMismatch(f"matrix {k} is not 2-D (ndim={a.ndim})")
-        if not np.isfinite(a).all():
+        # no temporary the size of a; a NaN leads (both ends are NaN), so max keeps it
+        peak = max(a.max(initial=0.0), -a.min(initial=0.0), peak)
+        if not peak < np.inf:
             raise NonFiniteInput(f"matrix {k} contains non-finite entries")
         arrays.append(a.view())  # the caller's array keeps its own write flag
         arrays[-1].setflags(write=False)
@@ -85,7 +80,7 @@ def validated_matrices(mats):
             raise ShapeMismatch(
                 f"matrix {k} has {a.shape[1]} columns, expected {ncols}"
             )
-    return tuple(arrays)
+    return tuple(arrays), float(peak)
 
 
 def fix_column_signs(vectors):
@@ -120,21 +115,14 @@ class EigenPair(NamedTuple):
 
 
 def gram_sum(mats):
-    """``S = sum_i A_i^T A_i`` in stack order; raises AllZero, or NonFiniteInput on overflow.
+    """``S = sum_i A_i^T A_i`` in stack order, from a validated stack scaled as ``gsv_solve`` does.
 
-    ``mats`` must be validated already (``OperatorStack.mats``); ``gram_sum((B.T,))``
-    is the Gram ``B B^T`` of B's rows.  Returns a plain ndarray, exactly symmetric
-    as is: numpy forms ``a.T @ a`` by a mirrored rank-k update.  AllZero is decided
-    from ``S``, by a rescan of the stack only when ``S`` is zero (squares may underflow).
+    ``gram_sum((B.T,))`` is the Gram ``B B^T`` of B's rows.  Returns a plain ndarray,
+    exactly symmetric as is: numpy forms ``a.T @ a`` by a mirrored rank-k update.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        s = mats[0].T @ mats[0]
-        for a in mats[1:]:
-            s += a.T @ a
-    if not s.any() and not any(a.any() for a in mats):
-        raise AllZero("all matrices in the stack are zero")
-    if not np.isfinite(s).all():
-        raise NonFiniteInput("symmetric matrix contains non-finite entries")
+    s = mats[0].T @ mats[0]
+    for a in mats[1:]:
+        s += a.T @ a
     return s
 
 
@@ -155,7 +143,7 @@ def _top_eigenpairs(s, gap_rtol):
         if info:
             raise ConvergenceFailure(f"eigendecomposition failed: dsyevr info = {info}")
         w = w[:k]
-        if k == n or w[-1] - w[0] > gap_rtol * max(1.0, w[-1]):
+        if k == n or w[-1] - w[0] > gap_rtol * abs(w[-1]):
             return w, v
         k = min(2 * k, n)
 
@@ -164,10 +152,10 @@ def max_eigenpair(s, gap_rtol=1e-10, rows=None):
     """Largest eigenvalue of ``s`` and an orthonormal basis of its merged eigenspace.
 
     ``s`` must be finite and exactly symmetric, as :func:`gram_sum` returns it.
-    Eigenvalues within ``gap_rtol * max(1, lambda_max)`` of the maximum merge;
-    columns are oriented by :func:`fix_column_signs`.  With ``rows`` = B
-    (M x n, M < n) and ``s = B B^T``, the pair is that of ``B^T B``, never formed:
-    u maps to ``B^T u / ||B^T u||``, and None means the merge reaches its zeros.
+    Eigenvalues within ``gap_rtol * |lambda_max|`` of the maximum merge, a rule
+    that does not depend on the units of ``s``; columns are oriented by
+    :func:`fix_column_signs`.  With ``rows`` = B (M x n, M < n) and ``s = B B^T``,
+    the pair is that of ``B^T B``, never formed: u maps to ``B^T u / ||B^T u||``.
     Raises ValueError unless 0 < gap_rtol < 1, and ConvergenceFailure when the
     backend fails (naming dsyevr's ``info``) or the residual exceeds
     ``RESIDUAL_RTOL * max(1, |lambda|)``.
@@ -182,11 +170,7 @@ def max_eigenpair(s, gap_rtol=1e-10, rows=None):
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     lam = float(w[-1])
-    tol = gap_rtol * max(1.0, lam)
-    # lambda_max <= tol merges with zero; ROADMAP.md's relative merge rule ends this.
-    if rows is not None and lam <= tol:
-        return None
-    keep = lam - w <= tol  # w ascends to lam: the same test as |w - lam| <= tol
+    keep = lam - w <= gap_rtol * abs(lam)  # w ascends to lam: the same as |w - lam| <= tol
     if rows is None:
         basis = fix_column_signs(v[:, keep])
         image = s @ basis

@@ -1,5 +1,6 @@
 """Tests for the generalized supporting-vector solvers and the sampling oracle."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,8 @@ from gsvkit.errors import (
     ConvergenceFailure,
     DimensionTooLarge,
     GsvError,
+    MaximumOverflow,
+    NonFiniteInput,
     NotSPD,
     NotSymmetric,
     ShapeMismatch,
@@ -160,12 +163,11 @@ def test_wide_solve_matches_n_side_reference():
 
 
 def test_wide_solve_edge_cases():
-    # lambda_max = 2e-12 merges with the structural zero: the n-side answer, bit for bit
-    tiny = [np.array([[1e-6, 1e-6]])]
-    sol, pair = gsv_solve(tiny), max_eigenpair(gram_sum(tiny))
-    assert sol.multiplicity == 2 and sol.whole_sphere
-    assert sol.lambda_max == pair.value
-    np.testing.assert_array_equal(sol.basis, pair.vectors)
+    # lambda_max = 2e-12 never merges with the structural zero: the merge is relative
+    sol = gsv_solve([np.array([[1e-6, 1e-6]])])
+    assert sol.multiplicity == 1 and not sol.whole_sphere
+    assert sol.lambda_max == pytest.approx(2e-12, rel=1e-15)
+    np.testing.assert_allclose(sol.basis[:, 0], [SQRT_HALF, SQRT_HALF], rtol=0, atol=1e-16)
     # rank-deficient B: rank 1, maximizer r / ||r||
     r = np.arange(1.0, 6.0)
     sol = gsv_solve([np.vstack([r, 2.0 * r])])
@@ -219,6 +221,81 @@ def test_solve_gram_overflow_raises_gsv_error(big):
     # finite entries whose Gram sum overflows: a GsvError, never a ValueError or NaN
     with pytest.raises(GsvError):
         gsv_solve([big])
+
+
+@pytest.mark.parametrize("h, n", [(2, 9), (5, 4)], ids=["wide", "tall"])
+def test_weighted_solve_is_scale_free_bit_for_bit(h, n):
+    # R times 2^(2k): C and the whitened stack scale by 2^k and 2^-k, so psi by 2^-k exactly
+    rng = np.random.default_rng([33, n])
+    fields = [rng.normal(size=(h, n)) for _ in range(3)]
+    b = rng.normal(size=(n, n))
+    r = b @ b.T / n + np.eye(n)
+    psi0, base = weighted_gsv_solve(WeightedProblem(fields, r))
+    for k in range(-200, 201):
+        psi, sol = weighted_gsv_solve(WeightedProblem(fields, np.ldexp(r, 2 * k)))
+        np.testing.assert_array_equal(psi, np.ldexp(psi0, -k), err_msg=f"k = {k}")
+        np.testing.assert_array_equal(sol.basis, base.basis, err_msg=f"k = {k}")
+        assert sol.multiplicity == base.multiplicity == 1
+        assert sol.lambda_max == math.ldexp(base.lambda_max, -2 * k), k
+
+
+def test_inputs_that_broke_the_scale_dependent_core():
+    # a unique maximizer at 1e-6: the merge no longer reaches it from an absolute 1e-10
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    small, unit = gsv_solve([1e-6 * a]), gsv_solve([a])
+    assert small.multiplicity == unit.multiplicity == 1
+    np.testing.assert_allclose(small.basis, unit.basis, rtol=0, atol=1e-15)
+    # a coil with R = 1e12 I: psi is the R = I maximizer over 1e6, not an arbitrary column
+    rng = np.random.default_rng(34)
+    fields = [rng.normal(size=(2, 5)) for _ in range(3)]
+    psi, sol = weighted_gsv_solve(WeightedProblem(fields, 1e12 * np.eye(5)))
+    psi_unit, _ = weighted_gsv_solve(WeightedProblem(fields, np.eye(5)))
+    assert sol.multiplicity == 1
+    np.testing.assert_allclose(psi, 1e-6 * psi_unit, rtol=1e-12, atol=0)
+    # entries of 1e-170, whose squares underflow: the unique maximizer ones / sqrt(n)
+    for shape in [(3, 2), (1, 3)]:
+        sol = gsv_solve([np.full(shape, 1e-170)])
+        assert sol.multiplicity == 1
+        np.testing.assert_allclose(sol.basis[:, 0], 1.0 / np.sqrt(shape[1]), rtol=0, atol=1e-15)
+    # entries of 1e200: lambda_max itself exceeds float64, named with its exponent
+    for shape in [(3, 2), (1, 3)]:
+        with pytest.raises(MaximumOverflow, match=r"\* 2\*\*1328 exceeds") as info:
+            gsv_solve([np.full(shape, 1e200)])
+        assert info.value.exit_code == 2 and not isinstance(info.value, NonFiniteInput)
+
+
+def test_rescale_window_copies_nothing_inside():
+    a = np.ones((2, 2))
+    for peak, outside in [(2.0**100, False), (2.0**101, True), (2.0**-100, False),
+                          (0.75 * 2.0**-100, True), (1e-300, True), (1e300, True)]:
+        mats, e = gsv_solver._rescaled((a,), peak)
+        assert (mats[0] is not a) == outside and (e != 0) == outside
+        if outside:  # the peak lands in [1, 2)
+            assert 1.0 <= math.ldexp(peak, -e) < 2.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validation_finds_the_peak_and_non_finite_entries(bad):
+    for at in [(0, 0), (1, 2)]:
+        a = np.arange(6.0).reshape(2, 3) - 1.0
+        a[at] = bad
+        with pytest.raises(NonFiniteInput, match="matrix 1"):
+            OperatorStack((np.full((1, 3), -7.0), a))
+    assert OperatorStack((np.full((1, 3), -7.0), np.eye(3))).peak == 7.0
+    assert OperatorStack((np.zeros((0, 3)), np.zeros((1, 3)))).peak == 0.0
+
+
+def test_validation_allocates_no_array_the_size_of_an_input():
+    a = np.random.default_rng(22).normal(size=(2000, 100))
+    OperatorStack((a,))  # warm-up
+    tracemalloc.start()
+    try:
+        stack = OperatorStack((a,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stack.peak == np.abs(a).max()
+    assert peak < a.nbytes / 16  # an isfinite mask alone is a.nbytes / 8
 
 
 def test_operator_stack_validation_and_immutability():
@@ -379,6 +456,24 @@ def test_2col_agrees_with_eigen_solver():
         agree = np.allclose(closed.basis[:, 0], eig.basis[:, 0], atol=1e-8)
         agree_flipped = np.allclose(closed.basis[:, 0], -eig.basis[:, 0], atol=1e-8)
         assert agree or agree_flipped
+
+
+def test_2col_is_scale_free():
+    # at 1e-170, n1**2 underflowed and the orthogonality test passed: the whole sphere
+    a = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    base = gsv_solve_2col_equalnorm(a)
+    assert base.multiplicity == 1 and base.lambda_max == pytest.approx(4.0, rel=1e-15)
+    np.testing.assert_array_equal(base.basis[:, 0], [SQRT_HALF, SQRT_HALF])
+    for k in range(-500, 501):
+        sol = gsv_solve_2col_equalnorm(np.ldexp(a, k))
+        assert sol.multiplicity == 1
+        np.testing.assert_array_equal(sol.basis, base.basis)
+        assert sol.lambda_max == math.ldexp(base.lambda_max, 2 * k), k
+    sol = gsv_solve_2col_equalnorm(1e-170 * a)
+    assert sol.multiplicity == 1
+    np.testing.assert_array_equal(sol.basis, base.basis)
+    with pytest.raises(MaximumOverflow):  # was a plain ValueError from GsvSolution
+        gsv_solve_2col_equalnorm(1e200 * a)
 
 
 def test_2col_errors():

@@ -67,21 +67,25 @@ def test_gram_sum_errors():
         gsv_solve([np.eye(2), np.zeros((2, 3))])
     with pytest.raises(NonFiniteInput):
         gsv_solve([np.array([[np.nan, 0.0]])])
-    with pytest.raises(AllZero):
-        gram_sum([np.zeros((2, 2)), np.zeros((4, 2))])
+    with pytest.raises(AllZero):  # decided at the solve's entry, from the stack's peak
+        gsv_solve([np.zeros((2, 2)), np.zeros((4, 2))])
 
 
 def test_gram_sum_all_zero_is_exact():
     zero = np.zeros((2, 3))
-    calls = (lambda: gram_sum((zero, zero)), lambda: gram_sum((zero.T,)), lambda: gsv_solve([zero]))
-    for call in calls:
+    for stack in ([zero, zero], [zero], [zero.T], [np.zeros((0, 3)), zero]):
         with pytest.raises(AllZero):  # never NonFiniteInput: a zero stack cannot overflow
-            call()
-    # nonzero entries whose squares underflow: the Gram is zero, the stack is not
+            gsv_solve(stack)
+    # nonzero entries whose squares underflow: the unscaled Gram is zero, the stack is
+    # not, and the rescaled solve finds the unique maximizer on both sides
     tiny = np.full((2, 3), 1e-170)
     for s in (gram_sum((tiny,)), gram_sum((tiny.T,))):
         assert not np.any(s)
-    gsv_solve([tiny])
+    for stack in ([tiny], [tiny.T]):
+        sol = gsv_solve(stack)
+        assert sol.multiplicity == 1
+        np.testing.assert_allclose(sol.basis[:, 0], np.full(sol.basis.shape[0], 1.0)
+                                   / np.sqrt(sol.basis.shape[0]), rtol=0, atol=1e-15)
 
 
 def test_gram_sum_symmetry_is_bit_exact():
@@ -267,6 +271,40 @@ def test_subset_route_matches_full_eigh(shape, order, mult, subset_calls, monkey
     np.testing.assert_array_equal(first.basis, second.basis)
 
 
+@pytest.mark.parametrize("mult", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(8, 3), (4, 9)], ids=["tall", "wide"])
+def test_solve_is_scale_free_bit_for_bit(shape, mult):
+    # 2^k * stack below the crossover: the basis and multiplicity bits of k = 0 and
+    # lambda_max times 2^(2k) exactly; (8, 3) with mult 3 is the whole sphere
+    stack = clustered_stack(np.random.default_rng([31, *shape, mult]), *shape, mult)
+    base = gsv_solve(stack)
+    assert base.multiplicity == mult
+    for k in range(-500, 501):
+        sol = gsv_solve([np.ldexp(a, k) for a in stack])
+        assert sol.multiplicity == mult, k
+        np.testing.assert_array_equal(sol.basis, base.basis, err_msg=f"k = {k}")
+        assert sol.lambda_max == np.ldexp(base.lambda_max, 2 * k), k
+
+
+@pytest.mark.parametrize("shape", [(90, 40), (40, 90)], ids=["tall", "wide"])
+def test_subset_route_is_scale_free_to_rounding(shape, subset_calls):
+    # 2^k * stack: the same subset sizes and multiplicity at every k, lambda_max to rounding.
+    # dsyevr's vectors move by an ulp once the Gram's top entry falls below about 1/2, so
+    # here, unlike below the crossover, the basis is compared to rounding, not bit for bit.
+    rng = np.random.default_rng(list(shape))
+    for mult, ks in [(1, [2]), (3, [2, 4])]:
+        stack = clustered_stack(rng, *shape, mult)
+        base = gsv_solve(stack)
+        assert base.multiplicity == mult
+        for k in range(-500, 501, 7):
+            subset_calls.clear()
+            sol = gsv_solve([np.ldexp(a, k) for a in stack])
+            assert sol.multiplicity == mult and subset_calls == ks, k
+            np.testing.assert_allclose(sol.basis @ sol.basis.T, base.basis @ base.basis.T,
+                                       rtol=0, atol=1e-14, err_msg=f"k = {k}")
+            assert sol.lambda_max == pytest.approx(np.ldexp(base.lambda_max, 2 * k), rel=1e-14)
+
+
 def test_subset_route_merge_boundary_is_exact():
     # exact binary eigenvalues above the crossover, as in the eigh test above
     tol = 2.0**-30
@@ -339,9 +377,9 @@ def test_traced_solve_records_both_stages():
     proc = subprocess.run([sys.executable, "-c", TRACED_SOLVES], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path}, check=False)
     assert proc.returncode == 0, proc.stderr  # install raises MissedBinding on a stale alias
-    # tall 4 x 3 and wide 2 x 4: one of each; 1e-6 merges with zero, so the n side runs too.
-    # One validation at each end: validations_per_solve stays 2 on every path.
-    assert json.loads(proc.stdout) == [[1, 1, 1, 1], [1, 1, 1, 1], [1, 2, 2, 1]]
+    # tall 4 x 3, wide 2 x 4 and wide 1 x 2 at 1e-6: one of each stage, as every solve
+    # runs on one side only.  One validation at each end: validations_per_solve stays 2.
+    assert json.loads(proc.stdout) == [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]]
 
 
 # ---------------------------------------------------------------------------
