@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MassExceedsOne, NegativeProbability, NonFiniteInput, NotSymmetric
-from .gsv_solver import as_stack, gsv_solve
-from .spectra_core import _frozen_array, _symmetrized
+from .errors import MassExceedsOne, NegativeProbability
+from .gsv_solver import gsv_solve
+from .spectra_core import _frozen_array, _peak, _symmetrized
 
 _MASS_ATOL = 1e-12
 _CHAIN_CHUNK = 1 << 14
@@ -33,8 +33,7 @@ class DensityModel:
         p = np.asarray(self.probs, dtype=float).reshape(-1)
         if p.shape[0] < 1:
             raise ValueError("at least one probability is required")
-        if not np.all(np.isfinite(p)):
-            raise NonFiniteInput("probabilities contain non-finite entries")
+        _peak(p, "probabilities contain non-finite entries")
         if np.any(p < 0.0):
             raise NegativeProbability(f"negative probability at index {int(np.argmin(p)) + 1}")
         total = float(np.sum(p))
@@ -136,10 +135,7 @@ def joint_magnitude_state(ops):
 
     Each observable is symmetrized under the package's one symmetry rule.
     Raises NotSymmetric for a non-square matrix, or when the relative
-    Frobenius asymmetry ``||T - T^T|| / ||T||`` exceeds 1e-10.
+    Frobenius asymmetry ``||T - T^T|| / ||T||`` exceeds 1e-10, and
+    NonFiniteInput for a NaN or inf entry.
     """
-    mats = as_stack(ops).mats
-    for k, t in enumerate(mats):
-        if t.shape[0] != t.shape[1]:
-            raise NotSymmetric(f"observable {k} is not square: shape {t.shape}")
-    return gsv_solve([_symmetrized(t, f"observable {k}") for k, t in enumerate(mats)])
+    return gsv_solve([_symmetrized(t, f"observable {k}") for k, t in enumerate(ops)])

@@ -20,7 +20,6 @@ from .errors import (
     ConvergenceFailure,
     DimensionTooLarge,
     MaximumOverflow,
-    NonFiniteInput,
     NotSPD,
     ShapeMismatch,
     WrongShape,
@@ -28,6 +27,7 @@ from .errors import (
 from .spectra_core import (
     RESIDUAL_RTOL,
     _frozen_array,
+    _rescaled,
     _symmetrized,
     fix_column_signs,
     gram_sum,
@@ -37,17 +37,8 @@ from .spectra_core import (
 
 _ORACLE_MAX_DIM = 10
 _ORACLE_CHUNK = 1 << 17
-
-# Peak in [2^e, 2^(e+1)), |e| > _EXP_WINDOW: solve 2^-e * stack, dsyev's rescale but exact.
-# Inside, the Gram's top entry lies in [2^(2e), K 2^(2e+2)] (K < 2^53 rows or columns), within
-# [2^-485, 2^255], where eigh's dsyevd and dsyevr never rescale (sqrt(safmin/eps), safmin^(-1/4)).
-_EXP_WINDOW = 100
-
-
-def _rescaled(mats, peak):
-    """``(2^-e * mats, e)``, the peak scaled into [1, 2), outside the window; else ``(mats, 0)``."""
-    e = math.frexp(peak)[1] - 1
-    return (tuple(np.ldexp(a, -e) for a in mats), e) if abs(e) > _EXP_WINDOW else (mats, 0)
+# GsvSolution's bounds are relative to |lambda_max| down to here: a subnormal has no 1e-8 to give.
+_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 def _scaled_back(lam, residual, e):
@@ -101,7 +92,8 @@ class GsvSolution:
     eigenspace of the Gram sum; every unit vector in its span (intersected
     with the unit sphere) attains ``lambda_max``.  ``objective_check`` is the
     objective re-evaluated from the stack at the first basis column, never
-    from the Gram matrix.  ``residual`` lies in ``[0, RESIDUAL_RTOL * max(1, |lambda_max|)]``.
+    from the Gram matrix.  ``residual`` lies in ``[0, RESIDUAL_RTOL * |lambda_max|]``,
+    with ``|lambda_max|`` floored at the smallest normal float64 in both checks.
     """
 
     lambda_max: float
@@ -116,12 +108,13 @@ class GsvSolution:
         norms = np.sqrt((basis * basis).sum(axis=0))
         if not np.abs(norms - 1.0).max() <= 1e-12:  # "not <=": a NaN fails each check
             raise ValueError("basis columns must be unit vectors to 1e-12")
-        if not abs(self.objective_check - self.lambda_max) <= 1e-8 * max(1.0, self.lambda_max):
+        scale = max(abs(self.lambda_max), _NORMAL_MIN)  # a NaN leads, so max keeps it
+        if not abs(self.objective_check - self.lambda_max) <= 1e-8 * scale:
             raise ValueError(
                 "objective re-evaluation disagrees with lambda_max beyond 1e-8"
             )
-        if not 0.0 <= self.residual <= RESIDUAL_RTOL * max(1.0, abs(self.lambda_max)):
-            raise ValueError("residual must lie in [0, RESIDUAL_RTOL * max(1, |lambda_max|)]")
+        if not 0.0 <= self.residual <= RESIDUAL_RTOL * scale:
+            raise ValueError("residual must lie in [0, RESIDUAL_RTOL * |lambda_max|]")
         object.__setattr__(self, "basis", basis)
 
     @property
@@ -177,7 +170,7 @@ def gsv_solve_2col_equalnorm(a):
 
     Raises WrongShape unless the matrix has exactly two columns and
     ColumnNormMismatch if the column norms, rescaled as in :func:`gsv_solve`,
-    differ beyond ``1e-12 * max(||a1||, 1)``.
+    differ beyond ``1e-12 * max(||a1||, ||a2||)``.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[1] != 2:
@@ -185,7 +178,7 @@ def gsv_solve_2col_equalnorm(a):
     (scaled,), e = _rescaled(*validated_matrices((a,)))
     a1, a2 = scaled[:, 0], scaled[:, 1]
     n1, n2 = np.linalg.norm(a1), np.linalg.norm(a2)
-    if abs(n1 - n2) > 1e-12 * max(n1, 1.0):
+    if abs(n1 - n2) > 1e-12 * max(n1, n2):
         raise ColumnNormMismatch(
             f"column norms differ: {n1!r} vs {n2!r} beyond 1e-12 relative"
         )
@@ -223,14 +216,11 @@ class WeightedProblem:
     def __post_init__(self):
         fields, _ = validated_matrices(self.fields)
         n = fields[0].shape[1]
-        r = np.asarray(self.resistance, dtype=float)
+        r = _symmetrized(self.resistance, "resistance matrix")  # fresh, frozen in place
         if r.shape != (n, n):
             raise ShapeMismatch(
                 f"resistance must be {n} x {n} to match the field matrices, got {r.shape}"
             )
-        if not np.all(np.isfinite(r)):
-            raise NonFiniteInput("resistance matrix contains non-finite entries")
-        r = _symmetrized(r, "resistance matrix")  # a fresh C-ordered array, frozen in place
         r.flags.writeable = False
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "resistance", r)

@@ -11,6 +11,7 @@ only.  The contract is the post-condition and residual bound.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -20,12 +21,17 @@ from .errors import ConvergenceFailure, EmptyStack, NonFiniteInput, NotSymmetric
 # Relative Frobenius asymmetry above this is a caller bug, not round-off.
 ASYMMETRY_RTOL = 1e-10
 
+# Peak in [2^e, 2^(e+1)), |e| > _EXP_WINDOW: work on 2^-e * a, dsyev's rescale but exact.
+# Inside, the Gram's top entry lies in [2^(2e), K 2^(2e+2)] (K < 2^53 rows or columns), within
+# [2^-485, 2^255], where eigh's dsyevd and dsyevr never rescale (sqrt(safmin/eps), safmin^(-1/4)).
+_EXP_WINDOW = 100
+
 # From this Gram order up, max_eigenpair computes only the top eigenvalues.  Below
 # it, one numpy eigh beats a subset solve that needs a second call for a cluster,
 # and small solves never pay the ~0.2 s scipy import (README.md has the timings).
 _SUBSET_MIN_ORDER = 32
 
-# The published residual bound: ||S v - lambda v||_2 <= RESIDUAL_RTOL * max(1, |lambda|).
+# The published residual bound: ||S v - lambda v||_2 <= RESIDUAL_RTOL * |lambda|.
 RESIDUAL_RTOL = 1e-8
 
 
@@ -36,22 +42,45 @@ def _frozen_array(a):
     return out
 
 
-def _symmetrized(a, name):
-    """``(a + a.T) / 2`` for a finite square ``a``: the package's one symmetry rule.
+def _peak(a, message):
+    """``max |a_ij|`` of a float array, by ``a.max()`` and ``-a.min()``: no temporary the size of a.
 
-    Raises NotSymmetric when ``||a - a.T||_F > ASYMMETRY_RTOL * ||a||_F``.
+    Raises NonFiniteInput(message) when ``a`` holds a NaN or an inf.
     """
+    # a NaN leads (both ends are NaN), so max keeps it
+    peak = max(a.max(initial=0.0), -a.min(initial=0.0))
+    if not peak < np.inf:
+        raise NonFiniteInput(message)
+    return float(peak)
+
+
+def _rescaled(mats, peak):
+    """``(2^-e * mats, e)``, the peak scaled into [1, 2), outside the window; else ``(mats, 0)``."""
+    e = math.frexp(peak)[1] - 1
+    return (tuple(np.ldexp(a, -e) for a in mats), e) if abs(e) > _EXP_WINDOW else (mats, 0)
+
+
+def _symmetrized(a, name):
+    """``(a + a.T) / 2`` as a fresh C-ordered array: the package's one gate for a symmetric input.
+
+    Raises NotSymmetric when ``a`` is not square or ``||a - a.T||_F > ASYMMETRY_RTOL * ||a||_F``,
+    and NonFiniteInput when it holds a NaN or an inf.  A peak outside ``2^±_EXP_WINDOW`` is
+    checked and averaged as ``2^-e * a``, then scaled back, so the rule holds at every scale.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NotSymmetric(f"{name} is not square: shape {a.shape}")
+    (a,), e = _rescaled((a,), _peak(a, f"{name} contains non-finite entries"))
     t = a.T.copy()  # the one strided pass
-    asym = np.linalg.norm(a - t)
-    bound = ASYMMETRY_RTOL * np.linalg.norm(a)
-    if asym > bound:
+    asym, norm = np.linalg.norm(a - t), np.linalg.norm(a)
+    if asym > ASYMMETRY_RTOL * norm:
         raise NotSymmetric(
-            f"{name} is not symmetric: asymmetry {asym:.3e} exceeds "
-            f"{ASYMMETRY_RTOL:.0e} * ||A||_F = {bound:.3e}"
+            f"{name} is not symmetric: relative asymmetry {asym / norm:.3e} "
+            f"exceeds {ASYMMETRY_RTOL:.0e}"
         )
     t += a
     t /= 2.0
-    return t
+    return np.ldexp(t, e, out=t) if e else t
 
 
 def validated_matrices(mats):
@@ -66,10 +95,7 @@ def validated_matrices(mats):
         a = np.asarray(m, dtype=float, order="C")
         if a.ndim != 2:
             raise ShapeMismatch(f"matrix {k} is not 2-D (ndim={a.ndim})")
-        # no temporary the size of a; a NaN leads (both ends are NaN), so max keeps it
-        peak = max(a.max(initial=0.0), -a.min(initial=0.0), peak)
-        if not peak < np.inf:
-            raise NonFiniteInput(f"matrix {k} contains non-finite entries")
+        peak = max(_peak(a, f"matrix {k} contains non-finite entries"), peak)
         arrays.append(a.view())  # the caller's array keeps its own write flag
         arrays[-1].setflags(write=False)
     if not arrays:
@@ -80,7 +106,7 @@ def validated_matrices(mats):
             raise ShapeMismatch(
                 f"matrix {k} has {a.shape[1]} columns, expected {ncols}"
             )
-    return tuple(arrays), float(peak)
+    return tuple(arrays), peak
 
 
 def fix_column_signs(vectors):
@@ -102,7 +128,7 @@ class EigenPair(NamedTuple):
 
     ``vectors`` is n x r with r the multiplicity; ``residual`` is the max over
     columns v of ``||S v - value * v||_2``, which :func:`max_eigenpair` has
-    already held to ``RESIDUAL_RTOL * max(1, |value|)``.
+    already held to ``RESIDUAL_RTOL * |value|``.
     """
 
     value: float
@@ -158,7 +184,7 @@ def max_eigenpair(s, gap_rtol=1e-10, rows=None):
     the pair is that of ``B^T B``, never formed: u maps to ``B^T u / ||B^T u||``.
     Raises ValueError unless 0 < gap_rtol < 1, and ConvergenceFailure when the
     backend fails (naming dsyevr's ``info``) or the residual exceeds
-    ``RESIDUAL_RTOL * max(1, |lambda|)``.
+    ``RESIDUAL_RTOL * |lambda|``.
     """
     if not 0.0 < gap_rtol < 1.0:
         raise ValueError(f"gap_rtol must lie in (0, 1), got {gap_rtol}")
@@ -180,8 +206,6 @@ def max_eigenpair(s, gap_rtol=1e-10, rows=None):
         image = rows.T @ (rows @ basis)
     d = image - lam * basis
     residual = float(np.sqrt((d * d).sum(axis=0)).max())
-    if not residual <= RESIDUAL_RTOL * max(1.0, abs(lam)):  # a NaN fails too
-        raise ConvergenceFailure(
-            f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * max(1, |lambda|)"
-        )
+    if not residual <= RESIDUAL_RTOL * abs(lam):  # a NaN fails too
+        raise ConvergenceFailure(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |lambda|")
     return EigenPair(lam, basis, residual)

@@ -10,6 +10,7 @@ the multivariate ranking pipeline built on the supporting-vector solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,42 +18,40 @@ import numpy as np
 from .errors import (
     ConstantVector,
     LengthMismatch,
-    NonFiniteInput,
     NotStandardized,
-    NotSymmetric,
     ShapeMismatch,
     TooShort,
     ZeroVector,
 )
 from .gsv_solver import gsv_solve
-from .spectra_core import _frozen_array
+from .spectra_core import _frozen_array, _peak, _symmetrized
 
 _STANDARDIZED_ATOL = 1e-12
+_SNV_RTOL = 1e-10
 
 
 def _moments(x):
-    """Mean and population std of a finite vector, computed without overflow.
+    """Mean and population std of a 1-D float array, computed without overflow.
 
     Works on ``y = x * 2**-e``, the power of two putting ``max|x|`` in
-    [0.5, 1), and returns ``(y - mean_y, mean_y, std_y, e)``; ``x``'s own
-    mean and std are ``mean_y * 2**e`` and ``std_y * 2**e``.  Scaling by a
-    power of two is exact, so in range these equal the unscaled values bit
-    for bit.
+    [0.5, 1), and returns ``(y - mean_y, std_y, mean, std, max|x|)``, where
+    ``x``'s own ``mean`` and ``std`` are ``mean_y * 2**e`` and ``std_y * 2**e``.
+    Scaling by a power of two is exact, so in range these equal the unscaled
+    values bit for bit.  Raises NonFiniteInput for a NaN or inf entry.
     """
-    e = int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
+    peak = _peak(x, "vector contains non-finite entries")
+    e = math.frexp(peak)[1]
     y = np.ldexp(x, -e)
     mean = float(np.mean(y))
     centered = y - mean
-    return centered, mean, float(np.sqrt(np.mean(centered**2))), e
+    std = float(np.sqrt(np.mean(centered**2)))
+    return centered, std, math.ldexp(mean, e), math.ldexp(std, e), peak
 
 
 def _standardized(x):
     """``(values, mean, std)`` of a 1-D float array with m >= 2; see ``standardize``."""
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("vector contains non-finite entries")
-    centered, mean, std, e = _moments(x)
-    mu, sigma = float(np.ldexp(mean, e)), float(np.ldexp(std, e))
-    if sigma <= 1e-14 * float(np.max(np.abs(x))):
+    centered, std, mu, sigma, peak = _moments(x)
+    if sigma <= 1e-14 * peak:
         raise ConstantVector()
     if x.shape[0] == 2:
         # the only standardized vectors in R^2 are +-(1, -1); avoid round-off
@@ -72,12 +71,10 @@ class StatVector:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteInput("vector contains non-finite entries")
-        _, mean, std, e = _moments(v)
+        _, _, mean, std, _ = _moments(v)
         object.__setattr__(self, "values", _frozen_array(v))
-        object.__setattr__(self, "mean", float(np.ldexp(mean, e)))
-        object.__setattr__(self, "std", float(np.ldexp(std, e)))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std", std)
 
     def __len__(self):
         return self.values.shape[0]
@@ -110,18 +107,18 @@ def standardize(x):
     return StatVector(_standardized(x)[0])
 
 
-def is_snv(x, tol=1e-10):
+def is_snv(x):
     """Membership test for statistically normalized vectors.
 
-    True iff ``|sum x_i| <= tol * m`` and ``|sum x_i^2 - m| <= tol * m``,
+    True iff ``|sum x_i| <= 1e-10 * m`` and ``|sum x_i^2 - m| <= 1e-10 * m``,
     i.e. x lies on the radius-sqrt(m) sphere inside the zero-sum hyperplane.
     Total over finite vectors; meaningful for m >= 2.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     m = x.shape[0]
     return bool(
-        abs(float(np.sum(x))) <= tol * m
-        and abs(float(np.sum(x * x)) - m) <= tol * m
+        abs(float(np.sum(x))) <= _SNV_RTOL * m
+        and abs(float(np.sum(x * x)) - m) <= _SNV_RTOL * m
     )
 
 
@@ -132,7 +129,6 @@ class StatMatrix:
     data: np.ndarray
     col_means: np.ndarray
     col_stds: np.ndarray
-    standardized: bool
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_array(self.data))
@@ -165,7 +161,7 @@ class StatMatrix:
                 data[:, j], means[j], stds[j] = _standardized(raw[:, j])
             except ConstantVector:
                 raise ConstantVector(column=name) from None
-        return cls(data, means, stds, True)
+        return cls(data, means, stds)
 
     @classmethod
     def from_standardized(cls, data):
@@ -173,13 +169,11 @@ class StatMatrix:
         data = np.asarray(data, dtype=float)
         if data.ndim != 2:
             raise ShapeMismatch(f"expected a 2-D data matrix, got shape {data.shape}")
-        m, n = data.shape
+        n = data.shape[1]
         for j in range(n):
-            col = StatVector(data[:, j])
-            norm_sq = float(np.sum(data[:, j] ** 2))
-            if not col.standardized or abs(norm_sq - m) > 1e-10 * m:
+            if not StatVector(data[:, j]).standardized:
                 raise NotStandardized(f"column {j} is not standardized")
-        return cls(data, np.zeros(n), np.ones(n), True)
+        return cls(data, np.zeros(n), np.ones(n))
 
 
 @dataclass(frozen=True)
@@ -195,14 +189,10 @@ class CriticalSystem:
     lam: float
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ShapeMismatch(f"coefficients must be square, got shape {c.shape}")
-        if not np.array_equal(c, c.T):
-            raise NotSymmetric("coupling coefficients must satisfy c_jk == c_kj exactly")
-        c = c.copy()
+        c = _symmetrized(self.coeffs, "coefficient matrix")  # fresh, filled and frozen in place
         np.fill_diagonal(c, 0.0)
-        object.__setattr__(self, "coeffs", _frozen_array(c))
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "lam", float(self.lam))
 
     @property
@@ -249,8 +239,6 @@ def score_rows(m, gap_rtol=1e-10):
     """
     if not isinstance(m, StatMatrix):
         raise TypeError("score_rows expects a StatMatrix")
-    if not m.standardized:
-        raise NotStandardized("matrix columns must be standardized")
     rows, cols = m.shape
     if rows <= cols:
         raise ShapeMismatch(f"need more rows than columns, got {rows} x {cols}")

@@ -115,7 +115,7 @@ def test_criterion_04_eigen_residual_everywhere():
         for j in range(sol.multiplicity):
             v = sol.basis[:, j]
             residual = np.linalg.norm(s @ v - sol.lambda_max * v)
-            ok &= residual <= 1e-8 * max(1.0, sol.lambda_max)
+            ok &= residual <= 1e-8 * sol.lambda_max
     _report(4, "eigen residual bound holds for every basis vector", ok)
 
 

@@ -32,7 +32,7 @@ from gsvkit.gsv_solver import (
     weighted_gsv_solve,
 )
 from gsvkit.spectra_core import RESIDUAL_RTOL, EigenPair, gram_sum, max_eigenpair
-from gsvkit.stat_norm import StatVector
+from gsvkit.stat_norm import StatMatrix, StatVector, is_snv
 
 SQRT_HALF = np.sqrt(2.0) / 2.0
 
@@ -157,7 +157,7 @@ def test_wide_solve_matches_n_side_reference():
             sol.basis @ sol.basis.T, ref.vectors @ ref.vectors.T, rtol=0, atol=1e-10
         )
         s = sum(a.T @ a for a in stack)
-        bound = RESIDUAL_RTOL * max(1.0, sol.lambda_max)
+        bound = RESIDUAL_RTOL * sol.lambda_max
         assert 0.0 < sol.residual <= bound  # measured, not assumed
         assert np.max(np.linalg.norm(s @ sol.basis - sol.lambda_max * sol.basis, axis=0)) <= bound
 
@@ -379,6 +379,27 @@ def test_gsv_solution_invariants_enforced():
         GsvSolution(lam, np.array([[1.0], [0.0]]), lam, residual)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-20, 1e-300])
+def test_gsv_solution_bounds_are_relative(scale):
+    # both bounds scale with lambda_max: below 1 there is no absolute floor to hide under
+    e1 = np.array([[1.0], [0.0]])
+    GsvSolution(scale, e1, scale * (1.0 + 0.5e-8), 0.5e-8 * scale)
+    with pytest.raises(ValueError, match="objective"):
+        GsvSolution(scale, e1, scale * (1.0 + 2e-8), 0.0)
+    with pytest.raises(ValueError, match="residual"):
+        GsvSolution(scale, e1, scale, 2e-8 * scale)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (5, 5)])
+def test_subnormal_lambda_max_keeps_its_solution(shape):
+    # entries of 1e-160: lambda_max = m n 1e-320 is subnormal, good to a few ulps of
+    # 2^-1074 only, so the bounds are floored at the smallest normal float64, not at 1
+    sol = gsv_solve([np.full(shape, 1e-160)])
+    assert sol.multiplicity == 1
+    assert sol.lambda_max == pytest.approx(shape[0] * shape[1] * 1e-320, rel=1e-4)
+    np.testing.assert_allclose(sol.basis[:, 0], 1.0 / np.sqrt(shape[1]), rtol=0, atol=1e-15)
+
+
 def test_gsv_solution_multiplicity_is_basis_width():
     for mats in ([np.eye(3)], [np.diag([2.0, 2.0, 1.0])], [np.diag([1.0, 3.0, 2.0])]):
         sol = gsv_solve(mats)
@@ -399,9 +420,11 @@ def test_gsv_solution_multiplicity_is_basis_width():
         lambda: EigenPair(1.0, np.eye(2)[:, :1], 0.5, rtol=1.0),
         lambda: ConvergenceFailure("m", iterations=90),
         lambda: ConvergenceFailure("m", 90),
+        lambda: is_snv([1.0, -1.0], tol=1e-10),
+        lambda: StatMatrix(np.eye(2), np.zeros(2), np.ones(2), True),
     ],
     ids=["ncols", "multiplicity", "mean", "std", "tail", "residual_rtol", "rtol", "iterations",
-         "positional"],
+         "positional", "tol", "standardized"],
 )
 def test_public_api_rejects_derived_or_fixed_arguments(build):
     with pytest.raises(TypeError):
@@ -481,6 +504,16 @@ def test_2col_errors():
         gsv_solve_2col_equalnorm(np.ones((3, 3)))
     with pytest.raises(ColumnNormMismatch):
         gsv_solve_2col_equalnorm(np.array([[1.0, 2.0], [0.0, 0.0]]))
+
+
+def test_2col_norm_check_is_relative():
+    # column norms 1 and 3 at every scale: inside the window too, where e = 0 and an
+    # absolute floor would take 1e-20 and 3e-20 as equal and report 1e-40 on the whole sphere
+    with pytest.raises(ColumnNormMismatch):
+        gsv_solve_2col_equalnorm(np.array([[1e-20, 0.0], [0.0, 3e-20]]))
+    for k in (-300, -66, 0, 66, 300):
+        with pytest.raises(ColumnNormMismatch):
+            gsv_solve_2col_equalnorm(np.ldexp(np.array([[1.0, 0.0], [0.0, 3.0]]), k))
 
 
 # ---------------------------------------------------------------------------

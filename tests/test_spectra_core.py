@@ -17,12 +17,14 @@ from gsvkit.errors import (
     AllZero,
     ConvergenceFailure,
     EmptyStack,
+    MaximumOverflow,
     NonFiniteInput,
     NotSymmetric,
     ShapeMismatch,
 )
 from gsvkit.gsv_solver import WeightedProblem, gsv_solve
 from gsvkit.spectra_core import RESIDUAL_RTOL, fix_column_signs, gram_sum, max_eigenpair
+from gsvkit.stat_norm import CriticalSystem
 
 
 def eig2x2_sym(a, b, c):
@@ -177,7 +179,7 @@ def test_max_eigenpair_residual_bound():
         n = int(rng.integers(1, 12))
         m = rng.normal(size=(n, n))
         pair = max_eigenpair(m + m.T)
-        assert pair.residual <= 1e-8 * max(1.0, abs(pair.value))
+        assert pair.residual <= RESIDUAL_RTOL * abs(pair.value)
 
 
 def test_max_eigenpair_backend_failure_maps_to_convergence_failure(monkeypatch):
@@ -198,6 +200,21 @@ def test_max_eigenpair_nan_residual_fails_the_bound(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", nan_vectors)
     with pytest.raises(ConvergenceFailure):
         max_eigenpair(np.diag([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-20])
+def test_max_eigenpair_residual_bound_is_relative(scale, monkeypatch):
+    # eigh returns e2 turned by theta for diag(1, 2) * scale: the residual is scale * sin(theta)
+    # against the bound RESIDUAL_RTOL * 2 * scale, so the verdict does not depend on scale
+    def turned(theta):
+        c, s = np.cos(theta), np.sin(theta)
+        return lambda _: (np.array([scale, 2.0 * scale]), np.array([[c, -s], [s, c]]))
+
+    monkeypatch.setattr(np.linalg, "eigh", turned(1e-9))
+    assert max_eigenpair(np.diag([scale, 2.0 * scale])).residual <= RESIDUAL_RTOL * 2.0 * scale
+    monkeypatch.setattr(np.linalg, "eigh", turned(1e-7))
+    with pytest.raises(ConvergenceFailure, match=r"\* \|lambda\|"):
+        max_eigenpair(np.diag([scale, 2.0 * scale]))
 
 
 def test_max_eigenpair_merge_boundary_is_exact():
@@ -266,7 +283,7 @@ def test_subset_route_matches_full_eigh(shape, order, mult, subset_calls, monkey
     np.testing.assert_allclose(first.basis @ first.basis.T, full.basis @ full.basis.T,
                                rtol=0, atol=1e-10)
     np.testing.assert_allclose(first.basis.T @ first.basis, np.eye(mult), rtol=0, atol=1e-12)
-    assert first.residual <= RESIDUAL_RTOL * max(1.0, abs(first.lambda_max))
+    assert first.residual <= RESIDUAL_RTOL * abs(first.lambda_max)
     assert first.lambda_max == second.lambda_max and first.residual == second.residual
     np.testing.assert_array_equal(first.basis, second.basis)
 
@@ -386,22 +403,53 @@ def test_traced_solve_records_both_stages():
 # symmetry and orientation
 
 
-@pytest.mark.parametrize(
+# every constructor taking a square symmetric input, each through the one gate
+SQUARE_INPUTS = pytest.mark.parametrize(
     "build",
     [
         lambda a: WeightedProblem((np.ones((2, 2)),), a),
         lambda a: joint_magnitude_state([a]),
+        lambda a: CriticalSystem(a, 1.0),
     ],
-    ids=["WeightedProblem", "joint_magnitude_state"],
+    ids=["WeightedProblem", "joint_magnitude_state", "CriticalSystem"],
 )
+
+
+@SQUARE_INPUTS
 def test_one_symmetry_rule_at_1e_10_relative(build):
     base = np.array([[2.0, 1.0], [1.0, 2.0]])
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     # ||base + t skew - (base + t skew)^T||_F / ||base||_F = 2 sqrt(2) t / sqrt(10)
     per_unit = 2.0 * np.sqrt(2.0) / np.linalg.norm(base)
-    build(base + 0.5e-10 / per_unit * skew)
-    with pytest.raises(NotSymmetric):
-        build(base + 2e-10 / per_unit * skew)
+    for k in (-300, 0, 300):  # the rule is relative, so its verdict holds at every scale
+        build(np.ldexp(base + 0.5e-10 / per_unit * skew, k))
+        with pytest.raises(NotSymmetric, match="relative asymmetry 2.000e-10 exceeds 1e-10"):
+            build(np.ldexp(base + 2e-10 / per_unit * skew, k))
+
+
+@SQUARE_INPUTS
+def test_square_input_gate_names_each_fault(build):
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in [(0, 0), (0, 1)]:
+            a = np.eye(2)
+            a[at] = bad
+            with pytest.raises(NonFiniteInput, match="contains non-finite entries"):
+                build(a)
+    for shape in [(2, 3), (2,), (1, 2, 2)]:
+        with pytest.raises(NotSymmetric, match="is not square"):
+            build(np.ones(shape))
+
+
+def test_square_input_gate_holds_at_the_ends_of_the_float_range():
+    # np.linalg.norm overflows at 1e200 and underflows at 1e-200: the gate rescales first
+    for scale in (1e200, 1e-200):
+        with pytest.raises(NotSymmetric):
+            WeightedProblem((np.ones((2, 2)),), np.array([[1.0, 1.0], [0.0, 1.0]]) * scale)
+    # (a + a.T) / 2 at 1e308 would pass through inf: the average is taken at 2^-e * a
+    r = np.diag([1e308, 1e308])
+    np.testing.assert_array_equal(WeightedProblem((np.ones((2, 2)),), r).resistance, r)
+    with pytest.raises(MaximumOverflow):  # a finite input is never "non-finite"
+        joint_magnitude_state([np.array([[1e308, 0.0], [0.0, 1.0]])])
 
 
 def fix_column_signs_loop(vectors):

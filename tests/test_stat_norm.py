@@ -109,7 +109,7 @@ def test_standardize_norm_squared_is_m():
 def test_standardize_roundtrip_is_snv(seed, m):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=m) * rng.uniform(0.5, 20.0) + rng.normal() * 100.0
-    assert is_snv(standardize(x).values, tol=1e-10)
+    assert is_snv(standardize(x).values)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def test_is_snv_closed_form_family_m3():
     for tail in (0.0, 0.5, -1.0, 1.2, np.sqrt(2.0)):
         for sign in (-1.0, 1.0):
             x = snv_from_free_tail(3, [tail], sign)
-            assert is_snv(x, tol=1e-10), x
+            assert is_snv(x), x
 
 
 def test_is_snv_closed_form_family_larger_m():
@@ -137,7 +137,7 @@ def test_is_snv_closed_form_family_larger_m():
             if 2 * m - 2 * np.sum(tail**2) - np.sum(tail) ** 2 < 0:
                 continue
             for sign in (-1.0, 1.0):
-                assert is_snv(snv_from_free_tail(m, tail, sign), tol=1e-10)
+                assert is_snv(snv_from_free_tail(m, tail, sign))
             hits += 1
 
 
@@ -315,4 +315,3 @@ def test_stat_matrix_records_provenance():
     np.testing.assert_allclose(
         m.col_stds, [np.sqrt(2.0 / 3.0), 10 * np.sqrt(2.0 / 3.0)], rtol=1e-15
     )
-    assert m.standardized
