@@ -180,7 +180,8 @@ def gsv_solve_2col_equalnorm(a):
     n1, n2 = np.linalg.norm(a1), np.linalg.norm(a2)
     if abs(n1 - n2) > 1e-12 * max(n1, n2):
         raise ColumnNormMismatch(
-            f"column norms differ: {n1!r} vs {n2!r} beyond 1e-12 relative"
+            f"column norms differ: {math.ldexp(float(n1), e)!r} vs {math.ldexp(float(n2), e)!r}"
+            " beyond 1e-12 relative"
         )
     dot = float(a1 @ a2)
     lam = float(n1**2 + abs(dot))

@@ -2,16 +2,18 @@
 
 A vector is statistically normalized when its mean is zero and its population
 standard deviation (divisor m) is one; such vectors live on the radius-sqrt(m)
-sphere intersected with the zero-sum hyperplane.  This module provides the
-standardization transform, membership checks, residuals of the
-sphere-constrained Lagrangian critical system, paired-vector identities, and
-the multivariate ranking pipeline built on the supporting-vector solver.
+sphere intersected with the zero-sum hyperplane.  :func:`is_snv` is the one
+membership rule: ``StatVector.standardized``, ``StatMatrix.from_standardized``
+and :func:`snv_pair_identities` all apply it.  This module also provides the
+standardization transform, which scales through the solve's one rescale rule,
+residuals of the sphere-constrained Lagrangian critical system, and the
+multivariate ranking pipeline built on the supporting-vector solver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,33 +26,25 @@ from .errors import (
     ZeroVector,
 )
 from .gsv_solver import gsv_solve
-from .spectra_core import _frozen_array, _peak, _symmetrized
+from .spectra_core import _frozen_array, _peak, _rescaled, _symmetrized
 
-_STANDARDIZED_ATOL = 1e-12
+# The published membership bound: |sum x| and |sum x^2 - m| at most _SNV_RTOL * m.
 _SNV_RTOL = 1e-10
 
 
-def _moments(x):
-    """Mean and population std of a 1-D float array, computed without overflow.
+def _standardized(x):
+    """``(values, mean, std)`` of a 1-D float array with m >= 2; see ``standardize``.
 
-    Works on ``y = x * 2**-e``, the power of two putting ``max|x|`` in
-    [0.5, 1), and returns ``(y - mean_y, std_y, mean, std, max|x|)``, where
-    ``x``'s own ``mean`` and ``std`` are ``mean_y * 2**e`` and ``std_y * 2**e``.
-    Scaling by a power of two is exact, so in range these equal the unscaled
-    values bit for bit.  Raises NonFiniteInput for a NaN or inf entry.
+    The moments are taken of ``_rescaled``'s ``y = 2^-e x`` (x itself inside the
+    window), so nothing overflows; scaling by a power of two is exact, so ``mean``
+    and ``std`` are x's own.  Raises NonFiniteInput for a NaN or inf entry.
     """
     peak = _peak(x, "vector contains non-finite entries")
-    e = math.frexp(peak)[1]
-    y = np.ldexp(x, -e)
+    (y,), e = _rescaled((x,), peak)
     mean = float(np.mean(y))
     centered = y - mean
     std = float(np.sqrt(np.mean(centered**2)))
-    return centered, std, math.ldexp(mean, e), math.ldexp(std, e), peak
-
-
-def _standardized(x):
-    """``(values, mean, std)`` of a 1-D float array with m >= 2; see ``standardize``."""
-    centered, std, mu, sigma, peak = _moments(x)
+    sigma = math.ldexp(std, e)
     if sigma <= 1e-14 * peak:
         raise ConstantVector()
     if x.shape[0] == 2:
@@ -58,35 +52,27 @@ def _standardized(x):
         values = np.array([1.0, -1.0]) if x[0] > x[1] else np.array([-1.0, 1.0])
     else:
         values = centered / std
-    return values, mu, sigma
+    return values, math.ldexp(mean, e), sigma
 
 
 @dataclass(frozen=True)
 class StatVector:
-    """Real vector together with its own mean and population standard deviation."""
+    """Finite real vector, stored read-only; ``standardized`` applies :func:`is_snv`."""
 
     values: np.ndarray
-    mean: float = field(init=False)
-    std: float = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
-        _, _, mean, std, _ = _moments(v)
+        _peak(v, "vector contains non-finite entries")
         object.__setattr__(self, "values", _frozen_array(v))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
 
     def __len__(self):
         return self.values.shape[0]
 
     @property
     def standardized(self):
-        """True when the stored values have zero mean and unit population std."""
-        return (
-            len(self) >= 2
-            and abs(self.mean) <= _STANDARDIZED_ATOL
-            and abs(self.std - 1.0) <= _STANDARDIZED_ATOL
-        )
+        """True when the stored values are statistically normalized, by :func:`is_snv`."""
+        return is_snv(self.values)
 
 
 def standardize(x):
@@ -108,18 +94,21 @@ def standardize(x):
 
 
 def is_snv(x):
-    """Membership test for statistically normalized vectors.
+    """Membership test for statistically normalized vectors: the package's one rule.
 
-    True iff ``|sum x_i| <= 1e-10 * m`` and ``|sum x_i^2 - m| <= 1e-10 * m``,
+    True iff ``m >= 2``, ``|sum x_i| <= 1e-10 * m`` and ``|sum x_i^2 - m| <= 1e-10 * m``,
     i.e. x lies on the radius-sqrt(m) sphere inside the zero-sum hyperplane.
-    Total over finite vectors; meaningful for m >= 2.
+    False for any vector holding a NaN or inf.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     m = x.shape[0]
-    return bool(
-        abs(float(np.sum(x))) <= _SNV_RTOL * m
-        and abs(float(np.sum(x * x)) - m) <= _SNV_RTOL * m
-    )
+    # a huge finite x overflows to inf (or inf - inf to NaN), which fails the rule
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(
+            m >= 2
+            and abs(float(np.sum(x))) <= _SNV_RTOL * m
+            and abs(float(np.sum(x * x)) - m) <= _SNV_RTOL * m
+        )
 
 
 @dataclass(frozen=True)
@@ -165,7 +154,7 @@ class StatMatrix:
 
     @classmethod
     def from_standardized(cls, data):
-        """Wrap data whose columns are already standardized; validates each column."""
+        """Wrap data whose columns are already standardized: each must pass :func:`is_snv`."""
         data = np.asarray(data, dtype=float)
         if data.ndim != 2:
             raise ShapeMismatch(f"expected a 2-D data matrix, got shape {data.shape}")
@@ -182,15 +171,18 @@ class CriticalSystem:
 
     The stationarity equations place ``2 * lam`` on the diagonal and the
     symmetric couplings ``c_jk`` off the diagonal; the diagonal of ``coeffs``
-    is unused and stored as zero.
+    is unused, zeroed before the symmetry gate and stored as zero.
     """
 
     coeffs: np.ndarray
     lam: float
 
     def __post_init__(self):
-        c = _symmetrized(self.coeffs, "coefficient matrix")  # fresh, filled and frozen in place
-        np.fill_diagonal(c, 0.0)
+        # the gate sees the couplings only; a non-finite diagonal is left for it to report
+        c = np.array(self.coeffs, dtype=float)
+        if c.ndim == 2 and np.isfinite(c.diagonal()).all():
+            np.fill_diagonal(c, 0.0)
+        c = _symmetrized(c, "coefficient matrix")  # fresh, frozen in place
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "lam", float(self.lam))
@@ -234,8 +226,8 @@ def score_rows(m, gap_rtol=1e-10):
 
     Solves ``max ||M x||^2`` over unit vectors and orients x so the score
     total ``1^T M x`` is nonnegative (scores predominantly positive, high
-    score = best row).  A score total within round-off of zero keeps the
-    solver's deterministic orientation.  Returns ``(scores, solution)``.
+    score = best row).  A total within ``1e-12 * sum |s_i|`` of zero, a purely
+    relative band, keeps the solver's orientation.  Returns ``(scores, solution)``.
     """
     if not isinstance(m, StatMatrix):
         raise TypeError("score_rows expects a StatMatrix")
@@ -245,7 +237,7 @@ def score_rows(m, gap_rtol=1e-10):
     solution = gsv_solve([m.data], gap_rtol=gap_rtol)
     scores = m.data @ solution.basis[:, 0]
     total = float(np.sum(scores))
-    if total < -1e-12 * max(1.0, float(np.sum(np.abs(scores)))):
+    if total < -1e-12 * float(np.sum(np.abs(scores))):
         scores = -scores
     return scores, solution
 
@@ -265,8 +257,9 @@ def snv_pair_identities(x, y):
     """Dot-product identities for a pair of statistically normalized vectors.
 
     Returns ``(dot, bound_ok, formula_gap)`` where ``bound_ok`` checks
-    ``|x . y| <= m`` (within 1e-10 * m) and ``formula_gap`` is the defect of
-    the identity ``x . y = (||x + y||^2 - 2m) / 2``.
+    ``|x . y| <= m`` (within is_snv's 1e-10 * m) and ``formula_gap`` is the
+    defect of the identity ``x . y = (||x + y||^2 - 2m) / 2``.  Raises
+    NotStandardized unless both vectors pass :func:`is_snv`.
     """
     if not isinstance(x, StatVector) or not isinstance(y, StatVector):
         raise TypeError("snv_pair_identities expects StatVector operands")
@@ -276,6 +269,6 @@ def snv_pair_identities(x, y):
         raise NotStandardized("both vectors must be standardized")
     m = len(x)
     dot = float(x.values @ y.values)
-    bound_ok = abs(dot) <= m + 1e-10 * m
+    bound_ok = abs(dot) <= m + _SNV_RTOL * m
     formula = (float(np.sum((x.values + y.values) ** 2)) - 2.0 * m) / 2.0
     return dot, bound_ok, abs(dot - formula)

@@ -506,6 +506,13 @@ def test_2col_errors():
         gsv_solve_2col_equalnorm(np.array([[1.0, 2.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("small, large", [(1e-20, 3e-20), (1e-200, 3e-200)])
+def test_2col_mismatch_names_the_callers_norms(small, large):
+    # plain floats at the caller's scale: not np.float64(...), nor the rescaled norms
+    with pytest.raises(ColumnNormMismatch, match=f"^column norms differ: {small!r} vs {large!r} "):
+        gsv_solve_2col_equalnorm(np.array([[small, large], [0.0, 0.0]]))
+
+
 def test_2col_norm_check_is_relative():
     # column norms 1 and 3 at every scale: inside the window too, where e = 0 and an
     # absolute floor would take 1e-20 and 3e-20 as equal and report 1e-40 on the whole sphere

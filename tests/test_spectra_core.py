@@ -417,9 +417,10 @@ SQUARE_INPUTS = pytest.mark.parametrize(
 
 @SQUARE_INPUTS
 def test_one_symmetry_rule_at_1e_10_relative(build):
-    base = np.array([[2.0, 1.0], [1.0, 2.0]])
+    # zero diagonal: CriticalSystem gates only its couplings, the diagonal being unused
+    base = np.array([[0.0, 1.0], [1.0, 0.0]])
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    # ||base + t skew - (base + t skew)^T||_F / ||base||_F = 2 sqrt(2) t / sqrt(10)
+    # ||base + t skew - (base + t skew)^T||_F / ||base||_F = 2 sqrt(2) t / sqrt(2)
     per_unit = 2.0 * np.sqrt(2.0) / np.linalg.norm(base)
     for k in (-300, 0, 300):  # the rule is relative, so its verdict holds at every scale
         build(np.ldexp(base + 0.5e-10 / per_unit * skew, k))

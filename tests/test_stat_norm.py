@@ -1,6 +1,7 @@
 """Tests for standardization, critical systems, pair identities and ranking."""
 
 import importlib.resources
+import warnings
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_standardize_errors():
         standardize([3.0, 3.0, 3.0])
 
 
-@pytest.mark.parametrize("k", [-200, -70, 0, 40, 300])
+@pytest.mark.parametrize("k", [-500, -200, -101, -100, -70, 0, 40, 100, 101, 300, 500])
 def test_standardize_is_invariant_under_power_of_two_scaling(k):
     x = np.array([1.0, 2.0, 3.0])
     np.testing.assert_array_equal(standardize(x * 2.0**k).values, standardize(x).values)
@@ -139,6 +140,62 @@ def test_is_snv_closed_form_family_larger_m():
             for sign in (-1.0, 1.0):
                 assert is_snv(snv_from_free_tail(m, tail, sign))
             hits += 1
+
+
+def accepts(gate, v):
+    """True when ``gate(v)`` returns, False when it raises NotStandardized."""
+    try:
+        gate(v)
+    except NotStandardized:
+        return False
+    return True
+
+
+# (scale, shift, inside): sum x^2 - m moves by ~2 (scale - 1) m, sum x by shift * m
+SNV_PERTURBATIONS = [
+    (1.0, 0.0, True),
+    (1.0 + 4e-11, 0.0, True),
+    (1.0 - 4e-11, 0.0, True),
+    (1.0 + 6e-11, 0.0, False),
+    (1.0 - 6e-11, 0.0, False),
+    (1.0, 8e-11, True),
+    (1.0, -8e-11, True),
+    (1.0, 1.2e-10, False),
+    (1.0, -1.2e-10, False),
+]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 60))
+def test_every_standardized_gate_is_is_snv(seed, m):
+    base = standardize(np.random.default_rng(seed).normal(size=m)).values
+    for scale, shift, inside in SNV_PERTURBATIONS:
+        v = base * scale + shift
+        assert is_snv(v) == inside
+        assert StatVector(v).standardized == inside
+        assert accepts(lambda u: StatMatrix.from_standardized(u[:, None]), v) == inside
+        assert accepts(lambda u: snv_pair_identities(StatVector(u), StatVector(u)), v) == inside
+
+
+def test_gates_accept_an_snv_within_the_published_bound():
+    # sum x^2 = 4 (1 + 2e-11): inside 1e-10 * m, though std - 1 = 1e-11 exceeds 1e-12
+    v = np.array([1.0, -1.0, 1.0, -1.0]) * (1.0 + 1e-11)
+    assert is_snv(v) and StatVector(v).standardized
+    StatMatrix.from_standardized(v[:, None])
+    _, bound_ok, _ = snv_pair_identities(StatVector(v), StatVector(v))
+    assert bound_ok
+
+
+def test_is_snv_is_false_and_warning_free_off_the_rule():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_snv([])
+        assert not is_snv([2.0])
+        assert not StatVector([]).standardized
+        assert not is_snv([1e200, -1e200])  # sum x^2 overflows to inf
+        assert not is_snv([1e308] * 4 + [-1e308] * 4)  # the pairwise sum meets inf - inf
+        with pytest.raises(NotStandardized):
+            StatMatrix.from_standardized(np.array([[1e200], [-1e200]]))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +299,14 @@ def test_critical_system_determinant_factorization_n3():
             sys = CriticalSystem.equal_coefficients(3, c, lam)
             det = np.linalg.det(sys.matrix())
             assert det == pytest.approx(2 * (2 * lam - c) ** 2 * (lam + c), rel=1e-10)
+
+
+def test_critical_system_gates_the_couplings_not_the_diagonal():
+    # c_12 and c_21 differ by 1%: a large unused diagonal must not hide it
+    with pytest.raises(NotSymmetric, match="relative asymmetry"):
+        CriticalSystem(np.array([[1e12, 1.0], [1.01, 0.0]]), lam=1.0)
+    sys = CriticalSystem(np.array([[1e300, 2.0], [2.0, -5.0]]), lam=1.0)
+    np.testing.assert_array_equal(sys.coeffs, [[0.0, 2.0], [2.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
