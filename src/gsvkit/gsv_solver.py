@@ -180,7 +180,8 @@ def gsv_solve_2col_equalnorm(a):
     n1, n2 = np.linalg.norm(a1), np.linalg.norm(a2)
     if abs(n1 - n2) > 1e-12 * max(n1, n2):
         raise ColumnNormMismatch(
-            f"column norms differ: {math.ldexp(float(n1), e)!r} vs {math.ldexp(float(n2), e)!r}"
+            # 2.0**e is exact and the product gives inf, where ldexp would raise, past float max
+            f"column norms differ: {float(n1) * 2.0**e!r} vs {float(n2) * 2.0**e!r}"
             " beyond 1e-12 relative"
         )
     dot = float(a1 @ a2)

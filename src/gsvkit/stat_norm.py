@@ -178,9 +178,9 @@ class CriticalSystem:
     lam: float
 
     def __post_init__(self):
-        # the gate sees the couplings only; a non-finite diagonal is left for it to report
         c = np.array(self.coeffs, dtype=float)
-        if c.ndim == 2 and np.isfinite(c.diagonal()).all():
+        if c.ndim == 2:  # the gate sees the couplings only; the diagonal gets its own scan
+            _peak(c.diagonal(), "coefficient matrix contains non-finite entries")
             np.fill_diagonal(c, 0.0)
         c = _symmetrized(c, "coefficient matrix")  # fresh, frozen in place
         c.flags.writeable = False

@@ -1,6 +1,7 @@
 """Tests for the generalized supporting-vector solvers and the sampling oracle."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -506,11 +507,19 @@ def test_2col_errors():
         gsv_solve_2col_equalnorm(np.array([[1.0, 2.0], [0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("small, large", [(1e-20, 3e-20), (1e-200, 3e-200)])
-def test_2col_mismatch_names_the_callers_norms(small, large):
+@pytest.mark.parametrize(
+    "a, norms",
+    [
+        ([[1e-20, 3e-20], [0.0, 0.0]], "1e-20 vs 3e-20"),
+        ([[1e-200, 3e-200], [0.0, 0.0]], "1e-200 vs 3e-200"),
+        # the first norm, ~2.1e308, is past float max: it reads inf, not an OverflowError
+        ([[1.5e308, 1e308], [1.5e308, 0.0]], "inf vs 1e+308"),
+    ],
+)
+def test_2col_mismatch_names_the_callers_norms(a, norms):
     # plain floats at the caller's scale: not np.float64(...), nor the rescaled norms
-    with pytest.raises(ColumnNormMismatch, match=f"^column norms differ: {small!r} vs {large!r} "):
-        gsv_solve_2col_equalnorm(np.array([[small, large], [0.0, 0.0]]))
+    with pytest.raises(ColumnNormMismatch, match="^column norms differ: " + re.escape(norms) + " "):
+        gsv_solve_2col_equalnorm(np.array(a))
 
 
 def test_2col_norm_check_is_relative():

@@ -404,23 +404,40 @@ def test_traced_solve_records_both_stages():
 
 
 # every constructor taking a square symmetric input, each through the one gate
+SQUARE_BUILDS = {
+    "WeightedProblem": lambda a: WeightedProblem((np.ones((2, 2)),), a),
+    "joint_magnitude_state": lambda a: joint_magnitude_state([a]),
+    "CriticalSystem": lambda a: CriticalSystem(a, 1.0),
+}
 SQUARE_INPUTS = pytest.mark.parametrize(
-    "build",
-    [
-        lambda a: WeightedProblem((np.ones((2, 2)),), a),
-        lambda a: joint_magnitude_state([a]),
-        lambda a: CriticalSystem(a, 1.0),
-    ],
-    ids=["WeightedProblem", "joint_magnitude_state", "CriticalSystem"],
+    "build", list(SQUARE_BUILDS.values()), ids=list(SQUARE_BUILDS)
 )
 
+# the full base pins that ||a||_F counts the diagonal; CriticalSystem gates its couplings
+# alone (its diagonal is unused), so it takes the zero-diagonal base, as do the extra cases
+FULL_BASE = np.array([[2.0, 1.0], [1.0, 2.0]])
+ZERO_DIAGONAL_BASE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-@SQUARE_INPUTS
-def test_one_symmetry_rule_at_1e_10_relative(build):
-    # zero diagonal: CriticalSystem gates only its couplings, the diagonal being unused
-    base = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+@pytest.mark.parametrize(
+    "build, base",
+    [
+        pytest.param(SQUARE_BUILDS["WeightedProblem"], FULL_BASE, id="WeightedProblem"),
+        pytest.param(SQUARE_BUILDS["joint_magnitude_state"], FULL_BASE, id="joint_magnitude_state"),
+        pytest.param(SQUARE_BUILDS["CriticalSystem"], ZERO_DIAGONAL_BASE, id="CriticalSystem"),
+        pytest.param(
+            SQUARE_BUILDS["WeightedProblem"], ZERO_DIAGONAL_BASE, id="WeightedProblem-zero_diagonal"
+        ),
+        pytest.param(
+            SQUARE_BUILDS["joint_magnitude_state"],
+            ZERO_DIAGONAL_BASE,
+            id="joint_magnitude_state-zero_diagonal",
+        ),
+    ],
+)
+def test_one_symmetry_rule_at_1e_10_relative(build, base):
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    # ||base + t skew - (base + t skew)^T||_F / ||base||_F = 2 sqrt(2) t / sqrt(2)
+    # ||base + t skew - (base + t skew)^T||_F / ||base||_F = 2 sqrt(2) t / ||base||_F
     per_unit = 2.0 * np.sqrt(2.0) / np.linalg.norm(base)
     for k in (-300, 0, 300):  # the rule is relative, so its verdict holds at every scale
         build(np.ldexp(base + 0.5e-10 / per_unit * skew, k))

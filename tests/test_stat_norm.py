@@ -1,6 +1,7 @@
 """Tests for standardization, critical systems, pair identities and ranking."""
 
 import importlib.resources
+import math
 import warnings
 
 import numpy as np
@@ -80,6 +81,17 @@ def test_standardize_errors():
 def test_standardize_is_invariant_under_power_of_two_scaling(k):
     x = np.array([1.0, 2.0, 3.0])
     np.testing.assert_array_equal(standardize(x * 2.0**k).values, standardize(x).values)
+
+
+def test_standardize_keeps_absolute_accuracy_on_subnormal_entries():
+    # inside the 2^±100 window the moments are taken of x itself, so an entry on the
+    # subnormal grid is accurate to about 2^-1074 / std, not relative to itself: the mean
+    # 2^-1074 / 3 rounds to 0, and entry 2 reads 6.98e-306 where it is 4.65e-306
+    a, d = 2.0**-60, 5e-324
+    v = standardize(np.array([a, -a, d])).values
+    sigma = a * math.sqrt(2.0 / 3.0)
+    np.testing.assert_allclose(v[:2], [math.sqrt(1.5), -math.sqrt(1.5)], rtol=1e-15)
+    assert abs(v[2] - 2.0 / 3.0 * (d / sigma)) <= 0.5 * (d / sigma)
 
 
 @pytest.mark.parametrize("c", [3.0, 3e-20, 1e200, 0.1, 1.0 / 3.0])
