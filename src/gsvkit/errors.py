@@ -38,6 +38,10 @@ class NonFiniteInput(GsvError):
     """An input array contains NaN or infinite entries."""
 
 
+class ComplexInput(GsvError):
+    """An input array is complex: the solvers are real, and a float cast would drop its imaginary part."""
+
+
 class MaximumOverflow(GsvError):
     """The maximum of a finite input, ``sum_i ||A_i x||^2``, exceeds the float64 range."""
 

@@ -27,6 +27,7 @@ from .errors import (
 from .spectra_core import (
     RESIDUAL_RTOL,
     _frozen_array,
+    _real,
     _rescaled,
     _symmetrized,
     fix_column_signs,
@@ -168,11 +169,11 @@ def gsv_solve_2col_equalnorm(a):
     ``(-sqrt(2)/2, sqrt(2)/2)`` up to sign.  The deterministic orientation of
     :func:`fix_column_signs` is applied to the returned vector.
 
-    Raises WrongShape unless the matrix has exactly two columns and
-    ColumnNormMismatch if the column norms, rescaled as in :func:`gsv_solve`,
+    Raises ComplexInput for a complex matrix, WrongShape unless it has exactly two columns,
+    and ColumnNormMismatch if the column norms, rescaled as in :func:`gsv_solve`,
     differ beyond ``1e-12 * max(||a1||, ||a2||)``.
     """
-    a = np.asarray(a, dtype=float)
+    a = _real(a, "matrix is complex")
     if a.ndim != 2 or a.shape[1] != 2:
         raise WrongShape(f"expected an m x 2 matrix, got shape {a.shape}")
     (scaled,), e = _rescaled(*validated_matrices((a,)))
@@ -209,7 +210,9 @@ class WeightedProblem:
     """Field matrices E_x, E_y, E_z (each H x N) with an SPD resistance R (N x N).
 
     The solve maximizes the summed squared field responses subject to the quadratic energy
-    constraint ``psi^T R psi = 1``.  ``fields`` are read-only views, as in OperatorStack.
+    constraint ``psi^T R psi = 1``.  ``fields`` are read-only views, as in OperatorStack, and so
+    is ``resistance`` when R is exactly symmetric (else it is R's average with R^T, see
+    ``_symmetrized``): do not write into either while the problem is in use.
     """
 
     fields: tuple
@@ -218,12 +221,11 @@ class WeightedProblem:
     def __post_init__(self):
         fields, _ = validated_matrices(self.fields)
         n = fields[0].shape[1]
-        r = _symmetrized(self.resistance, "resistance matrix")  # fresh, frozen in place
+        r = _symmetrized(self.resistance, "resistance matrix")  # read-only, a view if symmetric
         if r.shape != (n, n):
             raise ShapeMismatch(
                 f"resistance must be {n} x {n} to match the field matrices, got {r.shape}"
             )
-        r.flags.writeable = False
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "resistance", r)
 
@@ -233,8 +235,9 @@ def _upper_cholesky(r):
     # Deferred: importing scipy.linalg costs ~0.2 s and only the coil path needs it.
     from scipy.linalg import lapack
 
-    # r.T is r (exactly symmetric), F-ordered: f2py makes a plain copy, not a transposing one
-    c, info = lapack.dpotrf(r.T, lower=0, clean=1)
+    # r.T is r (exactly symmetric); either F-ordered one is a plain copy for f2py, no transpose.
+    # The strict lower triangle of c is left as dpotrf found it: the solves read only the upper.
+    c, info = lapack.dpotrf(r if r.flags.f_contiguous else r.T, lower=0, clean=0)
     if info > 0:
         raise NotSPD(info)
     if info < 0:
@@ -245,9 +248,9 @@ def _upper_cholesky(r):
 def weighted_gsv_solve(prob, gap_rtol=1e-10):
     """Solve the energy-constrained problem via Cholesky whitening.
 
-    Factors ``R = C^T C`` (upper-triangular C), whitens each field matrix to
-    ``A_i = E_i C^{-1}`` by triangular solves (C is never inverted
-    explicitly), runs :func:`gsv_solve` on the whitened stack and maps the
+    Factors ``R = C^T C`` (upper-triangular C), whitens every field matrix to
+    ``A_i = E_i C^{-1}`` by one in-place triangular solve on the stacked fields (C is never
+    inverted explicitly), runs :func:`gsv_solve` on the row blocks of the result and maps the
     first basis column phi back through ``psi = C^{-1} phi``.  Since
     ``||phi|| = 1``, the returned psi satisfies ``psi^T R psi = 1`` within
     1e-8.  With 3H field rows below N nodes, that solve eigendecomposes the
@@ -261,11 +264,11 @@ def weighted_gsv_solve(prob, gap_rtol=1e-10):
     if not isinstance(prob, WeightedProblem):
         raise TypeError("weighted_gsv_solve expects a WeightedProblem")
     c = _upper_cholesky(prob.resistance)
-    whitened = tuple(
-        solve_triangular(c, e.T, trans="T", lower=False, check_finite=False).T
-        for e in prob.fields
-    )
-    solution = gsv_solve(whitened, gap_rtol=gap_rtol)
+    # (vstack E)^T is F-ordered and fresh, so the solve overwrites it in place
+    w = solve_triangular(c, np.concatenate(prob.fields).T, trans="T", lower=False,
+                         overwrite_b=True, check_finite=False).T
+    ends = np.cumsum([e.shape[0] for e in prob.fields])
+    solution = gsv_solve(np.split(w, ends[:-1]), gap_rtol=gap_rtol)
     phi = solution.basis[:, 0]
     psi = solve_triangular(c, phi, lower=False, check_finite=False)
     energy = float(psi @ (prob.resistance @ psi))

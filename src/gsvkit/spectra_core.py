@@ -16,7 +16,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceFailure, EmptyStack, NonFiniteInput, NotSymmetric, ShapeMismatch
+from .errors import (
+    ComplexInput,
+    ConvergenceFailure,
+    EmptyStack,
+    NonFiniteInput,
+    NotSymmetric,
+    ShapeMismatch,
+)
 
 # Relative Frobenius asymmetry above this is a caller bug, not round-off.
 ASYMMETRY_RTOL = 1e-10
@@ -60,27 +67,48 @@ def _rescaled(mats, peak):
     return (tuple(np.ldexp(a, -e) for a in mats), e) if abs(e) > _EXP_WINDOW else (mats, 0)
 
 
-def _symmetrized(a, name):
-    """``(a + a.T) / 2`` as a fresh C-ordered array: the package's one gate for a symmetric input.
+def _real(a, message, order=None):
+    """``a`` as a float64 array, copied only to convert it; ComplexInput(message) if complex.
 
-    Raises NotSymmetric when ``a`` is not square or ``||a - a.T||_F > ASYMMETRY_RTOL * ||a||_F``,
-    and NonFiniteInput when it holds a NaN or an inf.  A peak outside ``2^±_EXP_WINDOW`` is
-    checked and averaged as ``2^-e * a``, then scaled back, so the rule holds at every scale.
+    The dtype is read first: numpy's float cast drops an imaginary part with only a warning.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ComplexInput(message)
+    return np.asarray(a, dtype=float, order=order)
+
+
+def _symmetrized(a, name):
+    """``(a + a.T) / 2``, read-only: the package's one gate for a symmetric input.
+
+    An ``a`` equal to ``a.T`` bit for bit is its own average, at every scale: it comes back as a
+    read-only view of the caller's array, so do not write into it while it is in use.  Any other
+    ``a`` is averaged into a fresh C-ordered array.  Raises NotSymmetric when ``a`` is not square
+    or ``||a - a.T||_F > ASYMMETRY_RTOL * ||a||_F``, ComplexInput for a complex ``a``, and
+    NonFiniteInput when it holds a NaN or an inf.  A peak outside ``2^±_EXP_WINDOW`` is checked
+    and averaged as ``2^-e * a``, then scaled back, so the rule holds at every scale.
+    """
+    a = _real(a, f"{name} is complex")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"{name} is not square: shape {a.shape}")
-    (a,), e = _rescaled((a,), _peak(a, f"{name} contains non-finite entries"))
-    t = a.T.copy()  # the one strided pass
-    asym, norm = np.linalg.norm(a - t), np.linalg.norm(a)
-    if asym > ASYMMETRY_RTOL * norm:
-        raise NotSymmetric(
-            f"{name} is not symmetric: relative asymmetry {asym / norm:.3e} "
-            f"exceeds {ASYMMETRY_RTOL:.0e}"
-        )
-    t += a
-    t /= 2.0
-    return np.ldexp(t, e, out=t) if e else t
+    peak = _peak(a, f"{name} contains non-finite entries")
+    # bits, not values: a mirrored 0.0 / -0.0 pair averages to 0.0 on both sides
+    if np.array_equal(a.view(np.uint64), a.T.view(np.uint64)):
+        out = a.view()  # the caller's array keeps its own write flag
+    else:
+        (a,), e = _rescaled((a,), peak)
+        out = a.T.copy()  # the one strided pass
+        asym, norm = np.linalg.norm(a - out), np.linalg.norm(a)
+        if asym > ASYMMETRY_RTOL * norm:
+            raise NotSymmetric(
+                f"{name} is not symmetric: relative asymmetry {asym / norm:.3e} "
+                f"exceeds {ASYMMETRY_RTOL:.0e}"
+            )
+        out += a
+        out /= 2.0
+        out = np.ldexp(out, e, out=out) if e else out
+    out.flags.writeable = False
+    return out
 
 
 def validated_matrices(mats):
@@ -88,11 +116,12 @@ def validated_matrices(mats):
 
     Returns read-only views of 2-D C-ordered float64 arrays (only a list, another dtype or
     byte order, or a non-C layout is copied, to convert it) and their peak ``max |a_ij|``.
-    Raises EmptyStack, ShapeMismatch (a non-2-D input, unequal column counts) or NonFiniteInput.
+    Raises EmptyStack, ShapeMismatch (a non-2-D input, unequal column counts), ComplexInput
+    or NonFiniteInput.
     """
     arrays, peak = [], 0.0
     for k, m in enumerate(mats):
-        a = np.asarray(m, dtype=float, order="C")
+        a = _real(m, f"matrix {k} is complex", order="C")
         if a.ndim != 2:
             raise ShapeMismatch(f"matrix {k} is not 2-D (ndim={a.ndim})")
         peak = max(_peak(a, f"matrix {k} contains non-finite entries"), peak)

@@ -3,8 +3,8 @@
 A vector is statistically normalized when its mean is zero and its population
 standard deviation (divisor m) is one; such vectors live on the radius-sqrt(m)
 sphere intersected with the zero-sum hyperplane.  :func:`is_snv` is the one
-membership rule: ``StatVector.standardized``, ``StatMatrix.from_standardized``
-and :func:`snv_pair_identities` all apply it.  This module also provides the
+membership rule: ``StatVector.standardized``, the ``StatMatrix`` constructor (per
+column) and :func:`snv_pair_identities` all apply it.  This module also provides the
 standardization transform, which scales through the solve's one rescale rule,
 residuals of the sphere-constrained Lagrangian critical system, and the
 multivariate ranking pipeline built on the supporting-vector solver.
@@ -26,7 +26,7 @@ from .errors import (
     ZeroVector,
 )
 from .gsv_solver import gsv_solve
-from .spectra_core import _frozen_array, _peak, _rescaled, _symmetrized
+from .spectra_core import _frozen_array, _peak, _real, _rescaled, _symmetrized
 
 # The published membership bound: |sum x| and |sum x^2 - m| at most _SNV_RTOL * m.
 _SNV_RTOL = 1e-10
@@ -113,14 +113,25 @@ def is_snv(x):
 
 @dataclass(frozen=True)
 class StatMatrix:
-    """Column-standardized data matrix with provenance of the raw means and stds."""
+    """Column-standardized data matrix with provenance of the raw means and stds.
+
+    The constructor applies :func:`is_snv` to every column of ``data``: NotStandardized names
+    the first column off the rule, ShapeMismatch a non-2-D ``data``, NonFiniteInput a NaN or inf.
+    """
 
     data: np.ndarray
     col_means: np.ndarray
     col_stds: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_array(self.data))
+        data = _frozen_array(self.data)
+        if data.ndim != 2:
+            raise ShapeMismatch(f"expected a 2-D data matrix, got shape {data.shape}")
+        _peak(data, "data matrix contains non-finite entries")
+        for j in range(data.shape[1]):
+            if not is_snv(data[:, j]):
+                raise NotStandardized(f"column {j} is not standardized")
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "col_means", _frozen_array(self.col_means))
         object.__setattr__(self, "col_stds", _frozen_array(self.col_stds))
 
@@ -155,14 +166,8 @@ class StatMatrix:
     @classmethod
     def from_standardized(cls, data):
         """Wrap data whose columns are already standardized: each must pass :func:`is_snv`."""
-        data = np.asarray(data, dtype=float)
-        if data.ndim != 2:
-            raise ShapeMismatch(f"expected a 2-D data matrix, got shape {data.shape}")
-        n = data.shape[1]
-        for j in range(n):
-            if not StatVector(data[:, j]).standardized:
-                raise NotStandardized(f"column {j} is not standardized")
-        return cls(data, np.zeros(n), np.ones(n))
+        cols = np.shape(data)[1:]  # (n,) for a matrix; the constructor rejects any other shape
+        return cls(data, np.zeros(cols), np.ones(cols))
 
 
 @dataclass(frozen=True)
@@ -178,12 +183,11 @@ class CriticalSystem:
     lam: float
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
+        c = _real(self.coeffs, "coefficient matrix is complex").copy()
         if c.ndim == 2:  # the gate sees the couplings only; the diagonal gets its own scan
             _peak(c.diagonal(), "coefficient matrix contains non-finite entries")
             np.fill_diagonal(c, 0.0)
-        c = _symmetrized(c, "coefficient matrix")  # fresh, frozen in place
-        c.flags.writeable = False
+        c = _symmetrized(c, "coefficient matrix")  # read-only; a view of the copy c if symmetric
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "lam", float(self.lam))
 

@@ -316,9 +316,15 @@ def test_validation_keeps_read_only_views_of_float64_inputs():
         for m in mats:
             assert np.shares_memory(m, a) and not m.flags.writeable
     assert a.flags.writeable
-    # the resistance is symmetrized into an array of its own
-    assert not np.shares_memory(prob.resistance, r) and not prob.resistance.flags.writeable
+    # an exactly symmetric resistance is its own average: a read-only view of the caller's R
+    assert np.shares_memory(prob.resistance, r) and not prob.resistance.flags.writeable
     assert r.flags.writeable
+    # one asymmetric within 1e-10 is averaged into an array of its own
+    r_asym = r + np.triu(np.full((4, 4), 1e-12), 1)
+    prob = WeightedProblem((a, a, a), r_asym)
+    assert not np.shares_memory(prob.resistance, r_asym) and not prob.resistance.flags.writeable
+    np.testing.assert_array_equal(prob.resistance, (r_asym + r_asym.T) / 2)
+    assert r_asym.flags.writeable
 
 
 @pytest.mark.parametrize(

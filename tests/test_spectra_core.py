@@ -15,6 +15,7 @@ from gsvkit import spectra_core
 from gsvkit.density_model import joint_magnitude_state
 from gsvkit.errors import (
     AllZero,
+    ComplexInput,
     ConvergenceFailure,
     EmptyStack,
     MaximumOverflow,
@@ -468,6 +469,54 @@ def test_square_input_gate_holds_at_the_ends_of_the_float_range():
     np.testing.assert_array_equal(WeightedProblem((np.ones((2, 2)),), r).resistance, r)
     with pytest.raises(MaximumOverflow):  # a finite input is never "non-finite"
         joint_magnitude_state([np.array([[1e308, 0.0], [0.0, 1.0]])])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_symmetric_gate_keeps_an_exactly_symmetric_input_as_a_view(order):
+    b = np.random.default_rng(16).normal(size=(6, 6))
+    for k in (-1000, 0, 1000):  # (a + a.T) / 2 is a itself at every scale
+        a = np.array(np.ldexp(b @ b.T, k), order=order)
+        out = spectra_core._symmetrized(a, "a")
+        assert np.shares_memory(out, a) and not out.flags.writeable and a.flags.writeable
+        np.testing.assert_array_equal(out, (a + a.T) / 2)
+    with pytest.raises(NonFiniteInput):  # the NaN scan runs before the bit test
+        spectra_core._symmetrized(np.full((2, 2), np.nan), "a")
+
+
+def test_symmetric_gate_averages_a_mirrored_signed_zero():
+    # 0.0 == -0.0, so a value test would keep -0.0; the average is +0.0 on both sides
+    a = np.eye(3)
+    a[0, 1], a[1, 0] = 0.0, -0.0
+    out = spectra_core._symmetrized(a, "a")
+    assert not np.shares_memory(out, a) and not out.flags.writeable
+    assert not np.signbit(out).any() and np.signbit(a[1, 0])
+
+
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+SIGMA_Z = np.diag([1.0 + 0j, -1.0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gsv_solve([SIGMA_Y, SIGMA_Z]),  # cast to real: lambda 1.0, the truth is 2.0
+        lambda: gsv_solve([SIGMA_Y]),  # cast to real: AllZero, the truth is 1.0
+        lambda: gsv_solve([[[1.0, 1j]]]),  # a list: a bare TypeError
+        # cast to real: lambda 1 with multiplicity 2, the truth is 4 with multiplicity 1
+        lambda: joint_magnitude_state([np.array([[1, 1j], [-1j, 1]])]),
+        lambda: joint_magnitude_state([[[1, 1j], [-1j, 1]]]),
+        lambda: gsvkit.gsv_solve_2col_equalnorm(np.array([[1.0, 1j], [1j, 1.0]])),
+        lambda: WeightedProblem((SIGMA_Y,), np.eye(2)),
+        lambda: WeightedProblem((np.eye(2),), np.eye(2) + 0j),
+        lambda: CriticalSystem(SIGMA_Y, 1.0),
+    ],
+    ids=["pauli_pair", "sigma_y", "list", "joint_magnitude", "joint_magnitude_list",
+         "2col", "field", "resistance", "critical_system"],
+)
+def test_complex_input_is_refused_before_the_float_cast(build):
+    with pytest.raises(ComplexInput, match="is complex") as exc_info:
+        build()  # pytest's filterwarnings = error would also fail on a ComplexWarning
+    assert exc_info.value.exit_code == 2
 
 
 def fix_column_signs_loop(vectors):

@@ -372,6 +372,21 @@ def test_rank_ties_broken_by_original_index():
     assert tied == sorted(tied)
 
 
+def test_stat_matrix_constructor_applies_is_snv_per_column():
+    raw = np.array([[5.0, 1.0], [6.0, 2.0], [7.0, 9.0]])
+    with pytest.raises(NotStandardized, match="column 0"):
+        score_rows(StatMatrix(raw, np.zeros(2), np.ones(2)))  # ranked the raw rows before
+    m = StatMatrix.from_raw(raw)
+    StatMatrix(m.data, m.col_means, m.col_stds)
+    with pytest.raises(NotStandardized, match="column 1"):
+        StatMatrix(np.column_stack([m.data[:, 0], raw[:, 1]]), np.zeros(2), np.ones(2))
+    with pytest.raises(NonFiniteInput):
+        StatMatrix.from_standardized(np.array([[1.0, np.nan], [-1.0, 1.0]]))
+    for bad in (np.ones(4), np.ones((2, 2, 2))):
+        with pytest.raises(ShapeMismatch):
+            StatMatrix.from_standardized(bad)
+
+
 def test_rank_errors():
     rng = np.random.default_rng(29)
     with pytest.raises(NotStandardized):
