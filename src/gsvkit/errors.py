@@ -122,6 +122,12 @@ class TooShort(GsvError):
 class NotStandardized(GsvError):
     """Input was required to be column-standardized (zero mean, unit population std)."""
 
+    def __init__(self, message="vector is not standardized", column=None):
+        if column is not None:
+            message = f"{message} (column {column!r})"
+        super().__init__(message)
+        self.column = column
+
 
 class LengthMismatch(GsvError):
     """Two vectors that must share a length do not."""

@@ -235,9 +235,9 @@ def _upper_cholesky(r):
     # Deferred: importing scipy.linalg costs ~0.2 s and only the coil path needs it.
     from scipy.linalg import lapack
 
-    # r.T is r (exactly symmetric); either F-ordered one is a plain copy for f2py, no transpose.
+    # r.T is r (exactly symmetric), F-ordered: f2py makes a plain copy, not a transposing one.
     # The strict lower triangle of c is left as dpotrf found it: the solves read only the upper.
-    c, info = lapack.dpotrf(r if r.flags.f_contiguous else r.T, lower=0, clean=0)
+    c, info = lapack.dpotrf(r.T, lower=0, clean=0)
     if info > 0:
         raise NotSPD(info)
     if info < 0:

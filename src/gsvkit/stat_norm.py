@@ -43,6 +43,9 @@ def _standardized(x):
     (y,), e = _rescaled((x,), peak)
     mean = float(np.mean(y))
     centered = y - mean
+    # a second pass removes the first mean's rounding, about eps |mean| / std in the values:
+    # a column whose spread is small next to its mean would otherwise miss is_snv's bound
+    centered -= np.mean(centered)
     std = float(np.sqrt(np.mean(centered**2)))
     sigma = math.ldexp(std, e)
     if sigma <= 1e-14 * peak:
@@ -130,7 +133,7 @@ class StatMatrix:
         _peak(data, "data matrix contains non-finite entries")
         for j in range(data.shape[1]):
             if not is_snv(data[:, j]):
-                raise NotStandardized(f"column {j} is not standardized")
+                raise NotStandardized("data matrix is not standardized", column=j)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "col_means", _frozen_array(self.col_means))
         object.__setattr__(self, "col_stds", _frozen_array(self.col_stds))
@@ -143,8 +146,8 @@ class StatMatrix:
     def from_raw(cls, raw, columns=None):
         """Standardize every column of ``raw``, recording its mean and std.
 
-        ``columns`` optionally names the columns for error reporting;
-        ConstantVector is raised naming the offending column.
+        ``columns`` optionally names the columns for error reporting: ConstantVector, and
+        NotStandardized should a standardized column still miss :func:`is_snv`, name it.
         """
         raw = np.asarray(raw, dtype=float)
         if raw.ndim != 2:
@@ -161,7 +164,11 @@ class StatMatrix:
                 data[:, j], means[j], stds[j] = _standardized(raw[:, j])
             except ConstantVector:
                 raise ConstantVector(column=name) from None
-        return cls(data, means, stds)
+        try:
+            return cls(data, means, stds)
+        except NotStandardized as err:
+            name = columns[err.column] if columns is not None else err.column
+            raise NotStandardized("standardizing missed is_snv's bound", column=name) from None
 
     @classmethod
     def from_standardized(cls, data):

@@ -237,6 +237,19 @@ def test_rank_standardizes_columns_near_1e_minus_20(tmp_path, capsys):
     assert report["lambda_max"] == pytest.approx(np.linalg.norm(m.data, 2) ** 2, rel=1e-12)
 
 
+def test_rank_accepts_timestamps_within_one_hour(tmp_path, capsys):
+    rng = np.random.default_rng(1619)
+    stamps = 1.7e9 + rng.uniform(0.0, 3600.0, size=(200, 3))
+    data = tmp_path / "stamps.csv"
+    lines = ["id,t0,t1,t2"] + [f"r{i}," + ",".join(map(repr, map(float, row)))
+                              for i, row in enumerate(stamps)]
+    data.write_text("\n".join(lines) + "\n")
+    code, report, err = run_cli(capsys, ["rank", data, "--out", tmp_path / "out"])
+    assert code == 0, err  # was NotStandardized, exit 2: the centering error, not the data
+    m = StatMatrix.from_raw(matrix_io.read_table_csv(data)[2])
+    assert report["lambda_max"] == pytest.approx(np.linalg.norm(m.data, 2) ** 2, rel=1e-12)
+
+
 def test_rank_repeated_runs_identical(tmp_path, capsys):
     outputs = set()
     for i in range(3):

@@ -1,22 +1,26 @@
-"""Bit-identity battery for the coil path: pinned hashes of every weighted-solve output.
+"""Bit-identity battery for the coil path: every weighted-solve output against a reference.
 
-Each case hashes psi, lambda_max, basis, residual and objective_check, and ``gsvkit coil``
-hashes the bytes of its two CSV files.  The pinned values were computed with per-field
-whitening and a symmetry gate that copied every resistance, so a faster path that moves
-any output bit fails here.  A pinned hash is never re-pinned to make a change pass.
+Each case compares psi, lambda_max, basis, residual and objective_check, bit for bit, with
+the previous algorithm, kept below as a reference: a symmetrized copy of every resistance,
+a Cholesky factor with its lower triangle zeroed, and one triangular solve per field.  Both
+run on the same BLAS, so the comparison holds on every platform.
 
-Bits depend on the BLAS/LAPACK build and on the CPU kernel it picks at run time.  The
-battery runs only where a canary of raw LAPACK calls on fixed inputs reproduces its
-pinned bits; elsewhere it skips, saying why.
+Pinned hashes of the same outputs, and of the bytes ``gsvkit coil`` writes, add a check
+against the machine that pinned them.  Bits depend on the BLAS/LAPACK build and on the CPU
+kernel it picks at run time, so those tests run only where a canary of raw LAPACK calls on
+fixed inputs reproduces its pinned bits; elsewhere they skip, saying why.  A pinned hash is
+never re-pinned to make a change pass.
 """
 
+import functools
 import hashlib
 
 import numpy as np
 import pytest
 
 from gsvkit import cli, matrix_io
-from gsvkit.gsv_solver import WeightedProblem, weighted_gsv_solve
+from gsvkit.gsv_solver import WeightedProblem, gsv_solve, weighted_gsv_solve
+from gsvkit.spectra_core import _peak, _rescaled
 
 
 def _digest(*values):
@@ -28,6 +32,7 @@ def _digest(*values):
     return h.hexdigest()[:16]
 
 
+@functools.cache
 def _canary():
     """Hash of dpotrf, dtrsm, dsyevr and dsyevd outputs on fixed inputs: the platform's bits."""
     from scipy.linalg import lapack, solve_triangular
@@ -42,11 +47,13 @@ def _canary():
 
 CANARY = "89d9b2727acb9c01"
 
-needs_pinned_platform = pytest.mark.skipif(
-    _canary() != CANARY, reason="this BLAS/LAPACK build gives other bits than the pinned ones"
-)
+
+def skip_unless_pinned_platform():
+    if _canary() != CANARY:
+        pytest.skip("this BLAS/LAPACK build gives other bits than the pinned ones")
 
 
+@functools.cache
 def _cases():
     rng = np.random.default_rng(1616)
 
@@ -74,8 +81,6 @@ def _cases():
     }
 
 
-CASES = _cases()
-
 PINNED = {
     "wide": "be6ccde7e6387cd4",
     "tall": "2dc9695d650cb862",
@@ -89,16 +94,44 @@ PINNED = {
 }
 
 
-def coil_digest(name):
-    fields, r = CASES[name]
-    psi, sol = weighted_gsv_solve(WeightedProblem(fields, r))
+def reference_weighted_solve(fields, r):
+    """The previous coil algorithm: ``(psi, solution)`` with the bits it gave."""
+    from scipy.linalg import lapack, solve_triangular
+
+    (a,), e = _rescaled((r,), _peak(r, "resistance"))
+    t = a.T.copy()
+    t += a
+    t /= 2.0
+    if e:
+        np.ldexp(t, e, out=t)
+    c, info = lapack.dpotrf(t.T, lower=0, clean=1)
+    assert info == 0
+    whitened = tuple(
+        solve_triangular(c, f.T, trans="T", lower=False, check_finite=False).T for f in fields
+    )
+    solution = gsv_solve(whitened)
+    return solve_triangular(c, solution.basis[:, 0], lower=False, check_finite=False), solution
+
+
+def coil_digest(solve, name):
+    fields, r = _cases()[name]
+    psi, sol = solve(fields, r)
     return _digest(psi, sol.lambda_max, sol.basis, sol.residual, sol.objective_check)
 
 
-@needs_pinned_platform
+def solve_now(fields, r):
+    return weighted_gsv_solve(WeightedProblem(fields, r))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_coil_outputs_match_the_previous_algorithm(name):
+    assert coil_digest(solve_now, name) == coil_digest(reference_weighted_solve, name)
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_coil_outputs_keep_their_bits(name):
-    assert coil_digest(name) == PINNED[name]
+    skip_unless_pinned_platform()
+    assert coil_digest(solve_now, name) == PINNED[name]
 
 
 def cli_coil_digests(tmp_path):
@@ -115,7 +148,7 @@ def cli_coil_digests(tmp_path):
             for f in ("psi.csv", "psi_normalized.csv")}
 
 
-@needs_pinned_platform
 def test_cli_coil_files_keep_their_bytes(tmp_path, capsys):
+    skip_unless_pinned_platform()
     assert cli_coil_digests(tmp_path) == {"psi.csv": "b2e3ee263c06638f",
                                        "psi_normalized.csv": "fc5ff6f00b9eb764"}

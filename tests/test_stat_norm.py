@@ -387,6 +387,29 @@ def test_stat_matrix_constructor_applies_is_snv_per_column():
             StatMatrix.from_standardized(bad)
 
 
+def test_from_raw_centers_columns_whose_spread_is_small_next_to_their_mean():
+    # Unix timestamps within one hour, and columns of relative spread 1e-6: one centering pass
+    # left an error of about eps |mean| / std in the values, enough to miss is_snv
+    rng = np.random.default_rng(1618)
+    stamps = 1.7e9 + rng.uniform(0.0, 3600.0, size=(500, 8))
+    narrow = 1e6 * (1.0 + 1e-6 * rng.standard_normal((500, 8)))
+    for raw in (stamps, narrow):
+        m = StatMatrix.from_raw(raw)
+        assert all(is_snv(m.data[:, j]) for j in range(8))
+        scores, _ = score_rows(m)
+        assert np.all(np.isfinite(scores))
+
+
+def test_from_raw_names_a_column_that_misses_is_snv(monkeypatch):
+    from gsvkit import stat_norm
+
+    exact = stat_norm._standardized
+    monkeypatch.setattr(stat_norm, "_standardized", lambda x: (exact(x)[0] + 1e-6, 0.0, 1.0))
+    with pytest.raises(NotStandardized, match="column 'b'") as exc_info:
+        StatMatrix.from_raw(np.array([[1.0, 2.0], [3.0, 5.0], [4.0, 4.0]]), columns=["b", "c"])
+    assert exc_info.value.column == "b"
+
+
 def test_rank_errors():
     rng = np.random.default_rng(29)
     with pytest.raises(NotStandardized):
