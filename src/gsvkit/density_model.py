@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MassExceedsOne, NegativeProbability
+from .errors import MassExceedsOne, NegativeProbability, ShapeMismatch
 from .gsv_solver import gsv_solve
-from .spectra_core import _frozen_array, _peak, _symmetrized
+from .spectra_core import _frozen_array, _peak, _real, _symmetrized
 
 _MASS_ATOL = 1e-12
 _CHAIN_CHUNK = 1 << 14
@@ -24,13 +24,13 @@ _CHAIN_PANEL = 1 << 16
 
 @dataclass(frozen=True)
 class DensityModel:
-    """Truncated probability vector (rho_1 ... rho_N) plus the dropped tail mass."""
+    """Real probabilities (rho_1 ... rho_N), a read-only copy, and the tail; see build_density."""
 
     probs: np.ndarray
     tail: float = field(init=False)
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float).reshape(-1)
+        p = _frozen_array(self.probs, "probability vector is complex").reshape(-1)  # read-only view
         if p.shape[0] < 1:
             raise ValueError("at least one probability is required")
         _peak(p, "probabilities contain non-finite entries")
@@ -39,7 +39,7 @@ class DensityModel:
         total = float(np.sum(p))
         if total > 1.0 + _MASS_ATOL:
             raise MassExceedsOne(f"probabilities sum to {total!r} > 1")
-        object.__setattr__(self, "probs", _frozen_array(p))
+        object.__setattr__(self, "probs", p)
         object.__setattr__(self, "tail", max(0.0, 1.0 - total))
 
     @property
@@ -53,20 +53,20 @@ class DensityModel:
         return DensityModel(self.probs[:k])
 
     def apply(self, x):
-        """Diagonal action: scale coordinate k by rho_k."""
-        x = np.asarray(x, dtype=float).reshape(-1)
+        """Diagonal action: scale coordinate k by rho_k.  Raises ComplexInput or ShapeMismatch."""
+        x = _real(x, "vector is complex").reshape(-1)
+        if x.shape[0] != self.n_states:
+            raise ShapeMismatch(f"vector length {x.shape[0]} != number of states {self.n_states}")
         return self.probs * x
 
 
 def build_density(probs):
-    """Build a truncated density model from nonnegative probabilities.
+    """Build a truncated density model from real, finite, nonnegative probabilities.
 
-    The entries must be nonnegative and sum to at most 1 (within 1e-12);
-    the remainder ``1 - sum`` becomes the recorded tail mass.
-
-    Raises NegativeProbability or MassExceedsOne.
+    They must sum to at most 1 (within 1e-12); the remainder ``1 - sum`` becomes the recorded
+    tail mass.  Raises ComplexInput, NonFiniteInput, NegativeProbability or MassExceedsOne.
     """
-    return DensityModel(np.asarray(probs, dtype=float))
+    return DensityModel(probs)
 
 
 def density_norm(d):

@@ -79,7 +79,7 @@ def as_stack(stack):
 def objective_value(stack, x):
     """Evaluate ``sum_i ||A_i x||^2`` directly from the stack matrices."""
     stack = as_stack(stack)
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _real(x, "vector is complex").reshape(-1)
     if x.shape[0] != stack.ncols:
         raise ShapeMismatch(f"vector length {x.shape[0]} != column count {stack.ncols}")
     return float(sum(((a @ x) ** 2).sum() for a in stack.mats))
@@ -103,7 +103,7 @@ class GsvSolution:
     residual: float
 
     def __post_init__(self):
-        basis = _frozen_array(self.basis)
+        basis = _frozen_array(self.basis, "basis is complex")
         if basis.ndim != 2 or basis.shape[1] < 1:
             raise ShapeMismatch("basis must be a 2-D array with r >= 1 columns")
         norms = np.sqrt((basis * basis).sum(axis=0))

@@ -12,6 +12,7 @@ import csv
 import numpy as np
 
 from .errors import ParseError
+from .spectra_core import _real
 
 
 def format_float(x):
@@ -70,8 +71,8 @@ def read_matrix_csv(path):
 
 
 def write_matrix_csv(path, arr):
-    """Emit a matrix as headerless CSV with lossless decimal values."""
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
+    """Emit a real matrix as lossless headerless CSV; ComplexInput, before any write, if complex."""
+    arr = np.atleast_2d(_real(arr, "matrix is complex"))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for row in arr:
             fh.write(",".join(format_float(v) for v in row))
@@ -79,8 +80,8 @@ def write_matrix_csv(path, arr):
 
 
 def write_vector_csv(path, vec):
-    """Emit a vector as one value per row."""
-    write_matrix_csv(path, np.asarray(vec, dtype=float).reshape(-1, 1))
+    """Emit a real vector as one value per row; ComplexInput for a complex ``vec``."""
+    write_matrix_csv(path, _real(vec, "vector is complex").reshape(-1, 1))
 
 
 def read_probability_csv(path):

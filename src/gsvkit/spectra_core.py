@@ -42,13 +42,6 @@ _SUBSET_MIN_ORDER = 32
 RESIDUAL_RTOL = 1e-8
 
 
-def _frozen_array(a):
-    """Return a C-contiguous, read-only float copy of ``a``."""
-    out = np.array(a, dtype=float, order="C")
-    out.setflags(write=False)
-    return out
-
-
 def _peak(a, message):
     """``max |a_ij|`` of a float array, by ``a.max()`` and ``-a.min()``: no temporary the size of a.
 
@@ -68,14 +61,21 @@ def _rescaled(mats, peak):
 
 
 def _real(a, message, order=None):
-    """``a`` as a float64 array, copied only to convert it; ComplexInput(message) if complex.
+    """``a`` as a float64 array, copied only to convert it: the one float cast of a caller's array.
 
-    The dtype is read first: numpy's float cast drops an imaginary part with only a warning.
+    ComplexInput(message) if complex: numpy's cast would drop the imaginary part with a warning.
     """
     a = np.asarray(a)
     if a.dtype.kind == "c":
         raise ComplexInput(message)
     return np.asarray(a, dtype=float, order=order)
+
+
+def _frozen_array(a, message):
+    """A C-ordered, read-only float64 copy of ``a``; ComplexInput(message) if ``a`` is complex."""
+    out = np.array(_real(a, message), order="C")
+    out.setflags(write=False)
+    return out
 
 
 def _symmetrized(a, name):
@@ -141,15 +141,14 @@ def validated_matrices(mats):
 def fix_column_signs(vectors):
     """Flip column signs so the first component of largest magnitude is positive.
 
-    Deterministic orientation for eigenvectors, whose sign is otherwise
-    arbitrary.  Returns a new array; zero columns are left unchanged.
+    Deterministic orientation for eigenvectors, whose sign is otherwise arbitrary.  Returns
+    a new array; zero columns are left unchanged.  Raises ComplexInput for complex vectors.
     """
-    v = np.array(vectors, dtype=float)
+    v = _real(vectors, "vector array is complex")
     if v.ndim == 1 or v.shape[1] == 1:  # one column, as in nearly every solve
-        return -v if v.flat[np.abs(v).argmax()] < 0 else v
+        return -v if v.flat[np.abs(v).argmax()] < 0 else v.copy()
     # Exact: a column is multiplied by +-1, or a zero column by sign(0.0) = +0.0.
-    v *= np.sign(v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])])
-    return v
+    return v * np.sign(v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])])
 
 
 class EigenPair(NamedTuple):

@@ -60,14 +60,14 @@ def _standardized(x):
 
 @dataclass(frozen=True)
 class StatVector:
-    """Finite real vector, stored read-only; ``standardized`` applies :func:`is_snv`."""
+    """Finite real vector, stored as a read-only copy (else ComplexInput, NonFiniteInput)."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
+        v = _frozen_array(self.values, "vector is complex").reshape(-1)  # a view, read-only too
         _peak(v, "vector contains non-finite entries")
-        object.__setattr__(self, "values", _frozen_array(v))
+        object.__setattr__(self, "values", v)
 
     def __len__(self):
         return self.values.shape[0]
@@ -85,14 +85,13 @@ def standardize(x):
     Euclidean norm m.  The two-point case is computed exactly: it always
     standardizes to ``(1, -1)`` or ``(-1, 1)``.
 
-    Raises TooShort for m < 2 and ConstantVector when the standard deviation
-    vanishes relative to the vector's own magnitude (at most
+    Raises ComplexInput for a complex x, TooShort for m < 2 and ConstantVector when the
+    standard deviation vanishes relative to the vector's own magnitude (at most
     ``1e-14 * max|x|``), so the verdict does not depend on the input's units.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    m = x.shape[0]
-    if m < 2:
-        raise TooShort(f"standardization needs m >= 2, got m={m}")
+    x = _real(x, "vector is complex").reshape(-1)
+    if x.shape[0] < 2:
+        raise TooShort(f"standardization needs m >= 2, got m={x.shape[0]}")
     return StatVector(_standardized(x)[0])
 
 
@@ -101,9 +100,9 @@ def is_snv(x):
 
     True iff ``m >= 2``, ``|sum x_i| <= 1e-10 * m`` and ``|sum x_i^2 - m| <= 1e-10 * m``,
     i.e. x lies on the radius-sqrt(m) sphere inside the zero-sum hyperplane.
-    False for any vector holding a NaN or inf.
+    False for any vector holding a NaN or inf; a complex x raises ComplexInput.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _real(x, "vector is complex").reshape(-1)
     m = x.shape[0]
     # a huge finite x overflows to inf (or inf - inf to NaN), which fails the rule
     with np.errstate(over="ignore", invalid="ignore"):
@@ -119,7 +118,7 @@ class StatMatrix:
     """Column-standardized data matrix with provenance of the raw means and stds.
 
     The constructor applies :func:`is_snv` to every column of ``data``: NotStandardized names
-    the first column off the rule, ShapeMismatch a non-2-D ``data``, NonFiniteInput a NaN or inf.
+    the first column off the rule; else ComplexInput, ShapeMismatch (not 2-D) or NonFiniteInput.
     """
 
     data: np.ndarray
@@ -127,7 +126,7 @@ class StatMatrix:
     col_stds: np.ndarray
 
     def __post_init__(self):
-        data = _frozen_array(self.data)
+        data = _frozen_array(self.data, "data matrix is complex")
         if data.ndim != 2:
             raise ShapeMismatch(f"expected a 2-D data matrix, got shape {data.shape}")
         _peak(data, "data matrix contains non-finite entries")
@@ -135,8 +134,8 @@ class StatMatrix:
             if not is_snv(data[:, j]):
                 raise NotStandardized("data matrix is not standardized", column=j)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "col_means", _frozen_array(self.col_means))
-        object.__setattr__(self, "col_stds", _frozen_array(self.col_stds))
+        object.__setattr__(self, "col_means", _frozen_array(self.col_means, "col_means is complex"))
+        object.__setattr__(self, "col_stds", _frozen_array(self.col_stds, "col_stds is complex"))
 
     @property
     def shape(self):
@@ -146,29 +145,30 @@ class StatMatrix:
     def from_raw(cls, raw, columns=None):
         """Standardize every column of ``raw``, recording its mean and std.
 
-        ``columns`` optionally names the columns for error reporting: ConstantVector, and
-        NotStandardized should a standardized column still miss :func:`is_snv`, name it.
+        ``columns``, one name per column (else ShapeMismatch), names the column in a ConstantVector,
+        or in a NotStandardized should a standardized column still miss :func:`is_snv`.
         """
-        raw = np.asarray(raw, dtype=float)
+        raw = _real(raw, "data matrix is complex")
         if raw.ndim != 2:
             raise ShapeMismatch(f"expected a 2-D data matrix, got shape {raw.shape}")
         m, n = raw.shape
+        names = range(n) if columns is None else columns
+        if len(names) != n:
+            raise ShapeMismatch(f"{len(names)} column names for {n} columns")
         if m < 2:
             raise TooShort(f"standardization needs m >= 2 rows, got m={m}")
         data = np.empty_like(raw)
-        means = np.empty(n)
-        stds = np.empty(n)
+        means, stds = np.empty(n), np.empty(n)
         for j in range(n):
-            name = columns[j] if columns is not None else j
             try:
                 data[:, j], means[j], stds[j] = _standardized(raw[:, j])
             except ConstantVector:
-                raise ConstantVector(column=name) from None
+                raise ConstantVector(column=names[j]) from None
         try:
             return cls(data, means, stds)
         except NotStandardized as err:
-            name = columns[err.column] if columns is not None else err.column
-            raise NotStandardized("standardizing missed is_snv's bound", column=name) from None
+            raise NotStandardized("standardizing missed is_snv's bound",
+                                  column=names[err.column]) from None
 
     @classmethod
     def from_standardized(cls, data):
@@ -222,7 +222,7 @@ def critical_residual(sys, x):
     Stacks the stationarity residual (the system matrix applied to x, which
     must vanish) with the sphere defect ``sum x_j^2 - 1``.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _real(x, "vector is complex").reshape(-1)
     if x.shape[0] != sys.n:
         raise ShapeMismatch(f"vector length {x.shape[0]} != system size {sys.n}")
     if not np.any(x):

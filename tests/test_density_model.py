@@ -15,7 +15,7 @@ from gsvkit.density_model import (
     density_trace,
     joint_magnitude_state,
 )
-from gsvkit.errors import MassExceedsOne, NegativeProbability, NotSymmetric
+from gsvkit.errors import MassExceedsOne, NegativeProbability, NotSymmetric, ShapeMismatch
 from gsvkit.gsv_solver import brute_force_max, gsv_solve
 
 HALVING = 0.5 ** np.arange(1, 31)  # rho_n = 2^-n truncated at N = 30
@@ -250,6 +250,13 @@ def test_truncation_bounds():
 def test_diagonal_action():
     d = build_density([0.5, 0.25])
     np.testing.assert_array_equal(d.apply([2.0, 4.0]), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("x", [[2.0], [1.0, 2.0]], ids=["broadcast", "short"])
+def test_diagonal_action_needs_one_coordinate_per_state(x):
+    # a length-1 x would broadcast to probs * 2, a length-2 x would fail inside numpy
+    with pytest.raises(ShapeMismatch, match=f"vector length {len(x)} != number of states 3"):
+        build_density([0.5, 0.25, 0.125]).apply(x)
 
 
 # ---------------------------------------------------------------------------

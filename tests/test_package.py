@@ -75,3 +75,47 @@ def test_unused_import_detector():
 )
 def test_no_module_imports_a_name_it_never_uses(path):
     assert imported_but_unused(path.read_text(encoding="utf-8")) == []
+
+
+# The one float cast of a caller's array, and the CSV parse of strings to floats.
+FLOAT_CAST_OWNERS = {"spectra_core.py": "_real", "matrix_io.py": "_parse_body"}
+FLOAT_NAMES = {"float", "float64", "double", "f8"}
+
+
+def is_float(node):
+    name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "value", None)
+    return name in FLOAT_NAMES
+
+
+def float_casts(source, owner=None):
+    """Lines of the calls that pass ``dtype=float`` or call ``.astype(float)``, outside ``owner``."""
+    tree = ast.parse(source)
+    spans = [(f.lineno, f.end_lineno) for f in ast.walk(tree)
+             if isinstance(f, ast.FunctionDef) and f.name == owner]
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (any(k.arg == "dtype" and is_float(k.value) for k in node.keywords)
+             or (getattr(node.func, "attr", None) == "astype" and node.args
+                 and is_float(node.args[0])))
+        and not any(start <= node.lineno <= end for start, end in spans)
+    )
+
+
+def test_float_cast_detector():
+    source = (
+        "def _real(a):\n    return np.asarray(a, dtype=float)\n"
+        "def f(a):\n    b = np.array(a, dtype=np.float64)\n    return a.astype('f8') + b\n"
+        "c = np.zeros(3, dtype=int).astype(float)\n"
+    )
+    assert float_casts(source, "_real") == [4, 5, 6]
+    assert float_casts(source) == [2, 4, 5, 6]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(pathlib.Path(gsvkit.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_array_enters_through_the_one_float_cast(path):
+    source = path.read_text(encoding="utf-8")
+    assert float_casts(source, FLOAT_CAST_OWNERS.get(path.name)) == []

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsvkit
-from gsvkit import spectra_core
-from gsvkit.density_model import joint_magnitude_state
+from gsvkit import matrix_io, spectra_core
+from gsvkit.density_model import DensityModel, build_density, joint_magnitude_state
 from gsvkit.errors import (
     AllZero,
     ComplexInput,
@@ -23,9 +23,16 @@ from gsvkit.errors import (
     NotSymmetric,
     ShapeMismatch,
 )
-from gsvkit.gsv_solver import WeightedProblem, gsv_solve
+from gsvkit.gsv_solver import GsvSolution, WeightedProblem, gsv_solve, objective_value
 from gsvkit.spectra_core import RESIDUAL_RTOL, fix_column_signs, gram_sum, max_eigenpair
-from gsvkit.stat_norm import CriticalSystem
+from gsvkit.stat_norm import (
+    CriticalSystem,
+    StatMatrix,
+    StatVector,
+    critical_residual,
+    is_snv,
+    standardize,
+)
 
 
 def eig2x2_sym(a, b, c):
@@ -494,6 +501,7 @@ def test_symmetric_gate_averages_a_mirrored_signed_zero():
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA_Z = np.diag([1.0 + 0j, -1.0])
+SNV = np.array([[1.0], [-1.0]])  # one standardized column
 
 
 @pytest.mark.parametrize(
@@ -509,9 +517,32 @@ SIGMA_Z = np.diag([1.0 + 0j, -1.0])
         lambda: WeightedProblem((SIGMA_Y,), np.eye(2)),
         lambda: WeightedProblem((np.eye(2),), np.eye(2) + 0j),
         lambda: CriticalSystem(SIGMA_Y, 1.0),
+        # Each case below failed at the float cast by a ComplexWarning (an error under
+        # pytest's filterwarnings), a bare TypeError (a list) or a wrong answer.
+        lambda: critical_residual(CriticalSystem.equal_coefficients(2, 1.0, 0.5), [1j, 1.0]),
+        lambda: objective_value([np.eye(2)], [1j, 0.0]),
+        lambda: fix_column_signs(np.array([[1j], [1.0]])),
+        lambda: GsvSolution(1.0, np.array([[1.0 + 0j]]), 1.0, 0.0),
+        lambda: StatVector([1j, 1.0]),
+        lambda: standardize([1.0, 2j, 3.0]),
+        lambda: is_snv(np.array([1 + 1j, -1 - 1j])),  # cast to real: True
+        lambda: StatMatrix(SNV + 0j, np.zeros(1), np.ones(1)),
+        lambda: StatMatrix(SNV, np.array([1j]), np.ones(1)),
+        lambda: StatMatrix(SNV, np.zeros(1), np.array([1 + 1j])),
+        # cast to real: standardizes the real parts
+        lambda: StatMatrix.from_raw(np.array([[1 + 1j, 2.0], [3.0, 4 - 1j], [0.0, 1.0]])),
+        lambda: DensityModel(np.array([0.5 + 0j, 0.25])),
+        lambda: build_density([0.5, 0.25j]),
+        lambda: build_density([0.5, 0.25]).apply(np.array([1j, 1.0])),
+        # cast to real: writes only the real part
+        lambda: matrix_io.write_matrix_csv(os.devnull, SIGMA_Y),
+        lambda: matrix_io.write_vector_csv(os.devnull, [1j, 1.0]),
     ],
     ids=["pauli_pair", "sigma_y", "list", "joint_magnitude", "joint_magnitude_list",
-         "2col", "field", "resistance", "critical_system"],
+         "2col", "field", "resistance", "critical_system", "critical_residual",
+         "objective_value", "fix_column_signs", "gsv_solution", "stat_vector", "standardize",
+         "is_snv", "stat_matrix_data", "stat_matrix_means", "stat_matrix_stds", "from_raw",
+         "density_model", "build_density", "density_apply", "write_matrix", "write_vector"],
 )
 def test_complex_input_is_refused_before_the_float_cast(build):
     with pytest.raises(ComplexInput, match="is complex") as exc_info:

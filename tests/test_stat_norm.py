@@ -410,6 +410,14 @@ def test_from_raw_names_a_column_that_misses_is_snv(monkeypatch):
     assert exc_info.value.column == "b"
 
 
+@pytest.mark.parametrize("names", [["a", "b"], ["a", "b", "c", "d"]], ids=["few", "many"])
+def test_from_raw_needs_one_name_per_column(names):
+    # too few names raised a bare IndexError; too many were ignored
+    raw = np.arange(12.0).reshape(4, 3) ** 2
+    with pytest.raises(ShapeMismatch, match=f"{len(names)} column names for 3 columns"):
+        StatMatrix.from_raw(raw, columns=names)
+
+
 def test_rank_errors():
     rng = np.random.default_rng(29)
     with pytest.raises(NotStandardized):
