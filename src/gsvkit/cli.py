@@ -34,12 +34,21 @@ _PREFIXES = {2: "input error: ", 3: "solver failure: "}
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
+def _sha256(path):
+    """Hex SHA-256 of a file, read in 1 MiB blocks rather than whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _report(subcommand, inputs, outputs, start, solution=None, **extra):
     """The JSON run report; extras (``psi_r_psi``, ``seed``) that are ``None`` are left out."""
     report = {
         "schema": SCHEMA_VERSION,
         "subcommand": subcommand,
-        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
+        "inputs": {str(p): _sha256(p) for p in inputs},
     }
     if solution is not None:
         report.update(lambda_max=solution.lambda_max, multiplicity=solution.multiplicity,

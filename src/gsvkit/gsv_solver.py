@@ -38,6 +38,8 @@ from .spectra_core import (
 
 _ORACLE_MAX_DIM = 10
 _ORACLE_CHUNK = 1 << 17
+# The oracle scores a chunk's draw in column panels: no temporary the size of the chunk.
+_ORACLE_PANEL = 1 << 12
 # GsvSolution's bounds are relative to |lambda_max| down to here: a subnormal has no 1e-8 to give.
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
@@ -305,16 +307,16 @@ def brute_force_max(stack, samples, seed):
     remaining = samples
     while remaining > 0:
         chunk = min(remaining, _ORACLE_CHUNK)
-        x = rng.standard_normal((n, chunk))
-        y = compressed @ x
-        num = np.einsum("ij,ij->j", y, y)
-        den = np.einsum("ij,ij->j", x, x)
-        if np.any(den == 0.0):  # measure-zero draw; drop rather than divide
-            ok = den > 0.0
-            num, den = num[ok], den[ok]
-            if num.size == 0:
-                remaining -= chunk
-                continue
-        best = max(best, float(np.max(num / den)))
+        x = rng.standard_normal((n, chunk))  # one draw per chunk: it fixes the samples' values
+        for j in range(0, chunk, _ORACLE_PANEL):
+            panel = x[:, j : j + _ORACLE_PANEL]
+            y = compressed @ panel
+            num = np.einsum("ij,ij->j", y, y)
+            den = np.einsum("ij,ij->j", panel, panel)
+            if not den.all():  # measure-zero draw; drop rather than divide
+                num, den = num[den > 0.0], den[den > 0.0]
+                if num.size == 0:
+                    continue
+            best = max(best, float((num / den).max()))
         remaining -= chunk
     return best

@@ -8,11 +8,16 @@ written by the toolkit re-parses to bit-identical values.
 from __future__ import annotations
 
 import csv
+import itertools
 
 import numpy as np
 
 from .errors import ParseError
 from .spectra_core import _real
+
+
+# Fields converted per np.array call: the parse holds one block of strings, not the file's.
+_BLOCK_FIELDS = 4096
 
 
 def format_float(x):
@@ -21,34 +26,47 @@ def format_float(x):
 
 
 def _parse_body(path, reader, start, width=None, id_pos=None):
-    """Parse the CSV records from line ``start`` on into a dense float matrix.
+    """Parse the CSV records from line ``start`` on into a dense float matrix, in one pass.
 
     Blank records are skipped.  Every other record must have ``width`` fields
     (default: the first record's count); field ``id_pos``, if given, is left
-    out of the numeric parse.  Returns ``(records, data)``, ``records`` being
-    the non-blank ``(line_no, fields)`` pairs.  The body is converted by one
-    ``np.array`` call, which parses each field as ``float()`` does.  Only when
-    a width differs, that call fails or a value is non-finite are the records
-    rescanned in file order, to raise the ParseError of the first faulty line
-    (on one line, a wrong field count before a bad value).
+    out of the numeric parse and returned stripped.  Returns ``(ids, data)``.
+    Records are parsed in blocks of ``max(1, _BLOCK_FIELDS // width)``, each
+    converted by one ``np.array`` call, which parses each field as ``float()``
+    does.  Only a block whose width differs, whose call fails or that holds a
+    non-finite value is rescanned, by :func:`_raise_first_fault`.
     """
-    records = [(line_no, fields) for line_no, fields in enumerate(reader, start) if fields]
-    if not records:
+    records = ((line_no, fields) for line_no, fields in enumerate(reader, start) if fields)
+    first = next(records, None)
+    if first is None:
         raise ParseError(path, start, "file contains no data rows")
-    width = width or len(records[0][1])
-    numeric = [f if id_pos is None else f[:id_pos] + f[id_pos + 1 :] for _, f in records]
-    if all(len(fields) == width for _, fields in records):
-        try:
-            data = np.array(numeric, dtype=float)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(data).all():
-                return records, data
-    for (line_no, fields), row in zip(records, numeric):
+    width = width or len(first[1])
+    records = itertools.chain([first], records)
+    ids, blocks = [], []
+    while block := list(itertools.islice(records, max(1, _BLOCK_FIELDS // width))):
+        if all(len(fields) == width for _, fields in block):
+            flat = list(itertools.chain.from_iterable(fields for _, fields in block))
+            if id_pos is not None:
+                ids += (i.strip() for i in flat[id_pos::width])
+                del flat[id_pos::width]
+            try:
+                data = np.array(flat, dtype=float)
+            except ValueError:
+                pass
+            else:
+                if np.isfinite(data).all():
+                    blocks.append(data.reshape(len(block), -1))
+                    continue
+        _raise_first_fault(path, block, width, id_pos)
+    return ids, np.concatenate(blocks)
+
+
+def _raise_first_fault(path, block, width, id_pos):
+    """Raise the ParseError of ``block``'s first faulty line (a wrong field count before a bad value)."""
+    for line_no, fields in block:
         if len(fields) != width:
             raise ParseError(path, line_no, f"row has {len(fields)} values, expected {width}")
-        for token in row:
+        for token in fields if id_pos is None else fields[:id_pos] + fields[id_pos + 1 :]:
             try:
                 value = float(token)
             except ValueError:
@@ -57,7 +75,7 @@ def _parse_body(path, reader, start, width=None, id_pos=None):
                 ) from None
             if not np.isfinite(value):
                 raise ParseError(path, line_no, f"non-finite value: {token.strip()!r}")
-    raise AssertionError("np.array rejected a body that float() accepts")
+    raise AssertionError("np.array rejected a block that float() accepts")
 
 
 def read_matrix_csv(path):
@@ -115,5 +133,5 @@ def read_table_csv(path):
         names = [h for i, h in enumerate(header) if i != id_pos]
         if not names:
             raise ParseError(path, 1, "need at least one numeric column besides 'id'")
-        records, data = _parse_body(path, reader, 2, len(header), id_pos)
-    return [fields[id_pos].strip() for _, fields in records], names, data
+        ids, data = _parse_body(path, reader, 2, len(header), id_pos)
+    return ids, names, data

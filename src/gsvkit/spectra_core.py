@@ -92,8 +92,10 @@ def _symmetrized(a, name):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"{name} is not square: shape {a.shape}")
     peak = _peak(a, f"{name} contains non-finite entries")
-    # bits, not values: a mirrored 0.0 / -0.0 pair averages to 0.0 on both sides
-    if np.array_equal(a.view(np.uint64), a.T.view(np.uint64)):
+    # bits, not values: a mirrored 0.0 / -0.0 pair averages to 0.0 on both sides; the upper
+    # triangle is compared with the lower in 64-row panels, so no N x N temporary is made
+    u = a.view(np.uint64)
+    if all(np.array_equal(u[i : i + 64, i:], u[i:, i : i + 64].T) for i in range(0, len(u), 64)):
         out = a.view()  # the caller's array keeps its own write flag
     else:
         (a,), e = _rescaled((a,), peak)

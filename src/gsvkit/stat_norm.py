@@ -196,7 +196,7 @@ class CriticalSystem:
             np.fill_diagonal(c, 0.0)
         c = _symmetrized(c, "coefficient matrix")  # read-only; a view of the copy c if symmetric
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", float(_real(self.lam, "lam is complex")))
 
     @property
     def n(self):
@@ -205,7 +205,7 @@ class CriticalSystem:
     @classmethod
     def equal_coefficients(cls, n, c, lam):
         """System with every off-diagonal coupling equal to ``c``."""
-        coeffs = np.full((n, n), float(c))
+        coeffs = np.full((n, n), float(_real(c, "coupling c is complex")))
         np.fill_diagonal(coeffs, 0.0)
         return cls(coeffs, lam)
 

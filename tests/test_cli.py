@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,6 +416,63 @@ def test_readers_parse_fields_as_python_float(tmp_path, reader):
     assert data.ravel().tolist() == [float(f.strip().strip('"')) for f in fields]
     if reader == "table":
         assert out[:2] == (["r0", "r2", "r4"], ["a", "b"])
+
+
+# One-record blocks: a fault after the first record lies in a later block than the records
+# before it, and every blank line lies between two blocks.
+@pytest.mark.parametrize(
+    "reader, case",
+    [(reader, case) for reader in CSV_READERS for case in PARSE_FAULTS
+     if (reader, case) != ("probability", "short row")],
+)
+def test_parse_error_names_first_faulty_line_in_one_record_blocks(
+    tmp_path, monkeypatch, reader, case
+):
+    monkeypatch.setattr(matrix_io, "_BLOCK_FIELDS", 1)
+    test_parse_error_names_first_faulty_line(tmp_path, reader, case)
+
+
+@pytest.mark.parametrize("reader", CSV_READERS)
+def test_readers_parse_fields_as_python_float_in_one_record_blocks(tmp_path, monkeypatch, reader):
+    monkeypatch.setattr(matrix_io, "_BLOCK_FIELDS", 1)
+    test_readers_parse_fields_as_python_float(tmp_path, reader)
+
+
+def test_block_parse_has_the_bits_of_one_call(tmp_path, monkeypatch):
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=(1500, 7)) * 10.0 ** rng.integers(-300, 300, size=(1500, 7))
+    a[0, :4] = [-0.0, 5e-324, -1.7976931348623157e308, 0.1]
+    fields = [[format(v, ".17g") for v in row] for row in a]
+    fields[7] = ['"1.5"', " +.5", "1_000", "-2.25 ", "0.1", "1e-3", "  7 "]
+    a[7] = [1.5, 0.5, 1000.0, -2.25, 0.1, 1e-3, 7.0]
+    (tmp_path / "m.csv").write_text("\n\n".join(map(",".join, fields)) + "\n")
+    (tmp_path / "t.csv").write_text("a,b,c,id,d,e,f,g\n" + "".join(
+        ",".join(row[:3] + [f" r{i} "] + row[3:]) + "\n" for i, row in enumerate(fields)))
+    bits = a.view(np.uint64)
+    # one-record blocks, a few records, the real size, and the whole body in one np.array call
+    for block_fields in (1, 50, matrix_io._BLOCK_FIELDS, 2 * a.size):
+        monkeypatch.setattr(matrix_io, "_BLOCK_FIELDS", block_fields)
+        matrix = matrix_io.read_matrix_csv(tmp_path / "m.csv")
+        ids, names, table = matrix_io.read_table_csv(tmp_path / "t.csv")
+        assert matrix.shape == table.shape == a.shape
+        assert (matrix.view(np.uint64) == bits).all() and (table.view(np.uint64) == bits).all()
+        assert ids == [f"r{i}" for i in range(len(a))] and names == list("abcdefg")
+
+
+def test_read_peak_memory_is_bounded_by_the_data_not_the_text(tmp_path):
+    a = np.random.default_rng(32).normal(size=(20000, 8))
+    path = tmp_path / "m.csv"
+    np.savetxt(path, a, fmt="%.17g", delimiter=",")
+    matrix_io.read_matrix_csv(path)  # warm-up
+    tracemalloc.start()
+    try:
+        data = matrix_io.read_matrix_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(data, a)
+    # the blocks, their concatenation and one block's strings; every field held as a str is ~13x
+    assert peak < 3 * data.nbytes
 
 
 # ---------------------------------------------------------------------------

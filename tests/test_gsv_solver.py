@@ -669,3 +669,60 @@ def test_oracle_reproducible():
     rng = np.random.default_rng(10)
     stack = [rng.normal(size=(5, 3))]
     assert brute_force_max(stack, 10**5, 123) == brute_force_max(stack, 10**5, 123)
+
+
+def whole_chunk_oracle(stack, samples, rng):
+    """Each chunk's draw scored in one pass: the reference for the oracle's panel loop."""
+    compressed = np.linalg.qr(np.vstack(stack), mode="r")
+    best, remaining = -np.inf, samples
+    while remaining > 0:
+        chunk = min(remaining, gsv_solver._ORACLE_CHUNK)
+        x = rng.standard_normal((compressed.shape[1], chunk))
+        y = compressed @ x
+        num, den = np.einsum("ij,ij->j", y, y), np.einsum("ij,ij->j", x, x)
+        ok = den > 0.0
+        if ok.any():
+            best = max(best, float(np.max(num[ok] / den[ok])))
+        remaining -= chunk
+    return best
+
+
+DEFAULT_RNG = np.random.default_rng
+
+
+class ZeroDraws:
+    """Seeded Gaussian draws with zero columns: sample 3 of every chunk and a whole panel."""
+
+    def __init__(self, seed):
+        self.rng = DEFAULT_RNG(seed)
+
+    def standard_normal(self, shape):
+        x = self.rng.standard_normal(shape)
+        x[:, 3] = 0.0
+        x[:, gsv_solver._ORACLE_PANEL : 2 * gsv_solver._ORACLE_PANEL] = 0.0
+        return x
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (12, 8), (4, 10)])
+def test_oracle_panels_have_the_bits_of_whole_chunks(monkeypatch, shape):
+    stack = [np.random.default_rng(33).normal(size=shape) for _ in range(2)]
+    samples = 2 * gsv_solver._ORACLE_CHUNK + 5
+    for make_rng in (DEFAULT_RNG, ZeroDraws):
+        want = whole_chunk_oracle(stack, samples, make_rng(5))
+        monkeypatch.setattr(np.random, "default_rng", make_rng)
+        got = brute_force_max(stack, samples, 5)
+        monkeypatch.undo()
+        assert got.hex() == want.hex()
+
+
+def test_oracle_peak_memory_is_one_draw():
+    stack = [np.random.default_rng(34).normal(size=(12, 8))]
+    brute_force_max(stack, 10, 0)  # warm-up
+    tracemalloc.start()
+    try:
+        brute_force_max(stack, gsv_solver._ORACLE_CHUNK, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    draw = 8 * gsv_solver._ORACLE_CHUNK * 8  # the n x chunk doubles of x
+    assert peak < 1.25 * draw  # scoring the whole chunk at once made a second draw-sized y

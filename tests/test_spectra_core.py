@@ -499,6 +499,20 @@ def test_symmetric_gate_averages_a_mirrored_signed_zero():
     assert not np.signbit(out).any() and np.signbit(a[1, 0])
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_symmetric_gate_compares_every_panel(order):
+    # the bit test runs over 64-row panels: one ulp anywhere, either side of the diagonal
+    b = np.random.default_rng(17).normal(size=(150, 150))
+    s = np.array(b @ b.T, order=order)
+    assert np.shares_memory(spectra_core._symmetrized(s, "s"), s)
+    for i, j in [(0, 1), (63, 64), (64, 63), (65, 64), (70, 149), (149, 0), (149, 148)]:
+        a = s.copy(order=order)
+        a[i, j] = np.nextafter(a[i, j], np.inf)
+        out = spectra_core._symmetrized(a, "a")
+        assert not np.shares_memory(out, a)
+        assert out[i, j] == out[j, i] == (a[i, j] + a[j, i]) / 2
+
+
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA_Z = np.diag([1.0 + 0j, -1.0])
 SNV = np.array([[1.0], [-1.0]])  # one standardized column
@@ -520,6 +534,8 @@ SNV = np.array([[1.0], [-1.0]])  # one standardized column
         # Each case below failed at the float cast by a ComplexWarning (an error under
         # pytest's filterwarnings), a bare TypeError (a list) or a wrong answer.
         lambda: critical_residual(CriticalSystem.equal_coefficients(2, 1.0, 0.5), [1j, 1.0]),
+        lambda: CriticalSystem(np.zeros((2, 2)), 1j),
+        lambda: CriticalSystem.equal_coefficients(2, 1j, 0.5),
         lambda: objective_value([np.eye(2)], [1j, 0.0]),
         lambda: fix_column_signs(np.array([[1j], [1.0]])),
         lambda: GsvSolution(1.0, np.array([[1.0 + 0j]]), 1.0, 0.0),
@@ -540,6 +556,7 @@ SNV = np.array([[1.0], [-1.0]])  # one standardized column
     ],
     ids=["pauli_pair", "sigma_y", "list", "joint_magnitude", "joint_magnitude_list",
          "2col", "field", "resistance", "critical_system", "critical_residual",
+         "critical_system_lam", "equal_coefficients_c",
          "objective_value", "fix_column_signs", "gsv_solution", "stat_vector", "standardize",
          "is_snv", "stat_matrix_data", "stat_matrix_means", "stat_matrix_stds", "from_raw",
          "density_model", "build_density", "density_apply", "write_matrix", "write_vector"],
