@@ -90,8 +90,9 @@ def check_positivity_chain(d, trials, seed):
     """Verify ``D >= D^2 >= 0`` on sampled unit vectors.
 
     Draws ``trials`` seeded Gaussian-normalized unit vectors x and checks the
-    diagonal quadratic forms ``sum rho_n x_n^2 >= sum rho_n^2 x_n^2 >= -1e-12``
-    for every sample.  Returns True iff the chain holds throughout.
+    diagonal quadratic forms ``sum rho_n x_n^2 >= sum rho_n^2 x_n^2`` for every
+    sample; ``D^2 >= 0`` needs none, as ``DensityModel`` refuses every ``rho_n < 0``.
+    Returns True iff the chain holds throughout.
 
     Each chunk of up to ``_CHAIN_CHUNK`` samples is the ``(n, chunk)`` Gaussian
     array of one ``standard_normal`` call, drawn in row panels of about
@@ -120,7 +121,7 @@ def check_positivity_chain(d, trials, seed):
         ok = sq_norms > 0.0
         first = first[ok] / sq_norms[ok]
         second = second[ok] / sq_norms[ok]
-        if not (np.all(first >= second) and np.all(second >= -1e-12)):
+        if not np.all(first >= second):
             return False
         remaining -= chunk
     return True

@@ -233,12 +233,11 @@ def critical_residual(sys, x):
 
 
 def score_rows(m, gap_rtol=1e-10):
-    """Oriented supporting-vector scores for the rows of a standardized matrix.
+    """Supporting-vector scores ``M x`` for the rows of a standardized matrix.
 
-    Solves ``max ||M x||^2`` over unit vectors and orients x so the score
-    total ``1^T M x`` is nonnegative (scores predominantly positive, high
-    score = best row).  A total within ``1e-12 * sum |s_i|`` of zero, a purely
-    relative band, keeps the solver's orientation.  Returns ``(scores, solution)``.
+    x maximizes ``||M x||^2`` over unit vectors: the solver's first basis column, oriented by
+    its one rule (the first weight of largest magnitude is positive).  The total ``1^T M x``
+    orients nothing, as standardized columns sum to zero.  Returns ``(scores, solution)``.
     """
     if not isinstance(m, StatMatrix):
         raise TypeError("score_rows expects a StatMatrix")
@@ -246,11 +245,7 @@ def score_rows(m, gap_rtol=1e-10):
     if rows <= cols:
         raise ShapeMismatch(f"need more rows than columns, got {rows} x {cols}")
     solution = gsv_solve([m.data], gap_rtol=gap_rtol)
-    scores = m.data @ solution.basis[:, 0]
-    total = float(np.sum(scores))
-    if total < -1e-12 * float(np.sum(np.abs(scores))):
-        scores = -scores
-    return scores, solution
+    return m.data @ solution.basis[:, 0], solution
 
 
 def rank_by_score(m, gap_rtol=1e-10):

@@ -5,6 +5,7 @@ Each test prints a single ``criterion NN <name>: PASS`` line (visible with
 declared.  Run with ``pytest tests/test_acceptance.py -v``.
 """
 
+import importlib.resources
 import time
 
 import numpy as np
@@ -25,7 +26,8 @@ from gsvkit.gsv_solver import (
     weighted_gsv_solve,
 )
 from gsvkit.stat_norm import CriticalSystem, critical_residual, snv_pair_identities, standardize
-from tests.test_cli import SAMPLE_CSV
+
+SAMPLE_CSV = str(importlib.resources.files("gsvkit") / "data" / "sample_locations.csv")
 
 
 def _report(number, name, passed):

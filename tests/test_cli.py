@@ -403,6 +403,24 @@ def test_parse_error_names_first_faulty_line(tmp_path, reader, case):
     assert exc_info.value.line == line
 
 
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        ("probability", "", "file is empty"),
+        ("table", "", "file is empty"),
+        ("table", "a,b\n1,2\n", "missing 'id' column in header ['a', 'b']"),
+        ("table", "id\nr0\n", "need at least one numeric column besides 'id'"),
+    ],
+    ids=["probability empty", "table empty", "table without id", "table without numbers"],
+)
+def test_header_faults_name_line_1(tmp_path, reader, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc_info:
+        CSV_READERS[reader][0](path)
+    assert str(exc_info.value) == f"{path}:1: {message}"
+
+
 @pytest.mark.parametrize("reader", CSV_READERS)
 def test_readers_parse_fields_as_python_float(tmp_path, reader):
     read, _, k, _ = CSV_READERS[reader]
@@ -547,6 +565,22 @@ def test_exit_2_on_shape_mismatch(tmp_path, capsys):
     b = write_matrix(tmp_path / "b.csv", np.eye(3))
     code, _, err = run_cli(capsys, ["solve", a, b])
     assert code == 2 and "b.csv" in err
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [("field", "ez.csv:1: field matrix is (8, 4), expected (8, 5)"),
+     ("resistance", "r.csv:1: resistance is (4, 4), expected (5, 5)")],
+)
+def test_coil_exit_2_on_shape_mismatch(tmp_path, capsys, fault, message):
+    rng = np.random.default_rng(87)
+    _, paths, r_path = _coil_fixture(tmp_path, rng, np.eye(5))
+    if fault == "field":
+        paths[2] = write_matrix(tmp_path / "ez.csv", rng.normal(size=(8, 4)))
+    else:
+        r_path = write_matrix(tmp_path / "r.csv", np.eye(4))
+    code, _, err = run_cli(capsys, ["coil", *paths, r_path])
+    assert code == 2 and message in err
 
 
 def test_exit_2_on_bad_rho_header(tmp_path, capsys):

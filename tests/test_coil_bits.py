@@ -8,8 +8,10 @@ run on the same BLAS, so the comparison holds on every platform.
 Pinned hashes of the same outputs, and of the bytes ``gsvkit coil`` writes, add a check
 against the machine that pinned them.  Bits depend on the BLAS/LAPACK build and on the CPU
 kernel it picks at run time, so those tests run only where a canary of raw LAPACK calls on
-fixed inputs reproduces its pinned bits; elsewhere they skip, saying why.  A pinned hash is
-never re-pinned to make a change pass.
+fixed inputs reproduces its pinned bits; elsewhere they skip, saying why.  Past the BLAS block
+sizes the thread count decides bits too (an order-600 ``dpotrf`` gives other bits on one
+thread than on two), so the ``blocked`` case's hash also needs a second canary, of the same
+calls at that case's sizes.  A pinned hash is never re-pinned to make a change pass.
 """
 
 import functools
@@ -46,6 +48,24 @@ def _canary():
 
 
 CANARY = "89d9b2727acb9c01"
+
+
+@functools.cache
+def _blocked_canary():
+    """The ``blocked`` case's calls at its sizes: order-600 dpotrf and dtrsm, order-180 Gram
+    and dsyevr."""
+    from scipy.linalg import lapack, solve_triangular
+
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal((600, 600))
+    c, _ = lapack.dpotrf(b @ b.T / 600 + np.eye(600), lower=0, clean=1)
+    w = solve_triangular(c, rng.standard_normal((180, 600)).T, trans="T", check_finite=False).T
+    ev, v, _, _, _ = lapack.dsyevr(w @ w.T, range="I", il=179, iu=180)
+    return _digest(c, w, ev, v)
+
+
+# pinned with OpenBLAS 0.3.31 (Haswell kernels) on its default thread count, 2
+BLOCKED_CANARY = "0f197ee66b0f70d5"
 
 
 def skip_unless_pinned_platform():
@@ -131,6 +151,8 @@ def test_coil_outputs_match_the_previous_algorithm(name):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_coil_outputs_keep_their_bits(name):
     skip_unless_pinned_platform()
+    if name == "blocked" and _blocked_canary() != BLOCKED_CANARY:
+        pytest.skip("this BLAS build or thread count gives other bits past the block sizes")
     assert coil_digest(solve_now, name) == PINNED[name]
 
 

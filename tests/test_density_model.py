@@ -46,6 +46,8 @@ def test_build_uniform_two_state():
 
 
 def test_build_errors():
+    with pytest.raises(ValueError, match="at least one probability"):
+        build_density([])
     with pytest.raises(NegativeProbability):
         build_density([0.5, -0.1])
     with pytest.raises(MassExceedsOne):

@@ -305,6 +305,10 @@ def test_operator_stack_validation_and_immutability():
     assert not stack.mats[0].flags.writeable
     with pytest.raises(ShapeMismatch):
         OperatorStack((np.eye(2), np.eye(3)))
+    with pytest.raises(ShapeMismatch, match="matrix 1 is not 2-D"):
+        OperatorStack((np.eye(2), np.ones(2)))
+    with pytest.raises(ShapeMismatch, match="vector length 3 != column count 2"):
+        objective_value(stack, np.ones(3))
 
 
 def test_validation_keeps_read_only_views_of_float64_inputs():
@@ -368,6 +372,9 @@ def test_solve_peak_memory_stays_below_a_quarter_of_the_stack():
 
 
 def test_gsv_solution_invariants_enforced():
+    for basis in (np.array([1.0, 0.0]), np.empty((2, 0))):
+        with pytest.raises(ShapeMismatch, match="2-D array with r >= 1 columns"):
+            GsvSolution(1.0, basis, 1.0, 0.0)
     with pytest.raises(ValueError):
         GsvSolution(1.0, np.array([[2.0], [0.0]]), 1.0, 0.0)
     with pytest.raises(ValueError):
@@ -625,6 +632,18 @@ def test_weighted_problem_validation():
         WeightedProblem((np.ones((2, 3)),), np.eye(2))
     with pytest.raises(NotSymmetric):
         WeightedProblem((np.ones((2, 2)),), np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(TypeError, match="expects a WeightedProblem"):
+        weighted_gsv_solve(((np.ones((2, 2)),), np.eye(2)))
+
+
+def test_weighted_ill_conditioned_resistance_fails_the_energy_check():
+    # R's eigenvalues span [1e-12, 1]: the whitened psi misses psi^T R psi = 1 by ~5e-6
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    prob = WeightedProblem(tuple(rng.standard_normal((3, 20)) for _ in range(3)),
+                           (q * np.logspace(0, -12, 20)) @ q.T)
+    with pytest.raises(ConvergenceFailure, match="too ill-conditioned"):
+        weighted_gsv_solve(prob)
 
 
 # ---------------------------------------------------------------------------

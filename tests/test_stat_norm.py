@@ -246,6 +246,8 @@ def test_pair_identities_errors():
         snv_pair_identities(a, b)
     with pytest.raises(NotStandardized):
         snv_pair_identities(StatVector([1.0, 2.0, 3.0]), a)
+    with pytest.raises(TypeError, match="expects StatVector operands"):
+        snv_pair_identities(a, a.values)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +366,19 @@ def test_rank_scale_invariance():
     assert order_base == order_scaled
 
 
+def test_rank_does_not_turn_on_round_off_in_the_column_sums():
+    # both offsets pass is_snv; the sign of the score total 1^T M x = +-1e-9 x_j is round-off
+    rng = np.random.default_rng(3)
+    data = StatMatrix.from_raw(rng.standard_normal((50, 3))).data
+    for j in range(3):
+        orders = []
+        for offset in (2e-11, -2e-11):
+            shifted = data.copy()
+            shifted[:, j] += offset
+            orders.append([i for i, _ in rank_by_score(StatMatrix.from_standardized(shifted))])
+        assert orders[0] == orders[1], j
+
+
 def test_rank_ties_broken_by_original_index():
     col = standardize([2.0, 1.0, 2.0, -1.0, 2.0, -6.0]).values
     m = StatMatrix.from_standardized(col[:, None])
@@ -429,6 +444,12 @@ def test_rank_errors():
     m = StatMatrix.from_raw(rng.normal(size=(3, 3)) + np.eye(3))
     with pytest.raises(ShapeMismatch):
         rank_by_score(m)  # needs more rows than columns
+    with pytest.raises(TypeError, match="expects a StatMatrix"):
+        score_rows(m.data)
+    with pytest.raises(ShapeMismatch, match="2-D data matrix"):
+        StatMatrix.from_raw(rng.normal(size=8))
+    with pytest.raises(TooShort, match="m=1"):
+        StatMatrix.from_raw(rng.normal(size=(1, 3)))
 
 
 def test_stat_matrix_records_provenance():
