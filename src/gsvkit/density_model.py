@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MassExceedsOne, NegativeProbability, ShapeMismatch
-from .gsv_solver import gsv_solve
+from .gsv_solver import _gaussian_panels, gsv_solve
 from .spectra_core import _frozen_array, _peak, _real, _symmetrized
 
 _MASS_ATOL = 1e-12
-_CHAIN_CHUNK = 1 << 14
-_CHAIN_PANEL = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,36 +92,20 @@ def check_positivity_chain(d, trials, seed):
     sample; ``D^2 >= 0`` needs none, as ``DensityModel`` refuses every ``rho_n < 0``.
     Returns True iff the chain holds throughout.
 
-    Each chunk of up to ``_CHAIN_CHUNK`` samples is the ``(n, chunk)`` Gaussian
-    array of one ``standard_normal`` call, drawn in row panels of about
-    ``_CHAIN_PANEL`` values into one reused buffer: numpy fills C-order arrays
-    in sequence, so the panels hold the same draws in bounded memory.
+    The samples are the columns of ``_gaussian_panels(seed, n, trials)``, scored one draw
+    at a time: memory is one draw of about ``_PANEL_VALUES`` values whatever ``trials`` is,
+    and for a model with more than ``_PANEL_VALUES`` states a draw is one n-vector.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rng = np.random.default_rng(seed)
-    n = d.n_states
     # rows of the per-sample sums: |x|^2, rho . x^2 and rho^2 . x^2
-    weights = np.stack([np.ones(n), d.probs, d.probs * d.probs])
-    buf = np.empty(min(n * min(trials, _CHAIN_CHUNK), _CHAIN_PANEL))
-    remaining = trials
-    while remaining > 0:
-        chunk = min(remaining, _CHAIN_CHUNK)
-        rows = _CHAIN_PANEL // chunk
-        sums = np.zeros((3, chunk))
-        for start in range(0, n, rows):
-            panel = buf[: min(rows, n - start) * chunk].reshape(-1, chunk)
-            rng.standard_normal(out=panel)
-            np.square(panel, out=panel)
-            sums += weights[:, start : start + panel.shape[0]] @ panel
-        sq_norms, first, second = sums
+    weights = np.stack([np.ones(d.n_states), d.probs, d.probs * d.probs])
+    for x in _gaussian_panels(seed, d.n_states, trials):
+        sq_norms, first, second = weights @ np.square(x, out=x)
         ok = sq_norms > 0.0
-        first = first[ok] / sq_norms[ok]
-        second = second[ok] / sq_norms[ok]
-        if not np.all(first >= second):
+        if not np.all(first[ok] / sq_norms[ok] >= second[ok] / sq_norms[ok]):
             return False
-        remaining -= chunk
     return True
 
 

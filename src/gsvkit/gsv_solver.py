@@ -37,9 +37,8 @@ from .spectra_core import (
 )
 
 _ORACLE_MAX_DIM = 10
-_ORACLE_CHUNK = 1 << 17
-# The oracle scores a chunk's draw in column panels: no temporary the size of the chunk.
-_ORACLE_PANEL = 1 << 12
+# Values per seeded Gaussian draw of the samplers: their memory is bounded by it, not by the count.
+_PANEL_VALUES = 1 << 16
 # GsvSolution's bounds are relative to |lambda_max| down to here: a subnormal has no 1e-8 to give.
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
@@ -282,13 +281,27 @@ def weighted_gsv_solve(prob, gap_rtol=1e-10):
     return psi, solution
 
 
+def _gaussian_panels(seed, n, count):
+    """``count`` seeded standard-normal n-vectors, yielded as ``(n, p)`` draws of one generator.
+
+    ``p = max(1, _PANEL_VALUES // n)`` and the last draw is narrower, so the samples are fixed
+    by ``(seed, n, count)``, and a count of at most p is one ``(n, count)`` draw.
+    """
+    rng = np.random.default_rng(seed)
+    p = max(1, _PANEL_VALUES // n)
+    for start in range(0, count, p):
+        yield rng.standard_normal((n, min(p, count - start)))
+
+
 def brute_force_max(stack, samples, seed):
     """Sampled lower bound for the stacked objective over the unit sphere.
 
     Evaluates ``sum_i ||A_i x||^2`` at ``samples`` uniformly distributed unit
-    vectors (normalized Gaussian draws from a generator seeded with ``seed``)
+    vectors (normalized Gaussian draws of ``_gaussian_panels(seed, n, samples)``)
     and returns the maximum.  The value never exceeds the true maximum; it is
-    a desk-scale oracle, so the ambient dimension is capped at 10.
+    a desk-scale oracle, so the ambient dimension is capped at 10.  Memory is one
+    draw and its products, whatever ``samples`` is.  The stack is sampled rescaled as in
+    :func:`gsv_solve` and the value scaled back, so it is finite wherever lambda_max is.
     """
     stack = as_stack(stack)
     n = stack.ncols
@@ -299,24 +312,18 @@ def brute_force_max(stack, samples, seed):
     samples = int(samples)
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    mats, e = _rescaled(stack.mats, stack.peak)
     # Row-compress the stacked matrix through its isometric QR factor:
     # ||vstack(A) x|| == ||R x||, so per-sample cost drops to O(n^2).
-    compressed = np.linalg.qr(np.vstack(stack.mats), mode="r")
-    rng = np.random.default_rng(seed)
+    compressed = np.linalg.qr(np.vstack(mats), mode="r")
     best = -np.inf
-    remaining = samples
-    while remaining > 0:
-        chunk = min(remaining, _ORACLE_CHUNK)
-        x = rng.standard_normal((n, chunk))  # one draw per chunk: it fixes the samples' values
-        for j in range(0, chunk, _ORACLE_PANEL):
-            panel = x[:, j : j + _ORACLE_PANEL]
-            y = compressed @ panel
-            num = np.einsum("ij,ij->j", y, y)
-            den = np.einsum("ij,ij->j", panel, panel)
-            if not den.all():  # measure-zero draw; drop rather than divide
-                num, den = num[den > 0.0], den[den > 0.0]
-                if num.size == 0:
-                    continue
-            best = max(best, float((num / den).max()))
-        remaining -= chunk
-    return best
+    for x in _gaussian_panels(seed, n, samples):
+        y = compressed @ x
+        num = np.einsum("ij,ij->j", y, y)
+        den = np.einsum("ij,ij->j", x, x)
+        if not den.all():  # measure-zero draw; drop rather than divide
+            num, den = num[den > 0.0], den[den > 0.0]
+            if num.size == 0:
+                continue
+        best = max(best, float((num / den).max()))
+    return _scaled_back(best, 0.0, e)[0]

@@ -75,6 +75,22 @@ def test_solve_with_oracle_gap(tmp_path, capsys):
     assert payload["oracle_gap"] <= 1e-3 * max(1.0, lam)
 
 
+def test_solve_oracle_stays_finite_at_large_scale(tmp_path, capsys):
+    # the unscaled oracle overflowed here: "oracle_lower_bound": Infinity, above lambda_max
+    a = write_matrix(tmp_path / "big.csv", np.random.default_rng(78).normal(size=(40, 8)) * 1e153)
+    code, _, _ = run_cli(capsys, ["solve", a, "--oracle-samples", "100000",
+                                  "--out", tmp_path / "out"])
+    assert code == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    text = (tmp_path / "out" / "solution.json").read_text()
+    payload = json.loads(text, parse_constant=refuse)
+    assert payload["oracle_lower_bound"] <= payload["lambda_max"]
+    assert payload["oracle_gap"] >= 0.0
+
+
 def test_solve_report_key_sets(tmp_path, capsys):
     a = write_matrix(tmp_path / "i.csv", np.eye(2))
     _, plain, _ = run_cli(capsys, ["solve", a, "--out", tmp_path / "o1"])

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from gsvkit.density_model import (
-    _CHAIN_CHUNK,
-    _CHAIN_PANEL,
     DensityModel,
     build_density,
     check_positivity_chain,
@@ -16,7 +14,7 @@ from gsvkit.density_model import (
     joint_magnitude_state,
 )
 from gsvkit.errors import MassExceedsOne, NegativeProbability, NotSymmetric, ShapeMismatch
-from gsvkit.gsv_solver import brute_force_max, gsv_solve
+from gsvkit.gsv_solver import _PANEL_VALUES, _gaussian_panels, brute_force_max, gsv_solve
 
 HALVING = 0.5 ** np.arange(1, 31)  # rho_n = 2^-n truncated at N = 30
 
@@ -137,23 +135,17 @@ def test_chain_reproducible():
 
 
 def full_array_chain(d, trials, seed):
-    """The chain as one ``(n, chunk)`` array per chunk, dividing before the dot products."""
-    rng = np.random.default_rng(seed)
+    """The chain on every panel's draws concatenated, dividing before the dot products."""
     rho = d.probs
     rho_sq = rho * rho
-    remaining = trials
-    while remaining > 0:
-        chunk = min(remaining, _CHAIN_CHUNK)
-        x = rng.standard_normal((d.n_states, chunk))
-        sq_norms = np.sum(x**2, axis=0)
-        ok = sq_norms > 0.0
-        xsq = x[:, ok] ** 2 / sq_norms[ok]
-        first = rho @ xsq
-        second = rho_sq @ xsq
-        if not (np.all(first >= second) and np.all(second >= -1e-12)):
-            return False
-        remaining -= chunk
-    return True
+    x = np.concatenate(list(_gaussian_panels(seed, d.n_states, trials)), axis=1)
+    assert x.shape == (d.n_states, trials)
+    sq_norms = np.sum(x**2, axis=0)
+    ok = sq_norms > 0.0
+    xsq = x[:, ok] ** 2 / sq_norms[ok]
+    first = rho @ xsq
+    second = rho_sq @ xsq
+    return bool(np.all(first >= second) and np.all(second >= -1e-12))
 
 
 def chain_models(n, rng):
@@ -171,16 +163,19 @@ def chain_models(n, rng):
     return [build_density(p) for p in models]
 
 
-PANEL_ROWS = _CHAIN_PANEL // _CHAIN_CHUNK
-CHAIN_TRIALS = (1, _CHAIN_CHUNK - 1, _CHAIN_CHUNK, _CHAIN_CHUNK + 1, 40000)
+def panel_counts(n):
+    """Sample counts around one panel of p samples, and over several: 1, p - 1, p, p + 1, 3p + 7."""
+    p = max(1, _PANEL_VALUES // n)
+    return sorted({1, p - 1, p, p + 1, 3 * p + 7} - {0})
 
 
-@pytest.mark.parametrize("n", sorted({1, 2, 3, PANEL_ROWS - 1, PANEL_ROWS, PANEL_ROWS + 1}))
+# full panels (n divides _PANEL_VALUES) and partial ones, up to one state-vector per draw
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1023, 1024, 1025, 65536, 65537])
 def test_chain_verdict_matches_full_array_formula(n):
     rng = np.random.default_rng(36 + n)
     verdicts = set()
     for d in chain_models(n, rng):
-        for trials in CHAIN_TRIALS:
+        for trials in panel_counts(n):
             for seed in (0, 1, 2):
                 expected = full_array_chain(d, trials, seed)
                 assert check_positivity_chain(d, trials, seed) == expected, (d.probs, trials, seed)
@@ -189,10 +184,9 @@ def test_chain_verdict_matches_full_array_formula(n):
 
 
 def test_chain_verdict_matches_full_array_formula_on_many_states():
-    # 1000 rows: panels of 4 rows for a full chunk, then 9 rows (the last one 1) for 7232 samples
+    # 1000 states: draws of 65 samples, 61 of them and then one of 35 for 4000 samples
     halving, over, random = chain_models(1000, np.random.default_rng(37))[-3:]
-    cases = [(halving, 1), (over, 1), (random, 1),
-             (over, _CHAIN_CHUNK + 7232), (random, _CHAIN_CHUNK + 7232)]
+    cases = [(halving, 1), (over, 1), (random, 1), (over, 4000), (random, 4000)]
     verdicts = []
     for d, trials in cases:
         expected = full_array_chain(d, trials, 5)

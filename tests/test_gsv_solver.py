@@ -690,48 +690,73 @@ def test_oracle_reproducible():
     assert brute_force_max(stack, 10**5, 123) == brute_force_max(stack, 10**5, 123)
 
 
-def whole_chunk_oracle(stack, samples, rng):
-    """Each chunk's draw scored in one pass: the reference for the oracle's panel loop."""
+@pytest.mark.parametrize("shape", [(6, 4), (2, 9), (1, 1)])
+def test_oracle_is_scale_free_bit_for_bit(shape):
+    # at 1e153 the oracle summed squares of the unscaled stack and returned inf above lambda_max
+    rng = np.random.default_rng([35, *shape])
+    stack = [rng.normal(size=shape) for _ in range(3)]
+    base, lam0 = brute_force_max(stack, 1000, 3), gsv_solve(stack).lambda_max
+    assert base <= lam0 + 1e-9
+    for k in range(-560, (1023 - math.frexp(lam0)[1]) // 2 + 1):  # up to where lambda_max fits
+        scaled = [np.ldexp(a, k) for a in stack]
+        value = brute_force_max(scaled, 1000, 3)
+        assert math.isfinite(value) and value == math.ldexp(base, 2 * k), k
+        assert value <= gsv_solve(scaled).lambda_max + math.ldexp(1e-9, 2 * k), k
+
+
+def whole_chunk_oracle(stack, samples, seed):
+    """Every panel drawn, concatenated and scored in one pass: the reference for the panel loop."""
     compressed = np.linalg.qr(np.vstack(stack), mode="r")
-    best, remaining = -np.inf, samples
-    while remaining > 0:
-        chunk = min(remaining, gsv_solver._ORACLE_CHUNK)
-        x = rng.standard_normal((compressed.shape[1], chunk))
-        y = compressed @ x
-        num, den = np.einsum("ij,ij->j", y, y), np.einsum("ij,ij->j", x, x)
-        ok = den > 0.0
-        if ok.any():
-            best = max(best, float(np.max(num[ok] / den[ok])))
-        remaining -= chunk
-    return best
+    n = compressed.shape[1]
+    x = np.concatenate(list(gsv_solver._gaussian_panels(seed, n, samples)), axis=1)
+    assert x.shape == (n, samples)
+    y = compressed @ x
+    num, den = np.einsum("ij,ij->j", y, y), np.einsum("ij,ij->j", x, x)
+    ok = den > 0.0
+    return float(np.max(num[ok] / den[ok])) if ok.any() else -np.inf
 
 
 DEFAULT_RNG = np.random.default_rng
 
 
 class ZeroDraws:
-    """Seeded Gaussian draws with zero columns: sample 3 of every chunk and a whole panel."""
+    """Seeded Gaussian draws with zero columns: sample 3 of every draw and the whole second draw."""
 
     def __init__(self, seed):
         self.rng = DEFAULT_RNG(seed)
+        self.draws = 0
 
     def standard_normal(self, shape):
         x = self.rng.standard_normal(shape)
-        x[:, 3] = 0.0
-        x[:, gsv_solver._ORACLE_PANEL : 2 * gsv_solver._ORACLE_PANEL] = 0.0
+        self.draws += 1
+        x[:, min(3, shape[1] - 1)] = 0.0
+        if self.draws == 2:
+            x[:] = 0.0
         return x
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (12, 8), (4, 10)])
 def test_oracle_panels_have_the_bits_of_whole_chunks(monkeypatch, shape):
     stack = [np.random.default_rng(33).normal(size=shape) for _ in range(2)]
-    samples = 2 * gsv_solver._ORACLE_CHUNK + 5
-    for make_rng in (DEFAULT_RNG, ZeroDraws):
-        want = whole_chunk_oracle(stack, samples, make_rng(5))
-        monkeypatch.setattr(np.random, "default_rng", make_rng)
-        got = brute_force_max(stack, samples, 5)
-        monkeypatch.undo()
-        assert got.hex() == want.hex()
+    p = max(1, gsv_solver._PANEL_VALUES // shape[1])
+    for samples in (1, p - 1, p, p + 1, 3 * p + 5):
+        for make_rng in (DEFAULT_RNG, ZeroDraws):
+            monkeypatch.setattr(np.random, "default_rng", make_rng)
+            want = whole_chunk_oracle(stack, samples, 5)
+            got = brute_force_max(stack, samples, 5)
+            monkeypatch.undo()
+            assert got.hex() == want.hex(), (samples, make_rng)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 65536, 65537])
+def test_gaussian_panels_split_the_count_into_seeded_draws(n):
+    p = max(1, gsv_solver._PANEL_VALUES // n)
+    for count in (1, p, p + 1, 3 * p + 5):
+        widths = [x.shape[1] for x in gsv_solver._gaussian_panels(7, n, count)]
+        assert widths == [p] * (count // p) + [count % p] * (count % p > 0)
+    # up to one panel, the samples are one (n, count) draw, as they were before panels
+    (one,) = gsv_solver._gaussian_panels(7, n, p)
+    assert one.tobytes() == np.random.default_rng(7).standard_normal((n, p)).tobytes()
 
 
 def test_oracle_peak_memory_is_one_draw():
@@ -739,9 +764,10 @@ def test_oracle_peak_memory_is_one_draw():
     brute_force_max(stack, 10, 0)  # warm-up
     tracemalloc.start()
     try:
-        brute_force_max(stack, gsv_solver._ORACLE_CHUNK, 0)
+        brute_force_max(stack, 1 << 17, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    draw = 8 * gsv_solver._ORACLE_CHUNK * 8  # the n x chunk doubles of x
-    assert peak < 1.25 * draw  # scoring the whole chunk at once made a second draw-sized y
+    panel = 8 * gsv_solver._PANEL_VALUES  # the doubles of one draw x, and of y = R x
+    # x and y of one draw, still held while the next x is drawn: not one array of 2^17 samples
+    assert peak < 4 * panel
