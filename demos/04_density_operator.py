@@ -27,7 +27,7 @@ print("  supporting state", support, "(the most probable state)")
 print("  trace           ", density_trace(model))
 print("  truncation tail ", model.tail)
 
-# positivity chain D >= D^2 >= 0, sampled over random unit vectors
+# positivity chain D >= D^2 >= 0, decided exactly: it holds iff every rho_n lies in [0, 1]
 print("  D >= D^2 >= 0   ", check_positivity_chain(model, trials=10**4, seed=0))
 
 # truncating further moves mass into the tail

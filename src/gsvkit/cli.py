@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matrix_io
-from .density_model import build_density, check_positivity_chain, density_norm, density_trace
+from .density_model import build_density, chain_margin, check_positivity_chain, density_norm, density_trace
 from .errors import GsvError, ParseError
 from .gsv_solver import OperatorStack, WeightedProblem, brute_force_max, gsv_solve, weighted_gsv_solve
 from .stat_norm import StatMatrix, score_rows
@@ -172,8 +172,9 @@ def cmd_rank(data, standardize_flag=True, gap_rtol=1e-10, out=".") -> dict:
 def cmd_density(rho, trials=10000, seed=42, out=".") -> dict:
     """Evaluate a truncated probability density model read from a rho CSV.
 
-    Writes ``density.json`` with the operator norm, supporting state index,
-    trace, tail mass, and the sampled positivity-chain verdict.
+    Writes ``density.json`` with the operator norm, supporting state index, trace, tail mass,
+    the exact positivity-chain verdict and margin, and ``norm_upper``: an unlisted state may
+    carry the tail, so ``support_index`` is certified only if ``norm >= tail``.
     """
     start = time.perf_counter()
     probs = matrix_io.read_probability_csv(rho)
@@ -185,9 +186,12 @@ def cmd_density(rho, trials=10000, seed=42, out=".") -> dict:
         "trace": density_trace(model),
         "tail": model.tail,
         "positivity_chain_ok": check_positivity_chain(model, int(trials), seed),
+        "chain_margin": chain_margin(model),
+        "norm_upper": max(norm, model.tail),
+        "support_certified": norm >= model.tail,
     }
     out_path = _write_json(_out_dir(out) / "density.json", payload)
-    return _report("density", [rho], [out_path], start, seed=int(seed))
+    return _report("density", [rho], [out_path], start)
 
 
 def _checked(convert, ok, rule):
@@ -216,7 +220,7 @@ def build_parser():
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", default=42,
                       type=_checked(int, lambda v: v >= 0, "must be at least 0"),
-                      help="seed for any sampling (default 42)")
+                      help="seed for solve's oracle sampling; density draws none (default 42)")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=".", help="output directory (default .)")
 
@@ -253,7 +257,7 @@ def build_parser():
     p_density.add_argument("rho", help="single-column CSV with header 'rho'")
     p_density.add_argument("--trials", default=10000,
                            type=_checked(int, lambda v: v >= 1, "must be at least 1"),
-                           help="unit-vector samples for the positivity chain (default 10000)")
+                           help="accepted; the chain is decided exactly, unsampled (default 10000)")
     p_density.set_defaults(run=lambda a: cmd_density(
         a.rho, trials=a.trials, seed=a.seed, out=a.out))
 

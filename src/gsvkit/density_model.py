@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MassExceedsOne, NegativeProbability, ShapeMismatch
-from .gsv_solver import _gaussian_panels, gsv_solve
+from .gsv_solver import gsv_solve
 from .spectra_core import _frozen_array, _peak, _real, _symmetrized
 
 _MASS_ATOL = 1e-12
@@ -34,6 +34,8 @@ class DensityModel:
         _peak(p, "probabilities contain non-finite entries")
         if np.any(p < 0.0):
             raise NegativeProbability(f"negative probability at index {int(np.argmin(p)) + 1}")
+        if np.any(p > 1.0):
+            raise MassExceedsOne(f"probability above 1 at index {int(np.argmax(p)) + 1}")
         total = float(np.sum(p))
         if total > 1.0 + _MASS_ATOL:
             raise MassExceedsOne(f"probabilities sum to {total!r} > 1")
@@ -59,7 +61,7 @@ class DensityModel:
 
 
 def build_density(probs):
-    """Build a truncated density model from real, finite, nonnegative probabilities.
+    """Build a truncated density model from real, finite probabilities in [0, 1].
 
     They must sum to at most 1 (within 1e-12); the remainder ``1 - sum`` becomes the recorded
     tail mass.  Raises ComplexInput, NonFiniteInput, NegativeProbability or MassExceedsOne.
@@ -84,29 +86,21 @@ def density_trace(d):
     return float(np.sum(d.probs))
 
 
+def chain_margin(d):
+    """Exact margin ``min_n (rho_n - rho_n^2)`` of ``D >= D^2``; never negative, as every
+    rho lies in [0, 1], where ``fl(rho * rho) <= rho`` (rounding is monotone, rho exact)."""
+    return float(np.min(d.probs - d.probs * d.probs))
+
+
 def check_positivity_chain(d, trials, seed):
-    """Verify ``D >= D^2 >= 0`` on sampled unit vectors.
+    """Decide ``D >= D^2 >= 0`` exactly: True iff :func:`chain_margin` is at least 0.
 
-    Draws ``trials`` seeded Gaussian-normalized unit vectors x and checks the
-    diagonal quadratic forms ``sum rho_n x_n^2 >= sum rho_n^2 x_n^2`` for every
-    sample; ``D^2 >= 0`` needs none, as ``DensityModel`` refuses every ``rho_n < 0``.
-    Returns True iff the chain holds throughout.
-
-    The samples are the columns of ``_gaussian_panels(seed, n, trials)``, scored one draw
-    at a time: memory is one draw of about ``_PANEL_VALUES`` values whatever ``trials`` is,
-    and for a model with more than ``_PANEL_VALUES`` states a draw is one n-vector.
+    The chain holds iff every ``0 <= rho_n <= 1``, which ``DensityModel`` enforces.
+    ``trials`` must be at least 1; it and ``seed`` draw nothing and change nothing.
     """
-    trials = int(trials)
-    if trials < 1:
+    if int(trials) < 1:
         raise ValueError("trials must be at least 1")
-    # rows of the per-sample sums: |x|^2, rho . x^2 and rho^2 . x^2
-    weights = np.stack([np.ones(d.n_states), d.probs, d.probs * d.probs])
-    for x in _gaussian_panels(seed, d.n_states, trials):
-        sq_norms, first, second = weights @ np.square(x, out=x)
-        ok = sq_norms > 0.0
-        if not np.all(first[ok] / sq_norms[ok] >= second[ok] / sq_norms[ok]):
-            return False
-    return True
+    return chain_margin(d) >= 0.0
 
 
 def joint_magnitude_state(ops):

@@ -143,5 +143,5 @@ class NegativeProbability(GsvError):
 
 
 class MassExceedsOne(GsvError):
-    """Probabilities sum to more than one beyond tolerance."""
+    """A probability exceeds one, or the probabilities sum to more than one beyond tolerance."""
     exit_code = 6

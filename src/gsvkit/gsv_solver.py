@@ -37,7 +37,7 @@ from .spectra_core import (
 )
 
 _ORACLE_MAX_DIM = 10
-# Values per seeded Gaussian draw of the samplers: their memory is bounded by it, not by the count.
+# Values per seeded Gaussian draw of the oracle: its memory is bounded by it, not by the count.
 _PANEL_VALUES = 1 << 16
 # GsvSolution's bounds are relative to |lambda_max| down to here: a subnormal has no 1e-8 to give.
 _NORMAL_MIN = float(np.finfo(float).tiny)
@@ -321,6 +321,7 @@ def brute_force_max(stack, samples, seed):
         y = compressed @ x
         num = np.einsum("ij,ij->j", y, y)
         den = np.einsum("ij,ij->j", x, x)
+        del x, y  # released before the generator draws the next panel
         if not den.all():  # measure-zero draw; drop rather than divide
             num, den = num[den > 0.0], den[den > 0.0]
             if num.size == 0:

@@ -118,7 +118,7 @@ def test_solve_report_key_sets(tmp_path, capsys):
     rho.write_text("rho\n0.5\n")
     _, density, _ = run_cli(capsys, ["density", rho, "--out", tmp_path / "o5"])
     assert list(density) == [
-        "schema", "subcommand", "inputs", "seed", "outputs", "wall_time_ms",
+        "schema", "subcommand", "inputs", "outputs", "wall_time_ms",
     ]
 
 
@@ -292,7 +292,11 @@ def test_density_halving_model(tmp_path, capsys):
     assert payload["trace"] == 1.0 - 2.0**-30
     assert payload["tail"] == 2.0**-30
     assert payload["positivity_chain_ok"] is True
-    assert report["seed"] == 42
+    assert payload["chain_margin"] == 2.0**-30 - 2.0**-60
+    assert payload["norm_upper"] == 0.5 and payload["support_certified"] is True
+    assert list(payload) == ["norm", "support_index", "trace", "tail", "positivity_chain_ok",
+                             "chain_margin", "norm_upper", "support_certified"]
+    assert "seed" not in report  # the chain is decided exactly; nothing is drawn
 
 
 def test_density_pure_state(tmp_path, capsys):
@@ -311,6 +315,33 @@ def test_density_direct_max(tmp_path, capsys):
     assert code == 0
     payload = json.loads((tmp_path / "out" / "density.json").read_text())
     assert payload["norm"] == 0.7 and payload["support_index"] == 2
+
+
+def test_density_truncation_interval(tmp_path, capsys):
+    # an unlisted state may carry the whole 0.8 tail, so state 1 is not certified to support
+    rho = tmp_path / "rho.csv"
+    rho.write_text("rho\n0.1\n0.1\n")
+    code, _, _ = run_cli(capsys, ["density", rho, "--out", tmp_path / "out"])
+    assert code == 0
+    assert (tmp_path / "out" / "density.json").read_text() == (
+        '{\n  "norm": 0.1,\n  "support_index": 1,\n  "trace": 0.2,\n  "tail": 0.8,\n'
+        '  "positivity_chain_ok": true,\n  "chain_margin": 0.09,\n'
+        '  "norm_upper": 0.8,\n  "support_certified": false\n}\n'
+    )
+
+
+def test_density_json_ignores_trials_and_seed(tmp_path, capsys):
+    rho = tmp_path / "rho.csv"
+    probs = np.random.default_rng(88).random(50) / 60
+    rho.write_text("rho\n" + "\n".join(map(repr, probs.tolist())) + "\n")
+    blobs = set()
+    for i, (trials, seed) in enumerate([("1", "0"), ("10000", "0"), ("10000", "7")]):
+        out = tmp_path / f"out{i}"
+        argv = ["density", rho, "--trials", trials, "--seed", seed, "--out", out]
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        blobs.add((out / "density.json").read_bytes())
+    assert len(blobs) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +658,16 @@ def test_exit_5_on_constant_column(tmp_path, capsys):
     assert code == 5 and "'b'" in err
 
 
+# each sums to within the 1e-12 mass tolerance, with one rho_n > 1 at the given index
+MASS_JUST_OVER_ONE = [
+    ([1 + 3e-14] + [9.7e-16] * 1000, 1),
+    ([1 + 1e-14], 1),
+    ([1 + 1e-12], 1),
+    ([1 + 5e-13, 5e-13], 1),
+    ([5e-13, 1 + 5e-13], 2),
+]
+
+
 def test_exit_6_on_bad_probabilities(tmp_path, capsys):
     neg = tmp_path / "neg.csv"
     neg.write_text("rho\n0.5\n-0.1\n")
@@ -637,6 +678,12 @@ def test_exit_6_on_bad_probabilities(tmp_path, capsys):
     heavy.write_text("rho\n0.8\n0.4\n")
     code, _, _ = run_cli(capsys, ["density", heavy])
     assert code == 6
+
+    for probs, index in MASS_JUST_OVER_ONE:
+        over = tmp_path / "over.csv"
+        over.write_text("rho\n" + "\n".join(map(repr, probs)) + "\n")
+        code, _, err = run_cli(capsys, ["density", over])
+        assert code == 6 and f"probability above 1 at index {index}" in err
 
 
 def test_rank_no_standardize_requires_standardized(tmp_path, capsys):

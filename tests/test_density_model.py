@@ -8,12 +8,14 @@ import pytest
 from gsvkit.density_model import (
     DensityModel,
     build_density,
+    chain_margin,
     check_positivity_chain,
     density_norm,
     density_trace,
     joint_magnitude_state,
 )
 from gsvkit.errors import MassExceedsOne, NegativeProbability, NotSymmetric, ShapeMismatch
+from gsvkit import gsv_solver
 from gsvkit.gsv_solver import _PANEL_VALUES, _gaussian_panels, brute_force_max, gsv_solve
 
 HALVING = 0.5 ** np.arange(1, 31)  # rho_n = 2^-n truncated at N = 30
@@ -134,6 +136,24 @@ def test_chain_reproducible():
     )
 
 
+@pytest.mark.parametrize("rho", [1.0, 1.0 - 2.0**-53, 5e-324, 0.0])
+def test_chain_exact_on_edge_values(rho):
+    d = build_density([rho])
+    assert chain_margin(d) >= 0.0
+    assert check_positivity_chain(d, 1, seed=0) is True
+
+
+def test_chain_draws_no_samples(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the chain drew a sample")
+
+    monkeypatch.setattr(gsv_solver, "_gaussian_panels", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    d = build_density(HALVING)
+    assert check_positivity_chain(d, 10**4, seed=0) is True
+    assert chain_margin(d) == 2.0**-30 - 2.0**-60
+
+
 def full_array_chain(d, trials, seed):
     """The chain on every panel's draws concatenated, dividing before the dot products."""
     rho = d.probs
@@ -149,18 +169,23 @@ def full_array_chain(d, trials, seed):
 
 
 def chain_models(n, rng):
-    """Models of ``n`` states: exact 0/1 entries, 1 - 2^-53, halving, random, and mass just over 1."""
+    """Models of ``n`` states: exact 0/1 entries, 1 - 2^-53, halving and random."""
     one_first = np.zeros(n)
     one_first[0] = 1.0
     one_last = np.zeros(n)
     one_last[-1] = 1.0
     near_one = np.zeros(n)
     near_one[n // 2] = 1.0 - 2.0**-53
-    over = np.full(n, 4e-13 / max(n - 1, 1))
-    over[0] = 1.0 + (5e-13 if n > 1 else 1e-12)
-    models = [one_first, one_last, near_one, 0.5 ** np.arange(1, n + 1), over,
+    models = [one_first, one_last, near_one, 0.5 ** np.arange(1, n + 1),
               rng.dirichlet(np.ones(n)) * rng.uniform(0.3, 1.0)]
     return [build_density(p) for p in models]
+
+
+def mass_just_over_one(n):
+    """rho_1 just above 1, the sum within the 1e-12 mass tolerance: refused where it enters."""
+    over = np.full(n, 4e-13 / max(n - 1, 1))
+    over[0] = 1.0 + (5e-13 if n > 1 else 1e-12)
+    return over
 
 
 def panel_counts(n):
@@ -172,35 +197,44 @@ def panel_counts(n):
 # full panels (n divides _PANEL_VALUES) and partial ones, up to one state-vector per draw
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1023, 1024, 1025, 65536, 65537])
 def test_chain_verdict_matches_full_array_formula(n):
+    with pytest.raises(MassExceedsOne, match="above 1 at index 1"):
+        build_density(mass_just_over_one(n))
     rng = np.random.default_rng(36 + n)
     verdicts = set()
     for d in chain_models(n, rng):
         for trials in panel_counts(n):
             for seed in (0, 1, 2):
-                expected = full_array_chain(d, trials, seed)
-                assert check_positivity_chain(d, trials, seed) == expected, (d.probs, trials, seed)
-                verdicts.add(expected)
-    assert verdicts == {True, False}
+                exact = check_positivity_chain(d, trials, seed)
+                verdicts.add((exact, full_array_chain(d, trials, seed)))
+    # the exact verdict, and the sampled reference, on every model that is accepted
+    assert verdicts == {(True, True)}
 
 
 def test_chain_verdict_matches_full_array_formula_on_many_states():
     # 1000 states: draws of 65 samples, 61 of them and then one of 35 for 4000 samples
-    halving, over, random = chain_models(1000, np.random.default_rng(37))[-3:]
-    cases = [(halving, 1), (over, 1), (random, 1), (over, 4000), (random, 4000)]
-    verdicts = []
-    for d, trials in cases:
-        expected = full_array_chain(d, trials, 5)
-        assert check_positivity_chain(d, trials, 5) == expected, trials
-        verdicts.append(expected)
-    assert True in verdicts and False in verdicts
+    with pytest.raises(MassExceedsOne, match="above 1 at index 1"):
+        build_density(mass_just_over_one(1000))
+    halving, random = chain_models(1000, np.random.default_rng(37))[-2:]
+    for d, trials in [(halving, 1), (random, 1), (halving, 4000), (random, 4000)]:
+        assert check_positivity_chain(d, trials, 5) is True, trials
+        assert full_array_chain(d, trials, 5) is True, trials
+
+
+# each sums to within the 1e-12 mass tolerance, yet rho^2 > rho on one state breaks D >= D^2
+MASS_JUST_OVER_ONE = [
+    ([1 + 3e-14] + [9.7e-16] * 1000, 1),
+    ([1 + 1e-14], 1),
+    ([1 + 1e-12], 1),
+    ([1 + 5e-13, 5e-13], 1),
+    ([5e-13, 1 + 5e-13], 2),
+]
 
 
 def test_chain_false_on_mass_just_over_one():
-    # rho^2 > rho on the first state, so a sample weighted on it breaks D >= D^2
-    single = build_density([1 + 1e-12])
-    pair = build_density([1 + 5e-13, 5e-13])
-    assert [check_positivity_chain(single, t, seed=0) for t in (1, 100, 20000)] == [False] * 3
-    assert [check_positivity_chain(pair, t, seed=0) for t in (1, 100, 20000)] == [True, False, False]
+    # such a model is refused where it enters, so no chain verdict is ever asked of it
+    for probs, index in MASS_JUST_OVER_ONE:
+        with pytest.raises(MassExceedsOne, match=f"probability above 1 at index {index}$"):
+            build_density(probs)
 
 
 def test_chain_peak_memory_is_bounded():

@@ -769,5 +769,6 @@ def test_oracle_peak_memory_is_one_draw():
     finally:
         tracemalloc.stop()
     panel = 8 * gsv_solver._PANEL_VALUES  # the doubles of one draw x, and of y = R x
-    # x and y of one draw, still held while the next x is drawn: not one array of 2^17 samples
-    assert peak < 4 * panel
+    # x and y of one draw and their column sums (2.38 panels measured), released before the
+    # next x is drawn: not one array of 2^17 samples, nor two draws at once
+    assert peak < 2.5 * panel
