@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gsvkit import gsv_solver
 from gsvkit.density_model import (
     DensityModel,
     build_density,
@@ -15,7 +16,6 @@ from gsvkit.density_model import (
     joint_magnitude_state,
 )
 from gsvkit.errors import MassExceedsOne, NegativeProbability, NotSymmetric, ShapeMismatch
-from gsvkit import gsv_solver
 from gsvkit.gsv_solver import _PANEL_VALUES, _gaussian_panels, brute_force_max, gsv_solve
 
 HALVING = 0.5 ** np.arange(1, 31)  # rho_n = 2^-n truncated at N = 30
