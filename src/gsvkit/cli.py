@@ -220,7 +220,7 @@ def build_parser():
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", default=42,
                       type=_checked(int, lambda v: v >= 0, "must be at least 0"),
-                      help="seed for solve's oracle sampling; density draws none (default 42)")
+                      help="seed for solve's oracle sampling; no effect on density (default 42)")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=".", help="output directory (default .)")
 
@@ -257,7 +257,7 @@ def build_parser():
     p_density.add_argument("rho", help="single-column CSV with header 'rho'")
     p_density.add_argument("--trials", default=10000,
                            type=_checked(int, lambda v: v >= 1, "must be at least 1"),
-                           help="accepted; the chain is decided exactly, unsampled (default 10000)")
+                           help="no effect: the chain is decided exactly (default 10000)")
     p_density.set_defaults(run=lambda a: cmd_density(
         a.rho, trials=a.trials, seed=a.seed, out=a.out))
 
