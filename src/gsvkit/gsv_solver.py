@@ -83,7 +83,8 @@ def objective_value(stack, x):
     x = _real(x, "vector is complex").reshape(-1)
     if x.shape[0] != stack.ncols:
         raise ShapeMismatch(f"vector length {x.shape[0]} != column count {stack.ncols}")
-    return float(sum(((a @ x) ** 2).sum() for a in stack.mats))
+    # ((a @ x) ** 2).sum() by the ufuncs behind ** 2 and .sum, without numpy's _methods frame
+    return float(sum(np.add.reduce(np.square(a @ x), None) for a in stack.mats))
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ class GsvSolution:
         basis = _frozen_array(self.basis, "basis is complex")
         if basis.ndim != 2 or basis.shape[1] < 1:
             raise ShapeMismatch("basis must be a 2-D array with r >= 1 columns")
-        norms = np.sqrt((basis * basis).sum(axis=0))
-        if not np.abs(norms - 1.0).max() <= 1e-12:  # "not <=": a NaN fails each check
+        norms = np.sqrt(np.add.reduce(basis * basis, 0))  # (basis * basis).sum(axis=0)
+        if not np.maximum.reduce(np.abs(norms - 1.0), None) <= 1e-12:  # a NaN fails each check
             raise ValueError("basis columns must be unit vectors to 1e-12")
         scale = max(abs(self.lambda_max), _NORMAL_MIN)  # a NaN leads, so max keeps it
         if not abs(self.objective_check - self.lambda_max) <= 1e-8 * scale:
@@ -151,12 +152,8 @@ def gsv_solve(stack, gap_rtol=1e-10):
     rows = np.concatenate(mats) if wide else None
     lam, basis, residual = max_eigenpair(gram_sum((rows.T,) if wide else mats), gap_rtol, rows)
     lam, residual = _scaled_back(lam, residual, e)
-    return GsvSolution(
-        lambda_max=lam,
-        basis=basis,
-        objective_check=objective_value(stack, basis[:, 0]),
-        residual=residual,
-    )
+    return GsvSolution(lambda_max=lam, basis=basis, residual=residual,
+                       objective_check=objective_value(stack, basis[:, 0]))
 
 
 def gsv_solve_2col_equalnorm(a):
@@ -171,13 +168,16 @@ def gsv_solve_2col_equalnorm(a):
     :func:`fix_column_signs` is applied to the returned vector.
 
     Raises ComplexInput for a complex matrix, WrongShape unless it has exactly two columns,
-    and ColumnNormMismatch if the column norms, rescaled as in :func:`gsv_solve`,
-    differ beyond ``1e-12 * max(||a1||, ||a2||)``.
+    NonFiniteInput, AllZero for a zero matrix as :func:`gsv_solve` does, and ColumnNormMismatch
+    if the column norms, rescaled as in gsv_solve, differ beyond ``1e-12 * max(||a1||, ||a2||)``.
     """
     a = _real(a, "matrix is complex")
     if a.ndim != 2 or a.shape[1] != 2:
         raise WrongShape(f"expected an m x 2 matrix, got shape {a.shape}")
-    (scaled,), e = _rescaled(*validated_matrices((a,)))
+    mats, peak = validated_matrices((a,))
+    if peak == 0.0:
+        raise AllZero("the matrix is zero")
+    (scaled,), e = _rescaled(mats, peak)
     a1, a2 = scaled[:, 0], scaled[:, 1]
     n1, n2 = np.linalg.norm(a1), np.linalg.norm(a2)
     if abs(n1 - n2) > 1e-12 * max(n1, n2):
@@ -198,12 +198,8 @@ def gsv_solve_2col_equalnorm(a):
     gram = scaled.T @ scaled
     residual = float(np.max(np.linalg.norm(gram @ basis - lam * basis, axis=0)))
     lam, residual = _scaled_back(lam, residual, e)
-    return GsvSolution(
-        lambda_max=lam,
-        basis=basis,
-        objective_check=float(np.sum((a @ basis[:, 0]) ** 2)),
-        residual=residual,
-    )
+    return GsvSolution(lambda_max=lam, basis=basis, residual=residual,
+                       objective_check=float(np.sum((a @ basis[:, 0]) ** 2)))
 
 
 @dataclass(frozen=True)

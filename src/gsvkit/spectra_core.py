@@ -41,14 +41,18 @@ _SUBSET_MIN_ORDER = 32
 # The published residual bound: ||S v - lambda v||_2 <= RESIDUAL_RTOL * |lambda|.
 RESIDUAL_RTOL = 1e-8
 
+# numpy's float64 dtype is one object, so _real tests an array's dtype by identity.
+_FLOAT = np.dtype(float)
+
 
 def _peak(a, message):
-    """``max |a_ij|`` of a float array, by ``a.max()`` and ``-a.min()``: no temporary the size of a.
+    """``max |a_ij|`` of a float array, by its max and -min: no temporary the size of a.
 
     Raises NonFiniteInput(message) when ``a`` holds a NaN or an inf.
     """
-    # a NaN leads (both ends are NaN), so max keeps it
-    peak = max(a.max(initial=0.0), -a.min(initial=0.0))
+    # a.max(initial=0.0) without the frame in numpy's _methods; a NaN leads (both ends are NaN)
+    peak = max(np.maximum.reduce(a, None, None, None, False, 0.0),
+               -np.minimum.reduce(a, None, None, None, False, 0.0))
     if not peak < np.inf:
         raise NonFiniteInput(message)
     return float(peak)
@@ -65,6 +69,8 @@ def _real(a, message, order=None):
 
     ComplexInput(message) if complex: numpy's cast would drop the imaginary part with a warning.
     """
+    if type(a) is np.ndarray and a.dtype is _FLOAT and (order is None or a.flags.c_contiguous):
+        return a  # what the two asarray calls below would return
     a = np.asarray(a)
     if a.dtype.kind == "c":
         raise ComplexInput(message)
@@ -118,15 +124,18 @@ def validated_matrices(mats):
 
     Returns read-only views of 2-D C-ordered float64 arrays (only a list, another dtype or
     byte order, or a non-C layout is copied, to convert it) and their peak ``max |a_ij|``.
-    Raises EmptyStack, ShapeMismatch (a non-2-D input, unequal column counts), ComplexInput
-    or NonFiniteInput.
+    Raises EmptyStack, ShapeMismatch (a non-2-D input, unequal column counts, no column:
+    R^0 has no unit vector), ComplexInput or NonFiniteInput.
     """
     arrays, peak = [], 0.0
     for k, m in enumerate(mats):
-        a = _real(m, f"matrix {k} is complex", order="C")
-        if a.ndim != 2:
-            raise ShapeMismatch(f"matrix {k} is not 2-D (ndim={a.ndim})")
-        peak = max(_peak(a, f"matrix {k} contains non-finite entries"), peak)
+        try:
+            a = _real(m, "is complex", order="C")
+            if a.ndim != 2:
+                raise ShapeMismatch(f"matrix {k} is not 2-D (ndim={a.ndim})")
+            peak = max(_peak(a, "contains non-finite entries"), peak)
+        except (ComplexInput, NonFiniteInput) as exc:  # named here, only when raised
+            raise type(exc)(f"matrix {k} {exc}") from None
         arrays.append(a.view())  # the caller's array keeps its own write flag
         arrays[-1].setflags(write=False)
     if not arrays:
@@ -134,9 +143,9 @@ def validated_matrices(mats):
     ncols = arrays[0].shape[1]
     for k, a in enumerate(arrays):
         if a.shape[1] != ncols:
-            raise ShapeMismatch(
-                f"matrix {k} has {a.shape[1]} columns, expected {ncols}"
-            )
+            raise ShapeMismatch(f"matrix {k} has {a.shape[1]} columns, expected {ncols}")
+    if ncols == 0:
+        raise ShapeMismatch("the matrices have no columns: R^0 has no unit vector")
     return tuple(arrays), peak
 
 
@@ -185,8 +194,8 @@ def gram_sum(mats):
 def _top_eigenpairs(s, gap_rtol):
     """The top k eigenvalues of ``s`` (ascending) and their vectors, by ``dsyevr`` (MRRR).
 
-    k starts at 2 and doubles until the smallest eigenvalue found lies outside the
-    merge tolerance, or k = n: the merged top cluster is then complete.
+    k starts at 2 and doubles until all k pairs came back and the smallest eigenvalue found
+    lies outside the merge tolerance, or k = n: the merged top cluster is then complete.
     """
     # Deferred: importing scipy.linalg costs ~0.2 s, which small solves never pay.
     from scipy.linalg import lapack
@@ -195,12 +204,13 @@ def _top_eigenpairs(s, gap_rtol):
     k = min(2, n)
     while True:
         # s.T is s, F-ordered: f2py makes a plain copy, not a transposing one
-        w, v, _, _, info = lapack.dsyevr(s.T, range="I", il=n - k + 1, iu=n)
-        if info:
+        w, v, m, _, info = lapack.dsyevr(s.T, range="I", il=n - k + 1, iu=n)
+        if info or m < k == n:  # m < k == n: the whole spectrum came back short
             raise ConvergenceFailure(f"eigendecomposition failed: dsyevr info = {info}")
-        w = w[:k]
-        if k == n or w[-1] - w[0] > gap_rtol * abs(w[-1]):
-            return w, v
+        # MRRR may return m < k pairs with info 0 (here: none of the top 2 of a 40 x 40 Gram whose
+        # second eigenvalue is 39-fold), zero vectors in their place: then ask for more
+        if m == k and (k == n or w[k - 1] - w[0] > gap_rtol * abs(w[k - 1])):
+            return w[:k], v
         k = min(2 * k, n)
 
 
@@ -234,8 +244,8 @@ def max_eigenpair(s, gap_rtol=1e-10, rows=None):
         x = rows.T @ v[:, keep]
         basis = fix_column_signs(x / np.sqrt((x * x).sum(axis=0)))
         image = rows.T @ (rows @ basis)
-    d = image - lam * basis
-    residual = float(np.sqrt((d * d).sum(axis=0)).max())
+    d = image - lam * basis  # sqrt((d * d).sum(axis=0)).max(), by the ufuncs behind the methods
+    residual = float(np.maximum.reduce(np.sqrt(np.add.reduce(d * d, 0)), None))
     if not residual <= RESIDUAL_RTOL * abs(lam):  # a NaN fails too
         raise ConvergenceFailure(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |lambda|")
     return EigenPair(lam, basis, residual)

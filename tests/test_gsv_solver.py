@@ -12,6 +12,7 @@ from gsvkit.density_model import DensityModel
 from gsvkit.errors import (
     AllZero,
     ColumnNormMismatch,
+    ComplexInput,
     ConvergenceFailure,
     DimensionTooLarge,
     GsvError,
@@ -286,6 +287,36 @@ def test_validation_finds_the_peak_and_non_finite_entries(bad):
     assert OperatorStack((np.zeros((0, 3)), np.zeros((1, 3)))).peak == 0.0
 
 
+def test_validation_messages_name_the_matrix():
+    ok = np.ones((2, 3))
+    with pytest.raises(ComplexInput, match="^matrix 1 is complex$"):
+        OperatorStack((ok, ok * 1j))
+    with pytest.raises(NonFiniteInput, match="^matrix 2 contains non-finite entries$"):
+        OperatorStack((ok, ok, ok * np.inf))
+    with pytest.raises(ShapeMismatch, match=r"^matrix 1 is not 2-D \(ndim=1\)$"):
+        OperatorStack((ok, np.ones(3)))
+    with pytest.raises(ShapeMismatch, match="^matrix 1 has 2 columns, expected 3$"):
+        OperatorStack((ok, np.ones((2, 2))))
+
+
+def test_zero_column_stack_refused_where_it_enters():
+    # R^0 has no unit vector: a ShapeMismatch at validation, neither AllZero for a stack that
+    # has no sphere nor a ZeroDivisionError in the oracle's panel width
+    calls = [
+        lambda: OperatorStack((np.zeros((3, 0)),)),
+        lambda: gsv_solve([np.zeros((3, 0))]),
+        lambda: gsv_solve([np.zeros((0, 0)), np.ones((2, 0))]),
+        lambda: brute_force_max([np.ones((3, 0))], 10, 1),
+        lambda: WeightedProblem((np.ones((2, 0)),) * 3, np.zeros((0, 0))),
+    ]
+    for call in calls:
+        with pytest.raises(ShapeMismatch, match="no columns"):
+            call()
+    # unequal column counts are named first, as before
+    with pytest.raises(ShapeMismatch, match="^matrix 1 has 2 columns, expected 0$"):
+        gsv_solve([np.zeros((3, 0)), np.ones((3, 2))])
+
+
 def test_validation_allocates_no_array_the_size_of_an_input():
     a = np.random.default_rng(22).normal(size=(2000, 100))
     OperatorStack((a,))  # warm-up
@@ -518,6 +549,12 @@ def test_2col_errors():
         gsv_solve_2col_equalnorm(np.ones((3, 3)))
     with pytest.raises(ColumnNormMismatch):
         gsv_solve_2col_equalnorm(np.array([[1.0, 2.0], [0.0, 0.0]]))
+    # the package's all-zero rule, as gsv_solve applies it to the same input (exit 3)
+    for zero in (np.zeros((3, 2)), np.full((1, 2), -0.0), np.zeros((0, 2))):
+        with pytest.raises(AllZero, match="^the matrix is zero$"):
+            gsv_solve_2col_equalnorm(zero)
+        with pytest.raises(AllZero):
+            gsv_solve(np.array([zero]))
 
 
 @pytest.mark.parametrize(

@@ -349,6 +349,47 @@ def test_subset_route_failure_carries_lapack_info(monkeypatch):
         max_eigenpair(np.eye(CROSSOVER))
 
 
+def test_subset_route_asks_again_when_mrrr_drops_pairs(monkeypatch):
+    # dsyevr can return m < k pairs with info 0 and zero vectors in their place; the first
+    # answer here drops both, as LAPACK did on the 40 x 40 Grams of the next test
+    from scipy.linalg import lapack
+
+    stack = clustered_stack(np.random.default_rng(5), 120, 40, 1)
+    want = gsv_solve(stack)
+    calls, real = [], lapack.dsyevr
+
+    def drop_first(a, **kw):
+        w, v, m, isuppz, info = real(a, **kw)
+        calls.append(kw["iu"] - kw["il"] + 1)
+        if len(calls) == 1:
+            v, m = np.zeros_like(v), 0
+        return w, v, m, isuppz, info
+
+    monkeypatch.setattr(lapack, "dsyevr", drop_first)
+    sol = gsv_solve(stack)
+    assert calls == [2, 4] and sol.multiplicity == 1
+    assert sol.lambda_max == pytest.approx(want.lambda_max, rel=1e-14)
+    np.testing.assert_allclose(sol.basis, want.basis, rtol=0, atol=1e-12)
+    # never an endless loop: too few pairs even for k = n is a ConvergenceFailure
+    monkeypatch.setattr(lapack, "dsyevr", lambda a, **kw: (np.zeros(40), None, 0, None, 0))
+    with pytest.raises(ConvergenceFailure, match="^eigendecomposition failed: dsyevr info = 0$"):
+        max_eigenpair(np.eye(40))
+
+
+@pytest.mark.parametrize("seed", [24, 94, 145, 282, 290])
+def test_subset_route_top_pair_under_a_39_fold_second_eigenvalue(seed):
+    # Q diag(1, 0.5, ..., 0.5) Q^T in two row blocks: the Gram's second eigenvalue 0.25 is
+    # 39-fold.  With OpenBLAS 0.3.31's LAPACK, dsyevr asked for the top 2 pairs of each of these
+    # Grams returns none (m = 0, info = 0).  Unchecked, the zero vectors passed the residual
+    # bound and the solve ended in GsvSolution's unit check (seed 24 escaped by chance).
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((40, 40)))
+    a = (q * np.concatenate([[1.0], np.full(39, 0.5)])) @ q.T
+    sol = gsv_solve([a[:20], a[20:]])
+    assert sol.multiplicity == 1
+    assert sol.lambda_max == pytest.approx(1.0, rel=1e-14)
+    assert abs(sol.basis[:, 0] @ q[:, 0]) == pytest.approx(1.0, rel=1e-14)
+
+
 def test_rayleigh_bound_random_unit_vectors():
     rng = np.random.default_rng(13)
     mats = [rng.normal(size=(5, 4)) for _ in range(2)]
