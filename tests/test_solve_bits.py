@@ -58,9 +58,7 @@ def stream(rng):
         yield [rng.standard_normal((int(rng.integers(0, 21)), n))
                for _ in range(int(rng.integers(1, 6)))]
     for n in (2, 3, 5, 8, 9, 12, 16, 40):
-        for r in (2, 3, n):
-            if r > n:
-                continue
+        for r in sorted({2, min(3, n), n}):
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             s = np.full(n, 0.5)
             s[:r] = 1.0
