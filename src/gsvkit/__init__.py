@@ -12,7 +12,6 @@ density operators.
 from . import errors
 from .density_model import (
     DensityModel,
-    build_density,
     check_positivity_chain,
     density_norm,
     density_trace,
@@ -32,7 +31,6 @@ from .spectra_core import fix_column_signs
 from .stat_norm import (
     CriticalSystem,
     StatMatrix,
-    StatVector,
     critical_residual,
     is_snv,
     rank_by_score,
@@ -49,10 +47,8 @@ __all__ = [
     "GsvSolution",
     "OperatorStack",
     "StatMatrix",
-    "StatVector",
     "WeightedProblem",
     "brute_force_max",
-    "build_density",
     "check_positivity_chain",
     "critical_residual",
     "density_norm",

@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import matrix_io
-from .density_model import build_density, chain_margin, check_positivity_chain, density_norm, density_trace
+from .density_model import DensityModel, chain_margin, check_positivity_chain, density_norm, density_trace
 from .errors import GsvError, ParseError
 from .gsv_solver import OperatorStack, WeightedProblem, brute_force_max, gsv_solve, weighted_gsv_solve
+from .spectra_core import GAP_RTOL
 from .stat_norm import StatMatrix, score_rows
 
 SCHEMA_VERSION = 1
@@ -72,7 +73,7 @@ def _write_json(path, obj):
     return path
 
 
-def cmd_solve(matrix_files, gap_rtol=1e-10, oracle_samples=0, seed=42, out=".") -> dict:
+def cmd_solve(matrix_files, gap_rtol=GAP_RTOL, oracle_samples=0, seed=42, out=".") -> dict:
     """Solve the stacked maximization for matrices read from headerless CSVs.
 
     Writes ``solution.json``; with ``oracle_samples > 0`` the sampled
@@ -106,7 +107,7 @@ def cmd_solve(matrix_files, gap_rtol=1e-10, oracle_samples=0, seed=42, out=".") 
                    seed=int(seed) if sampling else None)
 
 
-def cmd_coil(ex, ey, ez, r, gap_rtol=1e-10, out=".") -> dict:
+def cmd_coil(ex, ey, ez, r, gap_rtol=GAP_RTOL, out=".") -> dict:
     """Energy-constrained solve for field matrices E_x, E_y, E_z and resistance R.
 
     Writes ``psi.csv`` (one nodal value per row) and ``psi_normalized.csv``
@@ -140,7 +141,7 @@ def cmd_coil(ex, ey, ez, r, gap_rtol=1e-10, out=".") -> dict:
                    psi_r_psi=energy)
 
 
-def cmd_rank(data, standardize_flag=True, gap_rtol=1e-10, out=".") -> dict:
+def cmd_rank(data, standardize_flag=True, gap_rtol=GAP_RTOL, out=".") -> dict:
     """Rank table rows by their supporting-vector scores.
 
     Writes ``ranking.csv`` (rank, id, score; descending score) and
@@ -169,7 +170,7 @@ def cmd_rank(data, standardize_flag=True, gap_rtol=1e-10, out=".") -> dict:
     return _report("rank", [data], [rank_path, plot_path], start, solution)
 
 
-def cmd_density(rho, trials=10000, seed=42, out=".") -> dict:
+def cmd_density(rho, out=".") -> dict:
     """Evaluate a truncated probability density model read from a rho CSV.
 
     Writes ``density.json`` with the operator norm, supporting state index, trace, tail mass,
@@ -178,14 +179,14 @@ def cmd_density(rho, trials=10000, seed=42, out=".") -> dict:
     """
     start = time.perf_counter()
     probs = matrix_io.read_probability_csv(rho)
-    model = build_density(probs)
+    model = DensityModel(probs)
     norm, support_index = density_norm(model)
     payload = {
         "norm": norm,
         "support_index": support_index,
         "trace": density_trace(model),
         "tail": model.tail,
-        "positivity_chain_ok": check_positivity_chain(model, int(trials), seed),
+        "positivity_chain_ok": check_positivity_chain(model),
         "chain_margin": chain_margin(model),
         "norm_upper": max(norm, model.tail),
         "support_certified": norm >= model.tail,
@@ -212,11 +213,12 @@ def build_parser():
         prog="gsvkit",
         description="Compute generalized supporting vectors and run the application pipelines.",
     )
-    # one parent per shared flag; each subcommand takes exactly the flags its cmd_* reads
+    # one parent per shared flag; each subcommand takes exactly the flags its cmd_* reads, bar
+    # density's --seed and --trials: checked, kept for existing scripts, passed to no function
     gap_rtol = argparse.ArgumentParser(add_help=False)
-    gap_rtol.add_argument("--gap-rtol", default=1e-10,
+    gap_rtol.add_argument("--gap-rtol", default=GAP_RTOL,
                           type=_checked(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-                          help="eigenvalue merge tolerance, relative to lambda_max (default 1e-10)")
+                          help="eigenvalue merge tolerance, relative to lambda_max (default %(default)s)")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", default=42,
                       type=_checked(int, lambda v: v >= 0, "must be at least 0"),
@@ -258,8 +260,7 @@ def build_parser():
     p_density.add_argument("--trials", default=10000,
                            type=_checked(int, lambda v: v >= 1, "must be at least 1"),
                            help="no effect: the chain is decided exactly (default 10000)")
-    p_density.set_defaults(run=lambda a: cmd_density(
-        a.rho, trials=a.trials, seed=a.seed, out=a.out))
+    p_density.set_defaults(run=lambda a: cmd_density(a.rho, out=a.out))
 
     return parser
 

@@ -22,7 +22,9 @@ _MASS_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class DensityModel:
-    """Real probabilities (rho_1 ... rho_N), a read-only copy, and the tail; see build_density."""
+    """Real, finite probabilities (rho_1 ... rho_N) in [0, 1], summing to at most 1 (within
+    1e-12), as a read-only copy; the remainder ``1 - sum`` is the recorded ``tail`` mass.
+    Raises ComplexInput, NonFiniteInput, NegativeProbability or MassExceedsOne."""
 
     probs: np.ndarray
     tail: float = field(init=False)
@@ -60,15 +62,6 @@ class DensityModel:
         return self.probs * x
 
 
-def build_density(probs):
-    """Build a truncated density model from real, finite probabilities in [0, 1].
-
-    They must sum to at most 1 (within 1e-12); the remainder ``1 - sum`` becomes the recorded
-    tail mass.  Raises ComplexInput, NonFiniteInput, NegativeProbability or MassExceedsOne.
-    """
-    return DensityModel(probs)
-
-
 def density_norm(d):
     """Operator norm and supporting state of the diagonal model.
 
@@ -92,14 +85,11 @@ def chain_margin(d):
     return float(np.min(d.probs - d.probs * d.probs))
 
 
-def check_positivity_chain(d, trials, seed):
+def check_positivity_chain(d):
     """Decide ``D >= D^2 >= 0`` exactly: True iff :func:`chain_margin` is at least 0.
 
     The chain holds iff every ``0 <= rho_n <= 1``, which ``DensityModel`` enforces.
-    ``trials`` must be at least 1; it and ``seed`` draw nothing and change nothing.
     """
-    if int(trials) < 1:
-        raise ValueError("trials must be at least 1")
     return chain_margin(d) >= 0.0
 
 

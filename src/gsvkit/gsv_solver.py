@@ -25,6 +25,7 @@ from .errors import (
     WrongShape,
 )
 from .spectra_core import (
+    GAP_RTOL,
     RESIDUAL_RTOL,
     _frozen_array,
     _real,
@@ -130,7 +131,7 @@ class GsvSolution:
         return self.multiplicity == self.basis.shape[0]
 
 
-def gsv_solve(stack, gap_rtol=1e-10):
+def gsv_solve(stack, gap_rtol=GAP_RTOL):
     """Solve ``max sum_i ||A_i x||^2`` over unit vectors x, exactly.
 
     Returns a GsvSolution with the largest eigenvalue of the Gram sum, an
@@ -242,7 +243,7 @@ def _upper_cholesky(r):
     return c
 
 
-def weighted_gsv_solve(prob, gap_rtol=1e-10):
+def weighted_gsv_solve(prob, gap_rtol=GAP_RTOL):
     """Solve the energy-constrained problem via Cholesky whitening.
 
     Factors ``R = C^T C`` (upper-triangular C), whitens every field matrix to

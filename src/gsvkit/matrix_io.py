@@ -84,7 +84,7 @@ def read_matrix_csv(path):
     Raises ParseError (with file and line) on malformed values, ragged rows,
     or an empty file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return _parse_body(path, csv.reader(fh), 1)[1]
 
 
@@ -104,7 +104,7 @@ def write_vector_csv(path, vec):
 
 def read_probability_csv(path):
     """Parse a single-column CSV with header ``rho`` into a probability vector."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -121,7 +121,7 @@ def read_table_csv(path):
     Returns ``(ids, column_names, data)`` where ``data`` is a dense float
     matrix over the non-id columns.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

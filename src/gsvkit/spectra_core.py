@@ -41,6 +41,9 @@ _SUBSET_MIN_ORDER = 32
 # The published residual bound: ||S v - lambda v||_2 <= RESIDUAL_RTOL * |lambda|.
 RESIDUAL_RTOL = 1e-8
 
+# The default merge tolerance: eigenvalues within GAP_RTOL * |lambda_max| of the maximum merge.
+GAP_RTOL = 1e-10
+
 # numpy's float64 dtype is one object, so _real tests an array's dtype by identity.
 _FLOAT = np.dtype(float)
 
@@ -214,7 +217,7 @@ def _top_eigenpairs(s, gap_rtol):
         k = min(2 * k, n)
 
 
-def max_eigenpair(s, gap_rtol=1e-10, rows=None):
+def max_eigenpair(s, gap_rtol=GAP_RTOL, rows=None):
     """Largest eigenvalue of ``s`` and an orthonormal basis of its merged eigenspace.
 
     ``s`` must be finite and exactly symmetric, as :func:`gram_sum` returns it.

@@ -3,8 +3,8 @@
 A vector is statistically normalized when its mean is zero and its population
 standard deviation (divisor m) is one; such vectors live on the radius-sqrt(m)
 sphere intersected with the zero-sum hyperplane.  :func:`is_snv` is the one
-membership rule: ``StatVector.standardized``, the ``StatMatrix`` constructor (per
-column) and :func:`snv_pair_identities` all apply it.  This module also provides the
+membership rule: the ``StatMatrix`` constructor (per column) and
+:func:`snv_pair_identities` both apply it.  This module also provides the
 standardization transform, which scales through the solve's one rescale rule,
 residuals of the sphere-constrained Lagrangian critical system, and the
 multivariate ranking pipeline built on the supporting-vector solver.
@@ -26,7 +26,7 @@ from .errors import (
     ZeroVector,
 )
 from .gsv_solver import gsv_solve
-from .spectra_core import _frozen_array, _peak, _real, _rescaled, _symmetrized
+from .spectra_core import GAP_RTOL, _frozen_array, _peak, _real, _rescaled, _symmetrized
 
 # The published membership bound: |sum x| and |sum x^2 - m| at most _SNV_RTOL * m.
 _SNV_RTOL = 1e-10
@@ -58,32 +58,12 @@ def _standardized(x):
     return values, math.ldexp(mean, e), sigma
 
 
-@dataclass(frozen=True)
-class StatVector:
-    """Finite real vector, stored as a read-only copy (else ComplexInput, NonFiniteInput)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _frozen_array(self.values, "vector is complex").reshape(-1)  # a view, read-only too
-        _peak(v, "vector contains non-finite entries")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self):
-        return self.values.shape[0]
-
-    @property
-    def standardized(self):
-        """True when the stored values are statistically normalized, by :func:`is_snv`."""
-        return is_snv(self.values)
-
-
 def standardize(x):
     """Center and scale ``x`` to zero mean and unit population standard deviation.
 
-    Uses the population convention (divisor m), so the output has squared
-    Euclidean norm m.  The two-point case is computed exactly: it always
-    standardizes to ``(1, -1)`` or ``(-1, 1)``.
+    Returns a new read-only float64 array.  Uses the population convention (divisor m),
+    so the output has squared Euclidean norm m.  The two-point case is computed exactly:
+    it always standardizes to ``(1, -1)`` or ``(-1, 1)``.
 
     Raises ComplexInput for a complex x, TooShort for m < 2 and ConstantVector when the
     standard deviation vanishes relative to the vector's own magnitude (at most
@@ -92,7 +72,9 @@ def standardize(x):
     x = _real(x, "vector is complex").reshape(-1)
     if x.shape[0] < 2:
         raise TooShort(f"standardization needs m >= 2, got m={x.shape[0]}")
-    return StatVector(_standardized(x)[0])
+    values = _standardized(x)[0]
+    values.setflags(write=False)
+    return values
 
 
 def is_snv(x):
@@ -232,7 +214,7 @@ def critical_residual(sys, x):
     return float(np.linalg.norm(np.append(stationarity, sphere)))
 
 
-def score_rows(m, gap_rtol=1e-10):
+def score_rows(m, gap_rtol=GAP_RTOL):
     """Supporting-vector scores ``M x`` for the rows of a standardized matrix.
 
     x maximizes ``||M x||^2`` over unit vectors: the solver's first basis column, oriented by
@@ -248,7 +230,7 @@ def score_rows(m, gap_rtol=1e-10):
     return m.data @ solution.basis[:, 0], solution
 
 
-def rank_by_score(m, gap_rtol=1e-10):
+def rank_by_score(m, gap_rtol=GAP_RTOL):
     """Rank the rows of a standardized matrix by their supporting-vector scores.
 
     Returns ``[(row_index, score), ...]`` sorted by descending score with
@@ -264,17 +246,17 @@ def snv_pair_identities(x, y):
 
     Returns ``(dot, bound_ok, formula_gap)`` where ``bound_ok`` checks
     ``|x . y| <= m`` (within is_snv's 1e-10 * m) and ``formula_gap`` is the
-    defect of the identity ``x . y = (||x + y||^2 - 2m) / 2``.  Raises
-    NotStandardized unless both vectors pass :func:`is_snv`.
+    defect of the identity ``x . y = (||x + y||^2 - 2m) / 2``.  Raises ComplexInput, then
+    LengthMismatch, then NotStandardized unless both pass :func:`is_snv` (a NaN fails it).
     """
-    if not isinstance(x, StatVector) or not isinstance(y, StatVector):
-        raise TypeError("snv_pair_identities expects StatVector operands")
-    if len(x) != len(y):
-        raise LengthMismatch(f"lengths differ: {len(x)} vs {len(y)}")
-    if not (x.standardized and y.standardized):
+    x = _real(x, "vector is complex").reshape(-1)
+    y = _real(y, "vector is complex").reshape(-1)
+    m = x.shape[0]
+    if m != y.shape[0]:
+        raise LengthMismatch(f"lengths differ: {m} vs {y.shape[0]}")
+    if not (is_snv(x) and is_snv(y)):
         raise NotStandardized("both vectors must be standardized")
-    m = len(x)
-    dot = float(x.values @ y.values)
+    dot = float(x @ y)
     bound_ok = abs(dot) <= m + _SNV_RTOL * m
-    formula = (float(np.sum((x.values + y.values) ** 2)) - 2.0 * m) / 2.0
+    formula = (float(np.sum((x + y) ** 2)) - 2.0 * m) / 2.0
     return dot, bound_ok, abs(dot - formula)

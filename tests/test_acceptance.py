@@ -12,7 +12,7 @@ import numpy as np
 
 from gsvkit import cli, matrix_io
 from gsvkit.density_model import (
-    build_density,
+    DensityModel,
     check_positivity_chain,
     density_norm,
     density_trace,
@@ -123,10 +123,10 @@ def test_criterion_04_eigen_residual_everywhere():
 
 def test_criterion_05_halving_density_example():
     start = time.perf_counter()
-    model = build_density(0.5 ** np.arange(1, 31))
+    model = DensityModel(0.5 ** np.arange(1, 31))
     norm, support_index = density_norm(model)
     trace = density_trace(model)
-    chain = check_positivity_chain(model, 10**4, seed=5)
+    chain = check_positivity_chain(model)
     ok = (
         abs(norm - 0.5) <= 1e-15
         and support_index == 1
@@ -147,11 +147,11 @@ def test_criterion_06_standardization_identities():
         scale = rng.uniform(0.1, 10.0)
         x = standardize(rng.normal(size=m) * scale + shift)
         y = standardize(rng.normal(size=m) * scale - shift)
-        ok &= abs(float(np.sum(x.values**2)) - m) <= 1e-10 * m
+        ok &= abs(float(np.sum(x**2)) - m) <= 1e-10 * m
         _, bound_ok, gap = snv_pair_identities(x, y)
         ok &= bound_ok and gap <= 1e-10 * m
     for pair in ([4.0, -1.5], [-3.0, 7.0], [1e-8, 2e-8], [1e12, -1e12]):
-        values = standardize(pair).values
+        values = standardize(pair)
         ok &= bool(
             np.array_equal(values, [1.0, -1.0]) or np.array_equal(values, [-1.0, 1.0])
         )
@@ -165,7 +165,7 @@ def test_criterion_07_critical_points_of_equal_coupling_systems():
         for c in (-3.0, 0.5, 2.0):
             sys = CriticalSystem.equal_coefficients(n, c, lam=c / 2.0)
             for _ in range(100):
-                v = standardize(rng.normal(size=n)).values
+                v = standardize(rng.normal(size=n))
                 x = v / np.linalg.norm(v)
                 ok &= critical_residual(sys, x) <= 1e-12 * max(1.0, abs(c))
     uniform = np.ones(3) / np.sqrt(3.0)

@@ -1,5 +1,6 @@
 """End-to-end tests for the gsvkit command line: files, reports, exit codes."""
 
+import codecs
 import csv
 import importlib.resources
 import json
@@ -481,6 +482,20 @@ def test_readers_parse_fields_as_python_float(tmp_path, reader):
     assert data.ravel().tolist() == [float(f.strip().strip('"')) for f in fields]
     if reader == "table":
         assert out[:2] == (["r0", "r2", "r4"], ["a", "b"])
+
+
+@pytest.mark.parametrize("reader", CSV_READERS)
+def test_readers_skip_a_utf8_byte_order_mark(tmp_path, reader):
+    # Excel's "CSV UTF-8" export starts the file with one: before the header, or the first value
+    read, _, k, _ = CSV_READERS[reader]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_rows(plain, reader, [["0.5"] * k, ["0.25"] * k])
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    got, want = read(marked), read(plain)
+    if reader == "table":
+        assert got[:2] == want[:2] == (["r0", "r1"], ["a", "b"])
+        got, want = got[2], want[2]
+    np.testing.assert_array_equal(got, want)
 
 
 # One-record blocks: a fault after the first record lies in a later block than the records

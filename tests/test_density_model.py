@@ -8,7 +8,6 @@ import pytest
 from gsvkit import gsv_solver
 from gsvkit.density_model import (
     DensityModel,
-    build_density,
     chain_margin,
     check_positivity_chain,
     density_norm,
@@ -23,7 +22,7 @@ HALVING = 0.5 ** np.arange(1, 31)  # rho_n = 2^-n truncated at N = 30
 
 def random_model(rng, n):
     p = rng.dirichlet(np.ones(n)) * rng.uniform(0.3, 1.0)
-    return build_density(p)
+    return DensityModel(p)
 
 
 # ---------------------------------------------------------------------------
@@ -31,29 +30,29 @@ def random_model(rng, n):
 
 
 def test_build_pure_state():
-    d = build_density([1.0])
+    d = DensityModel([1.0])
     assert d.tail == 0.0 and d.n_states == 1
 
 
 def test_build_halving_tail_exact():
-    d = build_density(HALVING)
+    d = DensityModel(HALVING)
     assert d.tail == 2.0**-30
 
 
 def test_build_uniform_two_state():
-    d = build_density([0.5, 0.5])
+    d = DensityModel([0.5, 0.5])
     assert d.tail == 0.0
 
 
 def test_build_errors():
     with pytest.raises(ValueError, match="at least one probability"):
-        build_density([])
+        DensityModel([])
     with pytest.raises(NegativeProbability):
-        build_density([0.5, -0.1])
+        DensityModel([0.5, -0.1])
     with pytest.raises(MassExceedsOne):
-        build_density([0.7, 0.4])
+        DensityModel([0.7, 0.4])
     # a sum overshooting 1 by strictly less than the tolerance is accepted
-    d = build_density([1.0, 1e-13])
+    d = DensityModel([1.0, 1e-13])
     assert d.tail == 0.0
 
 
@@ -69,15 +68,15 @@ def test_mass_conservation_property():
 
 
 def test_norm_halving_model():
-    assert density_norm(build_density(HALVING)) == (0.5, 1)
+    assert density_norm(DensityModel(HALVING)) == (0.5, 1)
 
 
 def test_norm_tie_breaks_to_smallest_index():
-    assert density_norm(build_density([0.5, 0.5])) == (0.5, 1)
+    assert density_norm(DensityModel([0.5, 0.5])) == (0.5, 1)
 
 
 def test_norm_direct_max():
-    assert density_norm(build_density([0.1, 0.7, 0.2])) == (0.7, 2)
+    assert density_norm(DensityModel([0.1, 0.7, 0.2])) == (0.7, 2)
 
 
 def test_norm_is_sup_of_probs_property():
@@ -90,9 +89,9 @@ def test_norm_is_sup_of_probs_property():
 
 
 def test_trace_examples():
-    assert density_trace(build_density([1.0])) == 1.0
-    assert density_trace(build_density(HALVING)) == 1.0 - 2.0**-30
-    d = build_density([0.25, 0.25])
+    assert density_trace(DensityModel([1.0])) == 1.0
+    assert density_trace(DensityModel(HALVING)) == 1.0 - 2.0**-30
+    d = DensityModel([0.25, 0.25])
     assert density_trace(d) == 0.5 and d.tail == 0.5
 
 
@@ -101,16 +100,16 @@ def test_trace_examples():
 
 
 def test_chain_projection_boundary():
-    assert check_positivity_chain(build_density([1.0, 0.0, 0.0]), 100, seed=0)
+    assert check_positivity_chain(DensityModel([1.0, 0.0, 0.0]))
 
 
 def test_chain_halving_model():
-    assert check_positivity_chain(build_density(HALVING), 10**4, seed=0)
+    assert check_positivity_chain(DensityModel(HALVING))
 
 
 def test_chain_strict_gap_two_state():
-    d = build_density([0.3, 0.7])
-    assert check_positivity_chain(d, 1000, seed=0)
+    d = DensityModel([0.3, 0.7])
+    assert check_positivity_chain(d)
     # on x = e1 the first form is 0.3 and the second 0.09
     x = np.array([1.0, 0.0])
     assert float(d.probs @ x**2) == 0.3
@@ -121,26 +120,25 @@ def test_chain_random_models():
     rng = np.random.default_rng(33)
     for _ in range(100):
         d = random_model(rng, int(rng.integers(1, 20)))
-        assert check_positivity_chain(d, 200, seed=int(rng.integers(2**31)))
+        assert check_positivity_chain(d)
 
 
-def test_chain_preconditions():
-    with pytest.raises(ValueError):
-        check_positivity_chain(build_density([1.0]), 0, seed=0)
+def test_chain_takes_the_model_only():
+    # the verdict is exact: no sample count or seed reaches it
+    with pytest.raises(TypeError):
+        check_positivity_chain(DensityModel([1.0]), 10**4, 0)
 
 
 def test_chain_reproducible():
-    d = build_density([0.2, 0.5, 0.3])
-    assert check_positivity_chain(d, 500, seed=9) == check_positivity_chain(
-        d, 500, seed=9
-    )
+    d = DensityModel([0.2, 0.5, 0.3])
+    assert check_positivity_chain(d) == check_positivity_chain(d)
 
 
 @pytest.mark.parametrize("rho", [1.0, 1.0 - 2.0**-53, 5e-324, 0.0])
 def test_chain_exact_on_edge_values(rho):
-    d = build_density([rho])
+    d = DensityModel([rho])
     assert chain_margin(d) >= 0.0
-    assert check_positivity_chain(d, 1, seed=0) is True
+    assert check_positivity_chain(d) is True
 
 
 def test_chain_draws_no_samples(monkeypatch):
@@ -149,8 +147,8 @@ def test_chain_draws_no_samples(monkeypatch):
 
     monkeypatch.setattr(gsv_solver, "_gaussian_panels", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    d = build_density(HALVING)
-    assert check_positivity_chain(d, 10**4, seed=0) is True
+    d = DensityModel(HALVING)
+    assert check_positivity_chain(d) is True
     assert chain_margin(d) == 2.0**-30 - 2.0**-60
 
 
@@ -178,7 +176,7 @@ def chain_models(n, rng):
     near_one[n // 2] = 1.0 - 2.0**-53
     models = [one_first, one_last, near_one, 0.5 ** np.arange(1, n + 1),
               rng.dirichlet(np.ones(n)) * rng.uniform(0.3, 1.0)]
-    return [build_density(p) for p in models]
+    return [DensityModel(p) for p in models]
 
 
 def mass_just_over_one(n):
@@ -198,13 +196,13 @@ def panel_counts(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1023, 1024, 1025, 65536, 65537])
 def test_chain_verdict_matches_full_array_formula(n):
     with pytest.raises(MassExceedsOne, match="above 1 at index 1"):
-        build_density(mass_just_over_one(n))
+        DensityModel(mass_just_over_one(n))
     rng = np.random.default_rng(36 + n)
     verdicts = set()
     for d in chain_models(n, rng):
+        exact = check_positivity_chain(d)
         for trials in panel_counts(n):
             for seed in (0, 1, 2):
-                exact = check_positivity_chain(d, trials, seed)
                 verdicts.add((exact, full_array_chain(d, trials, seed)))
     # the exact verdict, and the sampled reference, on every model that is accepted
     assert verdicts == {(True, True)}
@@ -213,10 +211,10 @@ def test_chain_verdict_matches_full_array_formula(n):
 def test_chain_verdict_matches_full_array_formula_on_many_states():
     # 1000 states: draws of 65 samples, 61 of them and then one of 35 for 4000 samples
     with pytest.raises(MassExceedsOne, match="above 1 at index 1"):
-        build_density(mass_just_over_one(1000))
+        DensityModel(mass_just_over_one(1000))
     halving, random = chain_models(1000, np.random.default_rng(37))[-2:]
     for d, trials in [(halving, 1), (random, 1), (halving, 4000), (random, 4000)]:
-        assert check_positivity_chain(d, trials, 5) is True, trials
+        assert check_positivity_chain(d) is True
         assert full_array_chain(d, trials, 5) is True, trials
 
 
@@ -234,16 +232,16 @@ def test_chain_false_on_mass_just_over_one():
     # such a model is refused where it enters, so no chain verdict is ever asked of it
     for probs, index in MASS_JUST_OVER_ONE:
         with pytest.raises(MassExceedsOne, match=f"probability above 1 at index {index}$"):
-            build_density(probs)
+            DensityModel(probs)
 
 
 def test_chain_peak_memory_is_bounded():
     # one (1000, 10000) draw alone would take 80 MB
-    d = build_density(np.full(1000, 1e-3))
-    check_positivity_chain(d, 10000, seed=0)  # warm-up: lazy imports and caches are not measured
+    d = DensityModel(np.full(1000, 1e-3))
+    check_positivity_chain(d)  # warm-up: lazy imports and caches are not measured
     tracemalloc.start()
     try:
-        assert check_positivity_chain(d, 10000, seed=0)
+        assert check_positivity_chain(d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -270,7 +268,7 @@ def test_truncation_operator_norm_difference():
 
 
 def test_truncation_bounds():
-    d = build_density([0.5, 0.25])
+    d = DensityModel([0.5, 0.25])
     with pytest.raises(ValueError):
         d.truncated(0)
     with pytest.raises(ValueError):
@@ -278,7 +276,7 @@ def test_truncation_bounds():
 
 
 def test_diagonal_action():
-    d = build_density([0.5, 0.25])
+    d = DensityModel([0.5, 0.25])
     np.testing.assert_array_equal(d.apply([2.0, 4.0]), [1.0, 1.0])
 
 
@@ -286,7 +284,7 @@ def test_diagonal_action():
 def test_diagonal_action_needs_one_coordinate_per_state(x):
     # a length-1 x would broadcast to probs * 2, a length-2 x would fail inside numpy
     with pytest.raises(ShapeMismatch, match=f"vector length {len(x)} != number of states 3"):
-        build_density([0.5, 0.25, 0.125]).apply(x)
+        DensityModel([0.5, 0.25, 0.125]).apply(x)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +331,6 @@ def test_joint_rejects_asymmetric():
 
 
 def test_density_model_immutable():
-    d = build_density([0.5, 0.5])
+    d = DensityModel([0.5, 0.5])
     assert not d.probs.flags.writeable
     assert isinstance(d, DensityModel)

@@ -34,7 +34,7 @@ from gsvkit.gsv_solver import (
     weighted_gsv_solve,
 )
 from gsvkit.spectra_core import RESIDUAL_RTOL, EigenPair, gram_sum, max_eigenpair
-from gsvkit.stat_norm import StatMatrix, StatVector, is_snv
+from gsvkit.stat_norm import StatMatrix, is_snv
 
 SQRT_HALF = np.sqrt(2.0) / 2.0
 
@@ -458,8 +458,6 @@ def test_gsv_solution_multiplicity_is_basis_width():
     [
         lambda: OperatorStack((np.eye(2),), ncols=7),
         lambda: GsvSolution(1.0, np.eye(2)[:, :1], 1, 1.0, 0.0),
-        lambda: StatVector(np.array([1.0, 2.0]), mean=5.0),
-        lambda: StatVector(np.array([1.0, 2.0]), std=9.0),
         lambda: DensityModel(np.array([0.5]), tail=0.9),
         lambda: max_eigenpair(np.eye(2), residual_rtol=1.0),
         lambda: EigenPair(1.0, np.eye(2)[:, :1], 0.5, rtol=1.0),
@@ -468,7 +466,7 @@ def test_gsv_solution_multiplicity_is_basis_width():
         lambda: is_snv([1.0, -1.0], tol=1e-10),
         lambda: StatMatrix(np.eye(2), np.zeros(2), np.ones(2), True),
     ],
-    ids=["ncols", "multiplicity", "mean", "std", "tail", "residual_rtol", "rtol", "iterations",
+    ids=["ncols", "multiplicity", "tail", "residual_rtol", "rtol", "iterations",
          "positional", "tol", "standardized"],
 )
 def test_public_api_rejects_derived_or_fixed_arguments(build):

@@ -9,7 +9,8 @@ import pytest
 import gsvkit
 from gsvkit import errors
 
-DELETED = ("EigenPair", "SymmetricMatrix", "gram_sum", "max_eigenpair", "rayleigh_quotient")
+DELETED = ("EigenPair", "StatVector", "SymmetricMatrix", "build_density", "gram_sum",
+           "max_eigenpair", "rayleigh_quotient")
 
 
 def test_star_import_matches_all():
@@ -75,6 +76,41 @@ def test_unused_import_detector():
 )
 def test_no_module_imports_a_name_it_never_uses(path):
     assert imported_but_unused(path.read_text(encoding="utf-8")) == []
+
+
+def unread_parameters(source):
+    """``function(parameter)`` for each parameter of a function or lambda that its body never
+    reads (a nested function's read counts), ``self`` and ``cls`` apart."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                  if p is not None and p.arg not in ("self", "cls")]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}({p})" for p in params if p not in read]
+    return unread
+
+
+def test_unread_parameter_detector():
+    source = (
+        "def f(self, a, b=1, *args, c, **kw):\n    a = b\n    return args, kw\n"
+        "def g(x, y):\n    def h():\n        return x\n    return h\n"
+        "k = lambda u, v: u\n"
+        "class C:\n    @classmethod\n    def m(cls, z):\n        pass\n"
+    )
+    assert unread_parameters(source) == ["f(a)", "f(c)", "g(y)", "<lambda>(v)", "m(z)"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(pathlib.Path(gsvkit.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
 
 
 # The one float cast of a caller's array, and the CSV parse of strings to floats.

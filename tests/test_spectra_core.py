@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import gsvkit
 from gsvkit import matrix_io, spectra_core
-from gsvkit.density_model import DensityModel, build_density, joint_magnitude_state
+from gsvkit.density_model import DensityModel, joint_magnitude_state
 from gsvkit.errors import (
     AllZero,
     ComplexInput,
@@ -28,9 +28,9 @@ from gsvkit.spectra_core import RESIDUAL_RTOL, fix_column_signs, gram_sum, max_e
 from gsvkit.stat_norm import (
     CriticalSystem,
     StatMatrix,
-    StatVector,
     critical_residual,
     is_snv,
+    snv_pair_identities,
     standardize,
 )
 
@@ -580,17 +580,17 @@ SNV = np.array([[1.0], [-1.0]])  # one standardized column
         lambda: objective_value([np.eye(2)], [1j, 0.0]),
         lambda: fix_column_signs(np.array([[1j], [1.0]])),
         lambda: GsvSolution(1.0, np.array([[1.0 + 0j]]), 1.0, 0.0),
-        lambda: StatVector([1j, 1.0]),
         lambda: standardize([1.0, 2j, 3.0]),
         lambda: is_snv(np.array([1 + 1j, -1 - 1j])),  # cast to real: True
+        lambda: snv_pair_identities([1.0, -1.0], np.array([1 + 1j, -1 - 1j])),
         lambda: StatMatrix(SNV + 0j, np.zeros(1), np.ones(1)),
         lambda: StatMatrix(SNV, np.array([1j]), np.ones(1)),
         lambda: StatMatrix(SNV, np.zeros(1), np.array([1 + 1j])),
         # cast to real: standardizes the real parts
         lambda: StatMatrix.from_raw(np.array([[1 + 1j, 2.0], [3.0, 4 - 1j], [0.0, 1.0]])),
         lambda: DensityModel(np.array([0.5 + 0j, 0.25])),
-        lambda: build_density([0.5, 0.25j]),
-        lambda: build_density([0.5, 0.25]).apply(np.array([1j, 1.0])),
+        lambda: DensityModel([0.5, 0.25j]),
+        lambda: DensityModel([0.5, 0.25]).apply(np.array([1j, 1.0])),
         # cast to real: writes only the real part
         lambda: matrix_io.write_matrix_csv(os.devnull, SIGMA_Y),
         lambda: matrix_io.write_vector_csv(os.devnull, [1j, 1.0]),
@@ -598,9 +598,10 @@ SNV = np.array([[1.0], [-1.0]])  # one standardized column
     ids=["pauli_pair", "sigma_y", "list", "joint_magnitude", "joint_magnitude_list",
          "2col", "field", "resistance", "critical_system", "critical_residual",
          "critical_system_lam", "equal_coefficients_c",
-         "objective_value", "fix_column_signs", "gsv_solution", "stat_vector", "standardize",
-         "is_snv", "stat_matrix_data", "stat_matrix_means", "stat_matrix_stds", "from_raw",
-         "density_model", "build_density", "density_apply", "write_matrix", "write_vector"],
+         "objective_value", "fix_column_signs", "gsv_solution", "standardize", "is_snv",
+         "snv_pair_identities", "stat_matrix_data", "stat_matrix_means", "stat_matrix_stds",
+         "from_raw", "density_model", "density_model_list", "density_apply", "write_matrix",
+         "write_vector"],
 )
 def test_complex_input_is_refused_before_the_float_cast(build):
     with pytest.raises(ComplexInput, match="is complex") as exc_info:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsvkit.errors import (
+    ComplexInput,
     ConstantVector,
     LengthMismatch,
     NonFiniteInput,
@@ -23,7 +24,6 @@ from gsvkit.matrix_io import read_table_csv
 from gsvkit.stat_norm import (
     CriticalSystem,
     StatMatrix,
-    StatVector,
     critical_residual,
     is_snv,
     rank_by_score,
@@ -35,7 +35,7 @@ from gsvkit.stat_norm import (
 
 def random_unit_snv(rng, n):
     """Unit-norm multiple of a statistically normalized vector of R^n."""
-    v = standardize(rng.normal(size=n)).values
+    v = standardize(rng.normal(size=n))
     return v / np.linalg.norm(v)
 
 
@@ -57,17 +57,26 @@ def snv_from_free_tail(m, tail, sign):
 
 
 def test_standardize_two_points_exact():
-    np.testing.assert_array_equal(standardize([1.0, -1.0]).values, [1.0, -1.0])
-    np.testing.assert_array_equal(standardize([0.0, 2.0]).values, [-1.0, 1.0])
-    np.testing.assert_array_equal(standardize([5.0, 3.0]).values, [1.0, -1.0])
+    np.testing.assert_array_equal(standardize([1.0, -1.0]), [1.0, -1.0])
+    np.testing.assert_array_equal(standardize([0.0, 2.0]), [-1.0, 1.0])
+    np.testing.assert_array_equal(standardize([5.0, 3.0]), [1.0, -1.0])
 
 
 def test_standardize_three_points_direct_computation():
     # mu = 2, sigma^2 = ((1-2)^2 + 0 + (3-2)^2) / 3 = 2/3
     expected = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0 / 3.0)
     result = standardize([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(result.values, expected, atol=1e-15)
-    assert result.standardized
+    np.testing.assert_allclose(result, expected, atol=1e-15)
+    assert is_snv(result)
+
+
+def test_standardize_returns_a_read_only_float64_array():
+    x = np.array([3.0, 1.0, -1.0, 2.0])
+    v = standardize(x)
+    assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (4,)
+    assert not v.flags.writeable and not np.shares_memory(v, x)
+    with pytest.raises(ValueError, match="read-only"):
+        v[0] = 0.0
 
 
 def test_standardize_errors():
@@ -80,7 +89,7 @@ def test_standardize_errors():
 @pytest.mark.parametrize("k", [-500, -200, -101, -100, -70, 0, 40, 100, 101, 300, 500])
 def test_standardize_is_invariant_under_power_of_two_scaling(k):
     x = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(standardize(x * 2.0**k).values, standardize(x).values)
+    np.testing.assert_array_equal(standardize(x * 2.0**k), standardize(x))
 
 
 def test_standardize_keeps_absolute_accuracy_on_subnormal_entries():
@@ -88,7 +97,7 @@ def test_standardize_keeps_absolute_accuracy_on_subnormal_entries():
     # subnormal grid is accurate to about 2^-1074 / std, not relative to itself: the mean
     # 2^-1074 / 3 rounds to 0, and entry 2 reads 6.98e-306 where it is 4.65e-306
     a, d = 2.0**-60, 5e-324
-    v = standardize(np.array([a, -a, d])).values
+    v = standardize(np.array([a, -a, d]))
     sigma = a * math.sqrt(2.0 / 3.0)
     np.testing.assert_allclose(v[:2], [math.sqrt(1.5), -math.sqrt(1.5)], rtol=1e-15)
     assert abs(v[2] - 2.0 / 3.0 * (d / sigma)) <= 0.5 * (d / sigma)
@@ -103,8 +112,6 @@ def test_constant_vector_raises_at_every_scale(c):
 def test_non_finite_entries_raise_non_finite_input():
     for bad in ([1.0, np.nan], [1.0, np.inf, 2.0]):
         with pytest.raises(NonFiniteInput):
-            StatVector(bad)
-        with pytest.raises(NonFiniteInput):
             standardize(bad)
 
 
@@ -113,8 +120,7 @@ def test_standardize_norm_squared_is_m():
     for _ in range(1000):
         m = int(rng.integers(2, 60))
         x = rng.normal(loc=rng.normal() * 10, scale=rng.uniform(0.1, 5.0), size=m)
-        st_vec = standardize(x)
-        assert abs(np.sum(st_vec.values**2) - m) <= 1e-10 * m
+        assert abs(np.sum(standardize(x) ** 2) - m) <= 1e-10 * m
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,7 +128,7 @@ def test_standardize_norm_squared_is_m():
 def test_standardize_roundtrip_is_snv(seed, m):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=m) * rng.uniform(0.5, 20.0) + rng.normal() * 100.0
-    assert is_snv(standardize(x).values)
+    assert is_snv(standardize(x))
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +186,20 @@ SNV_PERTURBATIONS = [
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 60))
 def test_every_standardized_gate_is_is_snv(seed, m):
-    base = standardize(np.random.default_rng(seed).normal(size=m)).values
+    base = standardize(np.random.default_rng(seed).normal(size=m))
     for scale, shift, inside in SNV_PERTURBATIONS:
         v = base * scale + shift
         assert is_snv(v) == inside
-        assert StatVector(v).standardized == inside
         assert accepts(lambda u: StatMatrix.from_standardized(u[:, None]), v) == inside
-        assert accepts(lambda u: snv_pair_identities(StatVector(u), StatVector(u)), v) == inside
+        assert accepts(lambda u: snv_pair_identities(u, u), v) == inside
 
 
 def test_gates_accept_an_snv_within_the_published_bound():
     # sum x^2 = 4 (1 + 2e-11): inside 1e-10 * m, though std - 1 = 1e-11 exceeds 1e-12
     v = np.array([1.0, -1.0, 1.0, -1.0]) * (1.0 + 1e-11)
-    assert is_snv(v) and StatVector(v).standardized
+    assert is_snv(v)
     StatMatrix.from_standardized(v[:, None])
-    _, bound_ok, _ = snv_pair_identities(StatVector(v), StatVector(v))
+    _, bound_ok, _ = snv_pair_identities(v, v)
     assert bound_ok
 
 
@@ -203,7 +208,6 @@ def test_is_snv_is_false_and_warning_free_off_the_rule():
         warnings.simplefilter("error")
         assert not is_snv([])
         assert not is_snv([2.0])
-        assert not StatVector([]).standardized
         assert not is_snv([1e200, -1e200])  # sum x^2 overflows to inf
         assert not is_snv([1e308] * 4 + [-1e308] * 4)  # the pairwise sum meets inf - inf
         with pytest.raises(NotStandardized):
@@ -215,14 +219,14 @@ def test_is_snv_is_false_and_warning_free_off_the_rule():
 
 
 def test_pair_identities_equal_vectors_tight_bound():
-    x = StatVector([1.0, -1.0])
+    x = np.array([1.0, -1.0])
     dot, bound_ok, gap = snv_pair_identities(x, x)
     assert dot == 2.0 and bound_ok and gap <= 1e-12
 
 
 def test_pair_identities_antisymmetric():
     x = standardize([3.0, 1.0, -1.0, 2.0])
-    y = StatVector(-x.values)
+    y = -x
     dot, bound_ok, gap = snv_pair_identities(x, y)
     assert dot == pytest.approx(-4.0, abs=1e-12)
     assert bound_ok and gap <= 1e-10 * 4
@@ -245,9 +249,12 @@ def test_pair_identities_errors():
     with pytest.raises(LengthMismatch):
         snv_pair_identities(a, b)
     with pytest.raises(NotStandardized):
-        snv_pair_identities(StatVector([1.0, 2.0, 3.0]), a)
-    with pytest.raises(TypeError, match="expects StatVector operands"):
-        snv_pair_identities(a, a.values)
+        snv_pair_identities(np.array([1.0, 2.0, 3.0]), a)
+    for bad in ([1.0, np.nan], [np.inf, -np.inf]):  # a NaN or inf fails is_snv's rule
+        with pytest.raises(NotStandardized):
+            snv_pair_identities(b, bad)
+    with pytest.raises(ComplexInput):
+        snv_pair_identities([1j, -1j], b)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +348,7 @@ def test_rank_single_column_scores_equal_column():
 def test_rank_duplicated_column_scores_sqrt2():
     # two identical columns: the equal-norm closed form picks (sqrt2/2, sqrt2/2)
     rng = np.random.default_rng(27)
-    col = standardize(rng.normal(size=15)).values
+    col = standardize(rng.normal(size=15))
     m = StatMatrix.from_standardized(np.column_stack([col, col]))
     scores, sol = score_rows(m)
     np.testing.assert_allclose(scores, np.sqrt(2.0) * col, atol=1e-10)
@@ -380,7 +387,7 @@ def test_rank_does_not_turn_on_round_off_in_the_column_sums():
 
 
 def test_rank_ties_broken_by_original_index():
-    col = standardize([2.0, 1.0, 2.0, -1.0, 2.0, -6.0]).values
+    col = standardize([2.0, 1.0, 2.0, -1.0, 2.0, -6.0])
     m = StatMatrix.from_standardized(col[:, None])
     ranking = rank_by_score(m)
     tied = [i for i, s in ranking if s == ranking[0][1]]
