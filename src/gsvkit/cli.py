@@ -153,7 +153,7 @@ def cmd_rank(data, standardize_flag=True, gap_rtol=GAP_RTOL, out=".") -> dict:
     if standardize_flag:
         m = StatMatrix.from_raw(raw, columns=names)
     else:
-        m = StatMatrix.from_standardized(raw)
+        m = StatMatrix(raw)
     scores, solution = score_rows(m, gap_rtol=gap_rtol)
     order = np.argsort(-scores, kind="stable")
     ids = ['"' + i.replace('"', '""') + '"' if _NEEDS_QUOTES.search(i) else i for i in ids]

@@ -33,29 +33,25 @@ _SNV_RTOL = 1e-10
 
 
 def _standardized(x):
-    """``(values, mean, std)`` of a 1-D float array with m >= 2; see ``standardize``.
+    """The standardized values of a 1-D float array with m >= 2; see ``standardize``.
 
     The moments are taken of ``_rescaled``'s ``y = 2^-e x`` (x itself inside the
-    window), so nothing overflows; scaling by a power of two is exact, so ``mean``
-    and ``std`` are x's own.  Raises NonFiniteInput for a NaN or inf entry.
+    window), so nothing overflows; scaling by a power of two is exact, so the values
+    are x's own.  Raises NonFiniteInput for a NaN or inf entry.
     """
     peak = _peak(x, "vector contains non-finite entries")
     (y,), e = _rescaled((x,), peak)
-    mean = float(np.mean(y))
-    centered = y - mean
+    centered = y - float(np.mean(y))
     # a second pass removes the first mean's rounding, about eps |mean| / std in the values:
     # a column whose spread is small next to its mean would otherwise miss is_snv's bound
     centered -= np.mean(centered)
     std = float(np.sqrt(np.mean(centered**2)))
-    sigma = math.ldexp(std, e)
-    if sigma <= 1e-14 * peak:
+    if math.ldexp(std, e) <= 1e-14 * peak:
         raise ConstantVector()
     if x.shape[0] == 2:
         # the only standardized vectors in R^2 are +-(1, -1); avoid round-off
-        values = np.array([1.0, -1.0]) if x[0] > x[1] else np.array([-1.0, 1.0])
-    else:
-        values = centered / std
-    return values, math.ldexp(mean, e), sigma
+        return np.array([1.0, -1.0]) if x[0] > x[1] else np.array([-1.0, 1.0])
+    return centered / std
 
 
 def standardize(x):
@@ -72,7 +68,7 @@ def standardize(x):
     x = _real(x, "vector is complex").reshape(-1)
     if x.shape[0] < 2:
         raise TooShort(f"standardization needs m >= 2, got m={x.shape[0]}")
-    values = _standardized(x)[0]
+    values = _standardized(x)
     values.setflags(write=False)
     return values
 
@@ -97,15 +93,13 @@ def is_snv(x):
 
 @dataclass(frozen=True)
 class StatMatrix:
-    """Column-standardized data matrix with provenance of the raw means and stds.
+    """Column-standardized data, a read-only float64 copy; ``from_raw`` standardizes a raw table.
 
     The constructor applies :func:`is_snv` to every column of ``data``: NotStandardized names
     the first column off the rule; else ComplexInput, ShapeMismatch (not 2-D) or NonFiniteInput.
     """
 
     data: np.ndarray
-    col_means: np.ndarray
-    col_stds: np.ndarray
 
     def __post_init__(self):
         data = _frozen_array(self.data, "data matrix is complex")
@@ -116,8 +110,6 @@ class StatMatrix:
             if not is_snv(data[:, j]):
                 raise NotStandardized("data matrix is not standardized", column=j)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "col_means", _frozen_array(self.col_means, "col_means is complex"))
-        object.__setattr__(self, "col_stds", _frozen_array(self.col_stds, "col_stds is complex"))
 
     @property
     def shape(self):
@@ -125,7 +117,7 @@ class StatMatrix:
 
     @classmethod
     def from_raw(cls, raw, columns=None):
-        """Standardize every column of ``raw``, recording its mean and std.
+        """Standardize every column of ``raw`` as :func:`standardize` does.
 
         ``columns``, one name per column (else ShapeMismatch), names the column in a ConstantVector,
         or in a NotStandardized should a standardized column still miss :func:`is_snv`.
@@ -140,23 +132,16 @@ class StatMatrix:
         if m < 2:
             raise TooShort(f"standardization needs m >= 2 rows, got m={m}")
         data = np.empty_like(raw)
-        means, stds = np.empty(n), np.empty(n)
         for j in range(n):
             try:
-                data[:, j], means[j], stds[j] = _standardized(raw[:, j])
+                data[:, j] = _standardized(raw[:, j])
             except ConstantVector:
                 raise ConstantVector(column=names[j]) from None
         try:
-            return cls(data, means, stds)
+            return cls(data)
         except NotStandardized as err:
             raise NotStandardized("standardizing missed is_snv's bound",
                                   column=names[err.column]) from None
-
-    @classmethod
-    def from_standardized(cls, data):
-        """Wrap data whose columns are already standardized: each must pass :func:`is_snv`."""
-        cols = np.shape(data)[1:]  # (n,) for a matrix; the constructor rejects any other shape
-        return cls(data, np.zeros(cols), np.ones(cols))
 
 
 @dataclass(frozen=True)
@@ -165,7 +150,8 @@ class CriticalSystem:
 
     The stationarity equations place ``2 * lam`` on the diagonal and the
     symmetric couplings ``c_jk`` off the diagonal; the diagonal of ``coeffs``
-    is unused, zeroed before the symmetry gate and stored as zero.
+    is unused, zeroed before the symmetry gate and stored as zero.  A NaN or
+    inf anywhere in ``coeffs``, or in ``lam``, raises NonFiniteInput.
     """
 
     coeffs: np.ndarray
@@ -178,7 +164,9 @@ class CriticalSystem:
             np.fill_diagonal(c, 0.0)
         c = _symmetrized(c, "coefficient matrix")  # read-only; a view of the copy c if symmetric
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "lam", float(_real(self.lam, "lam is complex")))
+        lam = _real(self.lam, "lam is complex")
+        _peak(lam, "lam is non-finite")
+        object.__setattr__(self, "lam", float(lam))
 
     @property
     def n(self):
@@ -187,9 +175,7 @@ class CriticalSystem:
     @classmethod
     def equal_coefficients(cls, n, c, lam):
         """System with every off-diagonal coupling equal to ``c``."""
-        coeffs = np.full((n, n), float(_real(c, "coupling c is complex")))
-        np.fill_diagonal(coeffs, 0.0)
-        return cls(coeffs, lam)
+        return cls(np.full((n, n), float(_real(c, "coupling c is complex"))), lam)
 
     def matrix(self):
         """The critical-system matrix: 2*lam on the diagonal, c_jk off it."""

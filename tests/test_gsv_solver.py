@@ -464,7 +464,7 @@ def test_gsv_solution_multiplicity_is_basis_width():
         lambda: ConvergenceFailure("m", iterations=90),
         lambda: ConvergenceFailure("m", 90),
         lambda: is_snv([1.0, -1.0], tol=1e-10),
-        lambda: StatMatrix(np.eye(2), np.zeros(2), np.ones(2), True),
+        lambda: StatMatrix(np.eye(2), np.zeros(2), np.ones(2)),
     ],
     ids=["ncols", "multiplicity", "tail", "residual_rtol", "rtol", "iterations",
          "positional", "tol", "standardized"],

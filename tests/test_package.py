@@ -1,6 +1,7 @@
 """Package-level contracts: the public namespace, the error hierarchy and the imports."""
 
 import ast
+import dataclasses
 import pathlib
 import pickle
 
@@ -11,6 +12,8 @@ from gsvkit import errors
 
 DELETED = ("EigenPair", "StatVector", "SymmetricMatrix", "build_density", "gram_sum",
            "max_eigenpair", "rayleigh_quotient")
+# Members of a public class, looked up on the class and among its dataclass fields.
+DELETED_MEMBERS = {"StatMatrix": ("col_means", "col_stds", "from_standardized")}
 
 
 def test_star_import_matches_all():
@@ -20,6 +23,15 @@ def test_star_import_matches_all():
     for name in DELETED:
         assert name not in gsvkit.__all__ and name not in namespace
         assert not hasattr(gsvkit, name)
+
+
+def test_deleted_class_members_stay_deleted():
+    for owner, members in DELETED_MEMBERS.items():
+        cls = getattr(gsvkit, owner)
+        fields = [f.name for f in dataclasses.fields(cls)]
+        for name in members:
+            assert not hasattr(cls, name) and name not in fields, (owner, name)
+    assert [f.name for f in dataclasses.fields(gsvkit.StatMatrix)] == ["data"]
 
 
 def all_subclasses(cls):
@@ -111,6 +123,50 @@ def test_unread_parameter_detector():
 )
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source):
+    """Module-level ``_name`` functions, classes and assigned names (dunders apart)."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def unread_private_names(sources):
+    """``module:_name`` for each private definition that no module loads, imports or reads as
+    an attribute; ``sources`` maps each module's name to its source."""
+    used = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return sorted(f"{module}:{name}" for module, source in sources.items()
+                  for name in private_definitions(source) if name not in used)
+
+
+def test_unread_private_name_detector():
+    sources = {
+        "a": "__all__ = []\n_T = 1\n_U: int = 2\n_V, _W = 3, 4\n"
+             "def _f():\n    return _U\ndef _g():\n    pass\nclass _C:\n    _x = 5\n",
+        "b": "from .a import _f\nfrom . import a\na._C\n_T_copy = 0\n_V = 6\n",
+    }
+    assert unread_private_names(sources) == ["a:_T", "a:_V", "a:_W", "a:_g", "b:_T_copy", "b:_V"]
+
+
+def test_every_private_name_is_read():
+    paths = sorted(pathlib.Path(gsvkit.__file__).parent.glob("*.py"))
+    sources = {p.name: p.read_text(encoding="utf-8") for p in paths}
+    assert any(private_definitions(s) for s in sources.values())
+    assert unread_private_names(sources) == []
 
 
 # The one float cast of a caller's array, and the CSV parse of strings to floats.

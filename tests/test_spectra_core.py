@@ -23,7 +23,13 @@ from gsvkit.errors import (
     NotSymmetric,
     ShapeMismatch,
 )
-from gsvkit.gsv_solver import GsvSolution, WeightedProblem, gsv_solve, objective_value
+from gsvkit.gsv_solver import (
+    GsvSolution,
+    OperatorStack,
+    WeightedProblem,
+    gsv_solve,
+    objective_value,
+)
 from gsvkit.spectra_core import RESIDUAL_RTOL, fix_column_signs, gram_sum, max_eigenpair
 from gsvkit.stat_norm import (
     CriticalSystem,
@@ -583,9 +589,7 @@ SNV = np.array([[1.0], [-1.0]])  # one standardized column
         lambda: standardize([1.0, 2j, 3.0]),
         lambda: is_snv(np.array([1 + 1j, -1 - 1j])),  # cast to real: True
         lambda: snv_pair_identities([1.0, -1.0], np.array([1 + 1j, -1 - 1j])),
-        lambda: StatMatrix(SNV + 0j, np.zeros(1), np.ones(1)),
-        lambda: StatMatrix(SNV, np.array([1j]), np.ones(1)),
-        lambda: StatMatrix(SNV, np.zeros(1), np.array([1 + 1j])),
+        lambda: StatMatrix(SNV + 0j),
         # cast to real: standardizes the real parts
         lambda: StatMatrix.from_raw(np.array([[1 + 1j, 2.0], [3.0, 4 - 1j], [0.0, 1.0]])),
         lambda: DensityModel(np.array([0.5 + 0j, 0.25])),
@@ -599,14 +603,37 @@ SNV = np.array([[1.0], [-1.0]])  # one standardized column
          "2col", "field", "resistance", "critical_system", "critical_residual",
          "critical_system_lam", "equal_coefficients_c",
          "objective_value", "fix_column_signs", "gsv_solution", "standardize", "is_snv",
-         "snv_pair_identities", "stat_matrix_data", "stat_matrix_means", "stat_matrix_stds",
-         "from_raw", "density_model", "density_model_list", "density_apply", "write_matrix",
-         "write_vector"],
+         "snv_pair_identities", "stat_matrix_data", "from_raw", "density_model",
+         "density_model_list", "density_apply", "write_matrix", "write_vector"],
 )
 def test_complex_input_is_refused_before_the_float_cast(build):
     with pytest.raises(ComplexInput, match="is complex") as exc_info:
         build()  # pytest's filterwarnings = error would also fail on a ComplexWarning
     assert exc_info.value.exit_code == 2
+
+
+# Each validating constructor, with a NaN or an inf put into each array or scalar it stores.
+NON_FINITE_BUILDS = {
+    "operator_stack": lambda v: OperatorStack((np.eye(2), np.array([[1.0, v]]))),
+    "field": lambda v: WeightedProblem((np.eye(2), np.array([[v, 1.0]])), np.eye(2)),
+    "resistance": lambda v: WeightedProblem((np.eye(2),), np.diag([1.0, v])),
+    "density_model": lambda v: DensityModel([0.25, v]),
+    "stat_matrix": lambda v: StatMatrix(np.array([[1.0, v], [-1.0, 1.0]])),
+    "from_raw": lambda v: StatMatrix.from_raw(np.array([[1.0, 2.0], [3.0, v], [0.0, 1.0]])),
+    "standardize": lambda v: standardize([1.0, v, 3.0]),
+    "critical_system_coupling": lambda v: CriticalSystem(np.array([[0.0, v], [v, 0.0]]), 1.0),
+    "critical_system_diagonal": lambda v: CriticalSystem(np.diag([0.0, v]), 1.0),
+    # lam was stored as given: a NaN, or an inf that made critical_residual return NaN
+    "critical_system_lam": lambda v: CriticalSystem(np.zeros((2, 2)), v),
+    "equal_coefficients_c": lambda v: CriticalSystem.equal_coefficients(2, v, 0.5),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", NON_FINITE_BUILDS.values(), ids=NON_FINITE_BUILDS.keys())
+def test_non_finite_input_is_refused_by_every_constructor(build, value):
+    with pytest.raises(NonFiniteInput, match="non-finite"):
+        build(value)
 
 
 def fix_column_signs_loop(vectors):

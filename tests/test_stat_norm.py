@@ -190,7 +190,7 @@ def test_every_standardized_gate_is_is_snv(seed, m):
     for scale, shift, inside in SNV_PERTURBATIONS:
         v = base * scale + shift
         assert is_snv(v) == inside
-        assert accepts(lambda u: StatMatrix.from_standardized(u[:, None]), v) == inside
+        assert accepts(lambda u: StatMatrix(u[:, None]), v) == inside
         assert accepts(lambda u: snv_pair_identities(u, u), v) == inside
 
 
@@ -198,7 +198,7 @@ def test_gates_accept_an_snv_within_the_published_bound():
     # sum x^2 = 4 (1 + 2e-11): inside 1e-10 * m, though std - 1 = 1e-11 exceeds 1e-12
     v = np.array([1.0, -1.0, 1.0, -1.0]) * (1.0 + 1e-11)
     assert is_snv(v)
-    StatMatrix.from_standardized(v[:, None])
+    StatMatrix(v[:, None])
     _, bound_ok, _ = snv_pair_identities(v, v)
     assert bound_ok
 
@@ -211,7 +211,7 @@ def test_is_snv_is_false_and_warning_free_off_the_rule():
         assert not is_snv([1e200, -1e200])  # sum x^2 overflows to inf
         assert not is_snv([1e308] * 4 + [-1e308] * 4)  # the pairwise sum meets inf - inf
         with pytest.raises(NotStandardized):
-            StatMatrix.from_standardized(np.array([[1e200], [-1e200]]))
+            StatMatrix(np.array([[1e200], [-1e200]]))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ def test_rank_duplicated_column_scores_sqrt2():
     # two identical columns: the equal-norm closed form picks (sqrt2/2, sqrt2/2)
     rng = np.random.default_rng(27)
     col = standardize(rng.normal(size=15))
-    m = StatMatrix.from_standardized(np.column_stack([col, col]))
+    m = StatMatrix(np.column_stack([col, col]))
     scores, sol = score_rows(m)
     np.testing.assert_allclose(scores, np.sqrt(2.0) * col, atol=1e-10)
     np.testing.assert_allclose(np.abs(sol.basis[:, 0]), np.sqrt(2.0) / 2.0, atol=1e-12)
@@ -382,13 +382,13 @@ def test_rank_does_not_turn_on_round_off_in_the_column_sums():
         for offset in (2e-11, -2e-11):
             shifted = data.copy()
             shifted[:, j] += offset
-            orders.append([i for i, _ in rank_by_score(StatMatrix.from_standardized(shifted))])
+            orders.append([i for i, _ in rank_by_score(StatMatrix(shifted))])
         assert orders[0] == orders[1], j
 
 
 def test_rank_ties_broken_by_original_index():
     col = standardize([2.0, 1.0, 2.0, -1.0, 2.0, -6.0])
-    m = StatMatrix.from_standardized(col[:, None])
+    m = StatMatrix(col[:, None])
     ranking = rank_by_score(m)
     tied = [i for i, s in ranking if s == ranking[0][1]]
     assert tied == sorted(tied)
@@ -397,16 +397,16 @@ def test_rank_ties_broken_by_original_index():
 def test_stat_matrix_constructor_applies_is_snv_per_column():
     raw = np.array([[5.0, 1.0], [6.0, 2.0], [7.0, 9.0]])
     with pytest.raises(NotStandardized, match="column 0"):
-        score_rows(StatMatrix(raw, np.zeros(2), np.ones(2)))  # ranked the raw rows before
+        score_rows(StatMatrix(raw))  # ranked the raw rows before
     m = StatMatrix.from_raw(raw)
-    StatMatrix(m.data, m.col_means, m.col_stds)
+    StatMatrix(m.data)
     with pytest.raises(NotStandardized, match="column 1"):
-        StatMatrix(np.column_stack([m.data[:, 0], raw[:, 1]]), np.zeros(2), np.ones(2))
+        StatMatrix(np.column_stack([m.data[:, 0], raw[:, 1]]))
     with pytest.raises(NonFiniteInput):
-        StatMatrix.from_standardized(np.array([[1.0, np.nan], [-1.0, 1.0]]))
+        StatMatrix(np.array([[1.0, np.nan], [-1.0, 1.0]]))
     for bad in (np.ones(4), np.ones((2, 2, 2))):
         with pytest.raises(ShapeMismatch):
-            StatMatrix.from_standardized(bad)
+            StatMatrix(bad)
 
 
 def test_from_raw_centers_columns_whose_spread_is_small_next_to_their_mean():
@@ -426,7 +426,7 @@ def test_from_raw_names_a_column_that_misses_is_snv(monkeypatch):
     from gsvkit import stat_norm
 
     exact = stat_norm._standardized
-    monkeypatch.setattr(stat_norm, "_standardized", lambda x: (exact(x)[0] + 1e-6, 0.0, 1.0))
+    monkeypatch.setattr(stat_norm, "_standardized", lambda x: exact(x) + 1e-6)
     with pytest.raises(NotStandardized, match="column 'b'") as exc_info:
         StatMatrix.from_raw(np.array([[1.0, 2.0], [3.0, 5.0], [4.0, 4.0]]), columns=["b", "c"])
     assert exc_info.value.column == "b"
@@ -443,7 +443,7 @@ def test_from_raw_needs_one_name_per_column(names):
 def test_rank_errors():
     rng = np.random.default_rng(29)
     with pytest.raises(NotStandardized):
-        StatMatrix.from_standardized(rng.normal(size=(10, 2)) + 3.0)
+        StatMatrix(rng.normal(size=(10, 2)) + 3.0)
     raw = np.column_stack([rng.normal(size=8), np.full(8, 2.0)])
     with pytest.raises(ConstantVector) as exc_info:
         StatMatrix.from_raw(raw, columns=["a", "b"])
@@ -457,12 +457,3 @@ def test_rank_errors():
         StatMatrix.from_raw(rng.normal(size=8))
     with pytest.raises(TooShort, match="m=1"):
         StatMatrix.from_raw(rng.normal(size=(1, 3)))
-
-
-def test_stat_matrix_records_provenance():
-    raw = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-    m = StatMatrix.from_raw(raw)
-    np.testing.assert_allclose(m.col_means, [2.0, 20.0], atol=1e-15)
-    np.testing.assert_allclose(
-        m.col_stds, [np.sqrt(2.0 / 3.0), 10 * np.sqrt(2.0 / 3.0)], rtol=1e-15
-    )
