@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from gsvkit import brute_force_max, gsv_solve, gsv_solve_2col_equalnorm, objective_value
+from gsvkit import brute_force_max, fix_column_signs, gsv_solve, objective_value
 
 # --- a stack where the answer is obvious -----------------------------------
 # A1 picks out the first coordinate, A2 doubles the second.  The Gram sum is
@@ -30,18 +30,21 @@ for j in range(sol.multiplicity):
     print(f"  objective at column {j}:", objective_value(stack, sol.basis[:, j]))
 
 # --- the two-equal-norm-column closed form ----------------------------------
-# For a single m x 2 matrix whose columns share their norm, the maximizer is
-# known in closed form from the sign of the column dot product.
+# For a single m x 2 matrix whose columns a1, a2 share their norm, the maximum
+# is ||a1||^2 + |a1 . a2|, attained at (sign(a1 . a2), 1) / sqrt(2): a
+# particular case the general solver reproduces.
 a = np.column_stack([rng.normal(size=8), rng.normal(size=8)])
 a[:, 1] *= np.linalg.norm(a[:, 0]) / np.linalg.norm(a[:, 1])
-closed = gsv_solve_2col_equalnorm(a)
+dot = a[:, 0] @ a[:, 1]
+closed_lambda = np.linalg.norm(a[:, 0]) ** 2 + abs(dot)
+closed_vector = fix_column_signs(np.array([np.sign(dot), 1.0]) * (np.sqrt(2.0) / 2.0))
 eig = gsv_solve([a])
 print("\nequal-norm two-column matrix")
-print("  closed-form lambda", closed.lambda_max)
+print("  closed-form lambda", closed_lambda)
 print("  eigen lambda      ", eig.lambda_max)
-print("  closed-form vector", closed.basis[:, 0])
+print("  closed-form vector", closed_vector)
 print("  eigen vector      ", eig.basis[:, 0])
 
 # orthogonal columns: every unit vector is optimal
-whole = gsv_solve_2col_equalnorm(np.eye(2))
+whole = gsv_solve([np.eye(2)])
 print("\northogonal columns -> whole sphere optimal:", whole.whole_sphere)

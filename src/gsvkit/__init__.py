@@ -3,10 +3,9 @@
 The core solver computes the generalized supporting vectors of a family of
 real matrices A_1..A_k — the unit vectors maximizing
 ``sum_i ||A_i x||^2`` — via the maximal eigenpair of the Gram sum
-``sum_i A_i^T A_i``, together with a closed form for the two-equal-norm-column
-case, a Cholesky-whitened solver for quadratic energy constraints, and
-application pipelines for multivariate ranking and truncated probability
-density operators.
+``sum_i A_i^T A_i``, together with a Cholesky-whitened solver for quadratic
+energy constraints, and application pipelines for multivariate ranking and
+truncated probability density operators.
 """
 
 from . import errors
@@ -23,26 +22,15 @@ from .gsv_solver import (
     WeightedProblem,
     brute_force_max,
     gsv_solve,
-    gsv_solve_2col_equalnorm,
     objective_value,
     weighted_gsv_solve,
 )
 from .spectra_core import fix_column_signs
-from .stat_norm import (
-    CriticalSystem,
-    StatMatrix,
-    critical_residual,
-    is_snv,
-    rank_by_score,
-    score_rows,
-    snv_pair_identities,
-    standardize,
-)
+from .stat_norm import StatMatrix, is_snv, rank_by_score, score_rows, standardize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CriticalSystem",
     "DensityModel",
     "GsvSolution",
     "OperatorStack",
@@ -50,19 +38,16 @@ __all__ = [
     "WeightedProblem",
     "brute_force_max",
     "check_positivity_chain",
-    "critical_residual",
     "density_norm",
     "density_trace",
     "errors",
     "fix_column_signs",
     "gsv_solve",
-    "gsv_solve_2col_equalnorm",
     "is_snv",
     "joint_magnitude_state",
     "objective_value",
     "rank_by_score",
     "score_rows",
-    "snv_pair_identities",
     "standardize",
     "weighted_gsv_solve",
 ]

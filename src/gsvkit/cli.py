@@ -21,7 +21,7 @@ import numpy as np
 
 from . import matrix_io
 from .density_model import DensityModel, chain_margin, check_positivity_chain, density_norm, density_trace
-from .errors import GsvError, ParseError
+from .errors import GsvError, NotStandardized, ParseError
 from .gsv_solver import OperatorStack, WeightedProblem, brute_force_max, gsv_solve, weighted_gsv_solve
 from .spectra_core import GAP_RTOL
 from .stat_norm import StatMatrix, score_rows
@@ -153,7 +153,11 @@ def cmd_rank(data, standardize_flag=True, gap_rtol=GAP_RTOL, out=".") -> dict:
     if standardize_flag:
         m = StatMatrix.from_raw(raw, columns=names)
     else:
-        m = StatMatrix(raw)
+        try:
+            m = StatMatrix(raw)
+        except NotStandardized as err:  # name the column by its header, as from_raw does
+            raise NotStandardized("data matrix is not standardized",
+                                  column=names[err.column]) from None
     scores, solution = score_rows(m, gap_rtol=gap_rtol)
     order = np.argsort(-scores, kind="stable")
     ids = ['"' + i.replace('"', '""') + '"' if _NEEDS_QUOTES.search(i) else i for i in ids]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MassExceedsOne, NegativeProbability, ShapeMismatch
 from .gsv_solver import gsv_solve
-from .spectra_core import _frozen_array, _peak, _real, _symmetrized
+from .spectra_core import _frozen_array, _peak, _symmetrized, _vector
 
 _MASS_ATOL = 1e-12
 
@@ -24,15 +24,17 @@ _MASS_ATOL = 1e-12
 class DensityModel:
     """Real, finite probabilities (rho_1 ... rho_N) in [0, 1], summing to at most 1 (within
     1e-12), as a read-only copy; the remainder ``1 - sum`` is the recorded ``tail`` mass.
-    Raises ComplexInput, NonFiniteInput, NegativeProbability or MassExceedsOne."""
+    Raises ComplexInput, ShapeMismatch (not a nonempty 1-D vector), NonFiniteInput,
+    NegativeProbability or MassExceedsOne."""
 
     probs: np.ndarray
     tail: float = field(init=False)
 
     def __post_init__(self):
-        p = _frozen_array(self.probs, "probability vector is complex").reshape(-1)  # read-only view
+        message = "probability vector is complex"
+        p = _frozen_array(_vector(self.probs, message), message)
         if p.shape[0] < 1:
-            raise ValueError("at least one probability is required")
+            raise ShapeMismatch("at least one probability is required")
         _peak(p, "probabilities contain non-finite entries")
         if np.any(p < 0.0):
             raise NegativeProbability(f"negative probability at index {int(np.argmin(p)) + 1}")
@@ -53,13 +55,6 @@ class DensityModel:
         if not 1 <= k <= self.n_states:
             raise ValueError(f"truncation index must lie in [1, {self.n_states}]")
         return DensityModel(self.probs[:k])
-
-    def apply(self, x):
-        """Diagonal action: scale coordinate k by rho_k.  Raises ComplexInput or ShapeMismatch."""
-        x = _real(x, "vector is complex").reshape(-1)
-        if x.shape[0] != self.n_states:
-            raise ShapeMismatch(f"vector length {x.shape[0]} != number of states {self.n_states}")
-        return self.probs * x
 
 
 def density_norm(d):

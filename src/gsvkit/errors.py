@@ -3,7 +3,8 @@
 Every error raised on a documented contract violation derives from
 :class:`GsvError`.  Each class carries the CLI exit status of its failure
 kind in ``exit_code``, so the CLI maps errors to exit codes without string
-matching or a list of classes.
+matching or a list of classes.  Each subclass names a failure that some
+gsvkit function raises: a class that nothing raises is not kept here.
 """
 
 from __future__ import annotations
@@ -55,20 +56,8 @@ class NotSymmetric(GsvError):
     """A matrix required to be symmetric deviates beyond round-off tolerance."""
 
 
-class WrongShape(GsvError):
-    """A matrix does not have the shape required by a closed-form solver."""
-
-
-class ColumnNormMismatch(GsvError):
-    """The two columns do not share the same Euclidean norm."""
-
-
 class DimensionTooLarge(GsvError):
     """The sampling oracle only supports small ambient dimensions."""
-
-
-class ZeroVector(GsvError):
-    """A nonzero vector was required."""
 
 
 class ParseError(GsvError):
@@ -127,10 +116,6 @@ class NotStandardized(GsvError):
             message = f"{message} (column {column!r})"
         super().__init__(message)
         self.column = column
-
-
-class LengthMismatch(GsvError):
-    """Two vectors that must share a length do not."""
 
 
 # ---------------------------------------------------------------------------

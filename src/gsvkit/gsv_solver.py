@@ -1,10 +1,11 @@
 """Solvers for unit-sphere maximizers of ``sum_i ||A_i x||^2``.
 
 The general solver reduces the problem to the maximal eigenpair of the Gram
-sum ``sum_i A_i^T A_i``.  Also provided: the closed form for a single m x 2
-matrix with equal-norm columns, the Cholesky-whitened weighted variant
-(quadratic energy constraint ``psi^T R psi``), and a seeded sphere-sampling
-lower-bound oracle kept deliberately independent of the eigen path.
+sum ``sum_i A_i^T A_i``; the paper's closed forms (two equal-norm columns,
+say) are special cases it solves.  Also provided: the Cholesky-whitened
+weighted variant (quadratic energy constraint ``psi^T R psi``), and a seeded
+sphere-sampling lower-bound oracle kept deliberately independent of the eigen
+path.
 """
 
 from __future__ import annotations
@@ -16,22 +17,19 @@ import numpy as np
 
 from .errors import (
     AllZero,
-    ColumnNormMismatch,
     ConvergenceFailure,
     DimensionTooLarge,
     MaximumOverflow,
     NotSPD,
     ShapeMismatch,
-    WrongShape,
 )
 from .spectra_core import (
     GAP_RTOL,
     RESIDUAL_RTOL,
     _frozen_array,
-    _real,
     _rescaled,
     _symmetrized,
-    fix_column_signs,
+    _vector,
     gram_sum,
     max_eigenpair,
     validated_matrices,
@@ -79,9 +77,12 @@ def as_stack(stack):
 
 
 def objective_value(stack, x):
-    """Evaluate ``sum_i ||A_i x||^2`` directly from the stack matrices."""
+    """Evaluate ``sum_i ||A_i x||^2`` directly from the stack matrices.
+
+    Raises ComplexInput for a complex x, and ShapeMismatch unless x is 1-D of length n.
+    """
     stack = as_stack(stack)
-    x = _real(x, "vector is complex").reshape(-1)
+    x = _vector(x, "vector is complex")
     if x.shape[0] != stack.ncols:
         raise ShapeMismatch(f"vector length {x.shape[0]} != column count {stack.ncols}")
     # ((a @ x) ** 2).sum() by the ufuncs behind ** 2 and .sum, without numpy's _methods frame
@@ -155,52 +156,6 @@ def gsv_solve(stack, gap_rtol=GAP_RTOL):
     lam, residual = _scaled_back(lam, residual, e)
     return GsvSolution(lambda_max=lam, basis=basis, residual=residual,
                        objective_check=objective_value(stack, basis[:, 0]))
-
-
-def gsv_solve_2col_equalnorm(a):
-    """Closed-form maximizer for one m x 2 matrix with equal-norm columns.
-
-    With columns a1, a2 of equal Euclidean norm, the maximum is
-    ``||a1||^2 + |a1 . a2|`` and the maximizers split into three cases on the
-    sign of the dot product: orthogonal columns make every unit vector
-    optimal (basis e1, e2, whole sphere), a positive dot selects
-    ``(sqrt(2)/2, sqrt(2)/2)`` up to sign, a negative dot selects
-    ``(-sqrt(2)/2, sqrt(2)/2)`` up to sign.  The deterministic orientation of
-    :func:`fix_column_signs` is applied to the returned vector.
-
-    Raises ComplexInput for a complex matrix, WrongShape unless it has exactly two columns,
-    NonFiniteInput, AllZero for a zero matrix as :func:`gsv_solve` does, and ColumnNormMismatch
-    if the column norms, rescaled as in gsv_solve, differ beyond ``1e-12 * max(||a1||, ||a2||)``.
-    """
-    a = _real(a, "matrix is complex")
-    if a.ndim != 2 or a.shape[1] != 2:
-        raise WrongShape(f"expected an m x 2 matrix, got shape {a.shape}")
-    mats, peak = validated_matrices((a,))
-    if peak == 0.0:
-        raise AllZero("the matrix is zero")
-    (scaled,), e = _rescaled(mats, peak)
-    a1, a2 = scaled[:, 0], scaled[:, 1]
-    n1, n2 = np.linalg.norm(a1), np.linalg.norm(a2)
-    if abs(n1 - n2) > 1e-12 * max(n1, n2):
-        raise ColumnNormMismatch(
-            # 2.0**e is exact and the product gives inf, where ldexp would raise, past float max
-            f"column norms differ: {float(n1) * 2.0**e!r} vs {float(n2) * 2.0**e!r}"
-            " beyond 1e-12 relative"
-        )
-    dot = float(a1 @ a2)
-    lam = float(n1**2 + abs(dot))
-    half = np.sqrt(2.0) / 2.0
-    if abs(dot) <= 1e-12 * n1**2:
-        basis = np.eye(2)
-    elif dot > 0:
-        basis = fix_column_signs(np.array([[half], [half]]))
-    else:
-        basis = fix_column_signs(np.array([[-half], [half]]))
-    gram = scaled.T @ scaled
-    residual = float(np.max(np.linalg.norm(gram @ basis - lam * basis, axis=0)))
-    lam, residual = _scaled_back(lam, residual, e)
-    return GsvSolution(lambda_max=lam, basis=basis, residual=residual,
-                       objective_check=float(np.sum((a @ basis[:, 0]) ** 2)))
 
 
 @dataclass(frozen=True)

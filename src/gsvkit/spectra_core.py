@@ -80,6 +80,14 @@ def _real(a, message, order=None):
     return np.asarray(a, dtype=float, order=order)
 
 
+def _vector(x, message):
+    """``_real(x, message)`` if it is 1-D, else ShapeMismatch: the package's one vector rule."""
+    x = _real(x, message)
+    if x.ndim != 1:
+        raise ShapeMismatch(f"expected a 1-D vector, got shape {x.shape}")
+    return x
+
+
 def _frozen_array(a, message):
     """A C-ordered, read-only float64 copy of ``a``; ComplexInput(message) if ``a`` is complex."""
     out = np.array(_real(a, message), order="C")

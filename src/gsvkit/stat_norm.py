@@ -1,13 +1,12 @@
-"""Statistically normalized vectors, Lagrangian critical systems, and score ranking.
+"""Statistically normalized vectors and the multivariate ranking built on them.
 
 A vector is statistically normalized when its mean is zero and its population
 standard deviation (divisor m) is one; such vectors live on the radius-sqrt(m)
 sphere intersected with the zero-sum hyperplane.  :func:`is_snv` is the one
-membership rule: the ``StatMatrix`` constructor (per column) and
-:func:`snv_pair_identities` both apply it.  This module also provides the
-standardization transform, which scales through the solve's one rescale rule,
-residuals of the sphere-constrained Lagrangian critical system, and the
-multivariate ranking pipeline built on the supporting-vector solver.
+membership rule, which the ``StatMatrix`` constructor applies per column.
+This module also provides the standardization transform, which scales through
+the solve's one rescale rule, and the ranking pipeline built on the
+supporting-vector solver.
 """
 
 from __future__ import annotations
@@ -17,16 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstantVector,
-    LengthMismatch,
-    NotStandardized,
-    ShapeMismatch,
-    TooShort,
-    ZeroVector,
-)
+from .errors import ConstantVector, NotStandardized, ShapeMismatch, TooShort
 from .gsv_solver import gsv_solve
-from .spectra_core import GAP_RTOL, _frozen_array, _peak, _real, _rescaled, _symmetrized
+from .spectra_core import GAP_RTOL, _frozen_array, _peak, _real, _rescaled, _vector
 
 # The published membership bound: |sum x| and |sum x^2 - m| at most _SNV_RTOL * m.
 _SNV_RTOL = 1e-10
@@ -61,11 +53,11 @@ def standardize(x):
     so the output has squared Euclidean norm m.  The two-point case is computed exactly:
     it always standardizes to ``(1, -1)`` or ``(-1, 1)``.
 
-    Raises ComplexInput for a complex x, TooShort for m < 2 and ConstantVector when the
-    standard deviation vanishes relative to the vector's own magnitude (at most
-    ``1e-14 * max|x|``), so the verdict does not depend on the input's units.
+    Raises ComplexInput for a complex x, ShapeMismatch unless it is 1-D, TooShort for m < 2
+    and ConstantVector when the standard deviation vanishes relative to the vector's own
+    magnitude (at most ``1e-14 * max|x|``), so the verdict does not depend on the input's units.
     """
-    x = _real(x, "vector is complex").reshape(-1)
+    x = _vector(x, "vector is complex")
     if x.shape[0] < 2:
         raise TooShort(f"standardization needs m >= 2, got m={x.shape[0]}")
     values = _standardized(x)
@@ -78,9 +70,10 @@ def is_snv(x):
 
     True iff ``m >= 2``, ``|sum x_i| <= 1e-10 * m`` and ``|sum x_i^2 - m| <= 1e-10 * m``,
     i.e. x lies on the radius-sqrt(m) sphere inside the zero-sum hyperplane.
-    False for any vector holding a NaN or inf; a complex x raises ComplexInput.
+    False for any vector holding a NaN or inf; a complex x raises ComplexInput, and an x
+    that is not 1-D ShapeMismatch.
     """
-    x = _real(x, "vector is complex").reshape(-1)
+    x = _vector(x, "vector is complex")
     m = x.shape[0]
     # a huge finite x overflows to inf (or inf - inf to NaN), which fails the rule
     with np.errstate(over="ignore", invalid="ignore"):
@@ -144,62 +137,6 @@ class StatMatrix:
                                   column=names[err.column]) from None
 
 
-@dataclass(frozen=True)
-class CriticalSystem:
-    """Coefficients of the sphere-constrained Lagrangian critical system.
-
-    The stationarity equations place ``2 * lam`` on the diagonal and the
-    symmetric couplings ``c_jk`` off the diagonal; the diagonal of ``coeffs``
-    is unused, zeroed before the symmetry gate and stored as zero.  A NaN or
-    inf anywhere in ``coeffs``, or in ``lam``, raises NonFiniteInput.
-    """
-
-    coeffs: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        c = _real(self.coeffs, "coefficient matrix is complex").copy()
-        if c.ndim == 2:  # the gate sees the couplings only; the diagonal gets its own scan
-            _peak(c.diagonal(), "coefficient matrix contains non-finite entries")
-            np.fill_diagonal(c, 0.0)
-        c = _symmetrized(c, "coefficient matrix")  # read-only; a view of the copy c if symmetric
-        object.__setattr__(self, "coeffs", c)
-        lam = _real(self.lam, "lam is complex")
-        _peak(lam, "lam is non-finite")
-        object.__setattr__(self, "lam", float(lam))
-
-    @property
-    def n(self):
-        return self.coeffs.shape[0]
-
-    @classmethod
-    def equal_coefficients(cls, n, c, lam):
-        """System with every off-diagonal coupling equal to ``c``."""
-        return cls(np.full((n, n), float(_real(c, "coupling c is complex"))), lam)
-
-    def matrix(self):
-        """The critical-system matrix: 2*lam on the diagonal, c_jk off it."""
-        m = self.coeffs.copy()
-        np.fill_diagonal(m, 2.0 * self.lam)
-        return m
-
-
-def critical_residual(sys, x):
-    """Euclidean norm of the stacked critical-system residual at ``x``.
-
-    Stacks the stationarity residual (the system matrix applied to x, which
-    must vanish) with the sphere defect ``sum x_j^2 - 1``.
-    """
-    x = _real(x, "vector is complex").reshape(-1)
-    if x.shape[0] != sys.n:
-        raise ShapeMismatch(f"vector length {x.shape[0]} != system size {sys.n}")
-    if not np.any(x):
-        raise ZeroVector("critical residual requires a nonzero vector")
-    stationarity = sys.matrix() @ x
-    sphere = float(np.sum(x * x)) - 1.0
-    return float(np.linalg.norm(np.append(stationarity, sphere)))
-
-
 def score_rows(m, gap_rtol=GAP_RTOL):
     """Supporting-vector scores ``M x`` for the rows of a standardized matrix.
 
@@ -226,23 +163,3 @@ def rank_by_score(m, gap_rtol=GAP_RTOL):
     order = np.argsort(-scores, kind="stable")
     return [(int(i), float(scores[i])) for i in order]
 
-
-def snv_pair_identities(x, y):
-    """Dot-product identities for a pair of statistically normalized vectors.
-
-    Returns ``(dot, bound_ok, formula_gap)`` where ``bound_ok`` checks
-    ``|x . y| <= m`` (within is_snv's 1e-10 * m) and ``formula_gap`` is the
-    defect of the identity ``x . y = (||x + y||^2 - 2m) / 2``.  Raises ComplexInput, then
-    LengthMismatch, then NotStandardized unless both pass :func:`is_snv` (a NaN fails it).
-    """
-    x = _real(x, "vector is complex").reshape(-1)
-    y = _real(y, "vector is complex").reshape(-1)
-    m = x.shape[0]
-    if m != y.shape[0]:
-        raise LengthMismatch(f"lengths differ: {m} vs {y.shape[0]}")
-    if not (is_snv(x) and is_snv(y)):
-        raise NotStandardized("both vectors must be standardized")
-    dot = float(x @ y)
-    bound_ok = abs(dot) <= m + _SNV_RTOL * m
-    formula = (float(np.sum((x + y) ** 2)) - 2.0 * m) / 2.0
-    return dot, bound_ok, abs(dot - formula)

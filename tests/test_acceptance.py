@@ -21,11 +21,10 @@ from gsvkit.gsv_solver import (
     WeightedProblem,
     brute_force_max,
     gsv_solve,
-    gsv_solve_2col_equalnorm,
     objective_value,
     weighted_gsv_solve,
 )
-from gsvkit.stat_norm import CriticalSystem, critical_residual, snv_pair_identities, standardize
+from gsvkit.stat_norm import StatMatrix, standardize
 
 SAMPLE_CSV = str(importlib.resources.files("gsvkit") / "data" / "sample_locations.csv")
 
@@ -42,6 +41,17 @@ def _random_equal_norm_2col(rng, m):
     return np.column_stack([a1, a2])
 
 
+def closed_form_2col(a):
+    """The paper's closed form for one m x 2 matrix with equal-norm columns a1, a2.
+
+    The maximum is ``||a1||^2 + |a1 . a2|``, attained at ``(sign(a1 . a2), 1) / sqrt(2)`` up
+    to sign when ``a1 . a2 != 0``.  Returns ``(lambda, x)``.
+    """
+    a1, a2 = a[:, 0], a[:, 1]
+    dot = float(a1 @ a2)
+    return float(a1 @ a1) + abs(dot), np.array([np.sign(dot), 1.0]) * (np.sqrt(2.0) / 2.0)
+
+
 def test_criterion_01_two_column_closed_form():
     rng = np.random.default_rng(1001)
     start = time.perf_counter()
@@ -52,11 +62,10 @@ def test_criterion_01_two_column_closed_form():
         a = _random_equal_norm_2col(rng, m)
         if abs(a[:, 0] @ a[:, 1]) < 1e-6 * (a[:, 0] @ a[:, 0]):
             continue  # degenerate dot products have their own whole-sphere branch
-        closed = gsv_solve_2col_equalnorm(a)
+        lam, v_c = closed_form_2col(a)
         eig = gsv_solve([a])
-        lam = closed.lambda_max
         ok &= abs(lam - eig.lambda_max) <= 1e-10 * max(1.0, lam)
-        v_c, v_e = closed.basis[:, 0], eig.basis[:, 0]
+        v_e = eig.basis[:, 0]
         ok &= bool(
             np.allclose(v_c, v_e, atol=1e-8) or np.allclose(v_c, -v_e, atol=1e-8)
         )
@@ -138,6 +147,17 @@ def test_criterion_05_halving_density_example():
     _report(5, "halving-probability model: norm, support, trace, chain", ok)
 
 
+def _pair_identities_hold(x, y):
+    """``||x||^2 = m``, ``|x . y| <= m`` and ``x . y = (||x + y||^2 - 2m) / 2``, each to 1e-10 m."""
+    m = x.shape[0]
+    dot = float(x @ y)
+    return bool(
+        abs(float(np.sum(x**2)) - m) <= 1e-10 * m
+        and abs(dot) <= m + 1e-10 * m
+        and abs(dot - (float(np.sum((x + y) ** 2)) - 2.0 * m) / 2.0) <= 1e-10 * m
+    )
+
+
 def test_criterion_06_standardization_identities():
     rng = np.random.default_rng(1006)
     ok = True
@@ -147,32 +167,63 @@ def test_criterion_06_standardization_identities():
         scale = rng.uniform(0.1, 10.0)
         x = standardize(rng.normal(size=m) * scale + shift)
         y = standardize(rng.normal(size=m) * scale - shift)
-        ok &= abs(float(np.sum(x**2)) - m) <= 1e-10 * m
-        _, bound_ok, gap = snv_pair_identities(x, y)
-        ok &= bound_ok and gap <= 1e-10 * m
+        ok &= _pair_identities_hold(x, y)
     for pair in ([4.0, -1.5], [-3.0, 7.0], [1e-8, 2e-8], [1e12, -1e12]):
         values = standardize(pair)
         ok &= bool(
             np.array_equal(values, [1.0, -1.0]) or np.array_equal(values, [-1.0, 1.0])
         )
+    # the same identities between the columns of a standardized table
+    for _ in range(200):
+        m, n = int(rng.integers(2, 51)), int(rng.integers(2, 6))
+        raw = rng.normal(size=(m, n)) * rng.uniform(0.1, 10.0, n) + rng.normal(size=n) * 50.0
+        data = StatMatrix.from_raw(raw).data
+        for j in range(n):
+            ok &= _pair_identities_hold(data[:, j], data[:, (j + 1) % n])
     _report(6, "standardization norm and pair identities", ok)
 
 
+def _kkt_stream(rng):
+    """Seeded ``(stack, plane)`` pairs: many_small's shapes (n in [2, 8], rows in [1, 20], k in
+    [1, 5]) on both solve sides, then equal-coupling systems c (J - I) + shift I, whose top
+    eigenspace is the zero-sum plane (c < 0, ``plane``: n - 1 fold; n - 2 fold with a row
+    dropped) or the uniform point (c > 0)."""
+    for i in range(400):
+        n = int(rng.integers(2, 9))
+        if i % 2:  # the wide side: fewer rows in all than columns
+            sizes = [int(rng.integers(1, n))]
+        else:
+            sizes = rng.integers(1, 21, size=int(rng.integers(1, 6)))
+        yield [rng.standard_normal((int(m), n)) for m in sizes], False
+    for n in range(2, 9):
+        for c in (-3.0, -0.5, -2.0):
+            centering = np.sqrt(-n * c) * (np.eye(n) - 1.0 / n)  # Gram c (J - I) - (n - 1) c I
+            yield [centering], True
+            yield [centering[: n - 1]], False
+        yield [np.full((1, n), np.sqrt(2.0))], False  # Gram c J with c = 2
+
+
 def test_criterion_07_critical_points_of_equal_coupling_systems():
+    # the sphere-constrained Lagrange system S x = lambda x, x . x = 1 at every returned basis
+    # column, with the Gram sum S formed here
     rng = np.random.default_rng(1007)
     ok = True
-    for n in range(2, 9):
-        for c in (-3.0, 0.5, 2.0):
-            sys = CriticalSystem.equal_coefficients(n, c, lam=c / 2.0)
-            for _ in range(100):
-                v = standardize(rng.normal(size=n))
-                x = v / np.linalg.norm(v)
-                ok &= critical_residual(sys, x) <= 1e-12 * max(1.0, abs(c))
-    uniform = np.ones(3) / np.sqrt(3.0)
+    kinds = {"tall": 0, "wide": 0, "multiple": 0}
+    for stack, plane in _kkt_stream(rng):
+        sol = gsv_solve(stack)
+        s = sum(a.T @ a for a in stack)
+        lam, b = sol.lambda_max, sol.basis
+        ok &= bool(np.all(np.linalg.norm(s @ b - lam * b, axis=0) <= 1e-8 * lam))
+        ok &= bool(np.all(np.abs(np.sum(b * b, axis=0) - 1.0) <= 1e-12))
+        kinds["wide" if sum(a.shape[0] for a in stack) < b.shape[0] else "tall"] += 1
+        kinds["multiple"] += sol.multiplicity > 1
+        if plane:  # the zero-sum plane, whole: every unit SNV is critical
+            ok &= sol.multiplicity == b.shape[0] - 1
+            x = standardize(rng.normal(size=b.shape[0]))
+            x = x / np.linalg.norm(x)
+            ok &= bool(np.linalg.norm(s @ x - lam * x) <= 1e-8 * lam)
+    ok &= min(kinds.values()) >= 20
     for c in (-3.0, 0.5, 2.0):
-        sys = CriticalSystem.equal_coefficients(3, c, lam=-c)
-        ok &= critical_residual(sys, uniform) <= 1e-12 * max(1.0, abs(c))
-        ok &= critical_residual(sys, -uniform) <= 1e-12 * max(1.0, abs(c))
         # multipliers that make the n=3 system singular: {c/2 (double), -c}
         off = c * (np.ones((3, 3)) - np.eye(3))
         roots = np.sort(np.linalg.eigvalsh(-off / 2.0))

@@ -703,8 +703,10 @@ def test_exit_6_on_bad_probabilities(tmp_path, capsys):
 def test_rank_no_standardize_requires_standardized(tmp_path, capsys):
     data = tmp_path / "raw.csv"
     data.write_text("id,a\nr0,5.0\nr1,6.0\nr2,7.0\n")
-    code, _, _ = run_cli(capsys, ["rank", data, "--no-standardize"])
+    code, _, err = run_cli(capsys, ["rank", data, "--no-standardize"])
     assert code == 2
+    # the column is named by its header, as the standardizing path names it: not "(column 0)"
+    assert err == "gsvkit rank: input error: data matrix is not standardized (column 'a')\n"
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,8 @@ def test_build_uniform_two_state():
 
 
 def test_build_errors():
-    with pytest.raises(ValueError, match="at least one probability"):
+    # a GsvError, as every contract violation is: the CLI maps it to an exit code
+    with pytest.raises(ShapeMismatch, match="at least one probability"):
         DensityModel([])
     with pytest.raises(NegativeProbability):
         DensityModel([0.5, -0.1])
@@ -273,18 +274,6 @@ def test_truncation_bounds():
         d.truncated(0)
     with pytest.raises(ValueError):
         d.truncated(3)
-
-
-def test_diagonal_action():
-    d = DensityModel([0.5, 0.25])
-    np.testing.assert_array_equal(d.apply([2.0, 4.0]), [1.0, 1.0])
-
-
-@pytest.mark.parametrize("x", [[2.0], [1.0, 2.0]], ids=["broadcast", "short"])
-def test_diagonal_action_needs_one_coordinate_per_state(x):
-    # a length-1 x would broadcast to probs * 2, a length-2 x would fail inside numpy
-    with pytest.raises(ShapeMismatch, match=f"vector length {len(x)} != number of states 3"):
-        DensityModel([0.5, 0.25, 0.125]).apply(x)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from gsvkit import gsv_solver
 from gsvkit.density_model import DensityModel
 from gsvkit.errors import (
     AllZero,
-    ColumnNormMismatch,
     ComplexInput,
     ConvergenceFailure,
     DimensionTooLarge,
@@ -21,7 +20,6 @@ from gsvkit.errors import (
     NotSPD,
     NotSymmetric,
     ShapeMismatch,
-    WrongShape,
 )
 from gsvkit.gsv_solver import (
     GsvSolution,
@@ -29,7 +27,6 @@ from gsvkit.gsv_solver import (
     WeightedProblem,
     brute_force_max,
     gsv_solve,
-    gsv_solve_2col_equalnorm,
     objective_value,
     weighted_gsv_solve,
 )
@@ -475,11 +472,14 @@ def test_public_api_rejects_derived_or_fixed_arguments(build):
 
 
 # ---------------------------------------------------------------------------
-# two equal-norm columns, closed form
+# two equal-norm columns: the paper's closed form, reproduced by gsv_solve
+#
+# For one m x 2 matrix with columns a1, a2 of equal norm the maximum is ||a1||^2 + |a1 . a2|,
+# at (sign(a1 . a2), 1) / sqrt(2) up to sign, and every unit vector when a1 . a2 = 0.
 
 
 def test_2col_orthogonal_whole_sphere():
-    sol = gsv_solve_2col_equalnorm(np.eye(2))
+    sol = gsv_solve([np.eye(2)])
     assert sol.lambda_max == 1.0
     assert sol.multiplicity == 2
     assert sol.whole_sphere
@@ -488,7 +488,7 @@ def test_2col_orthogonal_whole_sphere():
 
 def test_2col_positive_dot_against_angle_oracle():
     a = np.array([[1.0, 1.0], [0.0, 0.0]])
-    sol = gsv_solve_2col_equalnorm(a)
+    sol = gsv_solve([a])
     lam_oracle, v_oracle = angle_sampling_max(a)
     assert sol.lambda_max == pytest.approx(2.0, abs=1e-15)
     assert abs(sol.lambda_max - lam_oracle) <= 1e-9
@@ -498,7 +498,7 @@ def test_2col_positive_dot_against_angle_oracle():
 
 def test_2col_negative_dot_against_angle_oracle():
     a = np.array([[1.0, -1.0], [0.0, 0.0]])
-    sol = gsv_solve_2col_equalnorm(a)
+    sol = gsv_solve([a])
     lam_oracle, v_oracle = angle_sampling_max(a)
     assert sol.lambda_max == pytest.approx(2.0, abs=1e-15)
     assert abs(sol.lambda_max - lam_oracle) <= 1e-9
@@ -515,69 +515,33 @@ def test_2col_agrees_with_eigen_solver():
         dot = a[:, 0] @ a[:, 1]
         if abs(dot) < 1e-6 * (a[:, 0] @ a[:, 0]):
             continue  # degenerate-dot cases have their own branch
-        closed = gsv_solve_2col_equalnorm(a)
+        lam = a[:, 0] @ a[:, 0] + abs(dot)
+        closed = np.array([np.sign(dot), 1.0]) * SQRT_HALF
         eig = gsv_solve([a])
-        lam = closed.lambda_max
         assert abs(lam - eig.lambda_max) <= 1e-10 * max(1.0, lam)
-        agree = np.allclose(closed.basis[:, 0], eig.basis[:, 0], atol=1e-8)
-        agree_flipped = np.allclose(closed.basis[:, 0], -eig.basis[:, 0], atol=1e-8)
+        assert eig.multiplicity == 1
+        # up to sign: the orientation rule meets a tie in |x_1| = |x_2| within rounding
+        agree = np.allclose(closed, eig.basis[:, 0], atol=1e-8)
+        agree_flipped = np.allclose(closed, -eig.basis[:, 0], atol=1e-8)
         assert agree or agree_flipped
 
 
 def test_2col_is_scale_free():
-    # at 1e-170, n1**2 underflowed and the orthogonality test passed: the whole sphere
+    # a1 . a2 = 1 > 0 at every scale: no power of two may turn the point into the whole sphere
     a = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
-    base = gsv_solve_2col_equalnorm(a)
+    base = gsv_solve([a])
     assert base.multiplicity == 1 and base.lambda_max == pytest.approx(4.0, rel=1e-15)
-    np.testing.assert_array_equal(base.basis[:, 0], [SQRT_HALF, SQRT_HALF])
+    np.testing.assert_allclose(base.basis[:, 0], [SQRT_HALF, SQRT_HALF], atol=1e-15)
     for k in range(-500, 501):
-        sol = gsv_solve_2col_equalnorm(np.ldexp(a, k))
+        sol = gsv_solve([np.ldexp(a, k)])
         assert sol.multiplicity == 1
         np.testing.assert_array_equal(sol.basis, base.basis)
         assert sol.lambda_max == math.ldexp(base.lambda_max, 2 * k), k
-    sol = gsv_solve_2col_equalnorm(1e-170 * a)
+    sol = gsv_solve([1e-170 * a])
     assert sol.multiplicity == 1
     np.testing.assert_array_equal(sol.basis, base.basis)
-    with pytest.raises(MaximumOverflow):  # was a plain ValueError from GsvSolution
-        gsv_solve_2col_equalnorm(1e200 * a)
-
-
-def test_2col_errors():
-    with pytest.raises(WrongShape):
-        gsv_solve_2col_equalnorm(np.ones((3, 3)))
-    with pytest.raises(ColumnNormMismatch):
-        gsv_solve_2col_equalnorm(np.array([[1.0, 2.0], [0.0, 0.0]]))
-    # the package's all-zero rule, as gsv_solve applies it to the same input (exit 3)
-    for zero in (np.zeros((3, 2)), np.full((1, 2), -0.0), np.zeros((0, 2))):
-        with pytest.raises(AllZero, match="^the matrix is zero$"):
-            gsv_solve_2col_equalnorm(zero)
-        with pytest.raises(AllZero):
-            gsv_solve(np.array([zero]))
-
-
-@pytest.mark.parametrize(
-    "a, norms",
-    [
-        ([[1e-20, 3e-20], [0.0, 0.0]], "1e-20 vs 3e-20"),
-        ([[1e-200, 3e-200], [0.0, 0.0]], "1e-200 vs 3e-200"),
-        # the first norm, ~2.1e308, is past float max: it reads inf, not an OverflowError
-        ([[1.5e308, 1e308], [1.5e308, 0.0]], "inf vs 1e+308"),
-    ],
-)
-def test_2col_mismatch_names_the_callers_norms(a, norms):
-    # plain floats at the caller's scale: not np.float64(...), nor the rescaled norms
-    with pytest.raises(ColumnNormMismatch, match="^column norms differ: " + re.escape(norms) + " "):
-        gsv_solve_2col_equalnorm(np.array(a))
-
-
-def test_2col_norm_check_is_relative():
-    # column norms 1 and 3 at every scale: inside the window too, where e = 0 and an
-    # absolute floor would take 1e-20 and 3e-20 as equal and report 1e-40 on the whole sphere
-    with pytest.raises(ColumnNormMismatch):
-        gsv_solve_2col_equalnorm(np.array([[1e-20, 0.0], [0.0, 3e-20]]))
-    for k in (-300, -66, 0, 66, 300):
-        with pytest.raises(ColumnNormMismatch):
-            gsv_solve_2col_equalnorm(np.ldexp(np.array([[1.0, 0.0], [0.0, 3.0]]), k))
+    with pytest.raises(MaximumOverflow):
+        gsv_solve([1e200 * a])
 
 
 # ---------------------------------------------------------------------------

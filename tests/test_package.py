@@ -10,10 +10,13 @@ import pytest
 import gsvkit
 from gsvkit import errors
 
-DELETED = ("EigenPair", "StatVector", "SymmetricMatrix", "build_density", "gram_sum",
-           "max_eigenpair", "rayleigh_quotient")
+DELETED = ("CriticalSystem", "EigenPair", "StatVector", "SymmetricMatrix", "build_density",
+           "critical_residual", "gram_sum", "gsv_solve_2col_equalnorm", "max_eigenpair",
+           "rayleigh_quotient", "snv_pair_identities")
+DELETED_ERRORS = ("ColumnNormMismatch", "LengthMismatch", "WrongShape", "ZeroVector")
 # Members of a public class, looked up on the class and among its dataclass fields.
-DELETED_MEMBERS = {"StatMatrix": ("col_means", "col_stds", "from_standardized")}
+DELETED_MEMBERS = {"DensityModel": ("apply",),
+                   "StatMatrix": ("col_means", "col_stds", "from_standardized")}
 
 
 def test_star_import_matches_all():
@@ -23,6 +26,8 @@ def test_star_import_matches_all():
     for name in DELETED:
         assert name not in gsvkit.__all__ and name not in namespace
         assert not hasattr(gsvkit, name)
+    for name in DELETED_ERRORS:
+        assert not hasattr(errors, name)
 
 
 def test_deleted_class_members_stay_deleted():
@@ -167,6 +172,42 @@ def test_every_private_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in paths}
     assert any(private_definitions(s) for s in sources.values())
     assert unread_private_names(sources) == []
+
+
+def unraised_error_classes(errors_source, sources):
+    """Subclasses of ``GsvError`` defined in ``errors_source`` that no ``raise`` in ``sources``
+    (module name to source) names, whether it raises the class or an instance of it."""
+    tree = ast.parse(errors_source)
+    family = {"GsvError"}
+    for node in tree.body:  # a subclass is defined after its base
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(b, "id", None) in family for b in node.bases
+        ):
+            family.add(node.name)
+    raised = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    return sorted(family - raised - {"GsvError"})
+
+
+def test_unraised_error_class_detector():
+    errors_source = (
+        "class GsvError(Exception):\n    pass\n"
+        "class A(GsvError):\n    pass\nclass B(A):\n    pass\n"
+        "class C(GsvError):\n    pass\nclass D(GsvError):\n    pass\n"
+        "class Other(Exception):\n    pass\n"
+    )
+    sources = {"m": "raise A('x')\ndef f():\n    raise errors.C\nraise type(e)('y')\n"}
+    assert unraised_error_classes(errors_source, sources) == ["B", "D"]
+
+
+def test_every_error_class_is_raised():
+    paths = sorted(pathlib.Path(gsvkit.__file__).parent.glob("*.py"))
+    sources = {p.name: p.read_text(encoding="utf-8") for p in paths}
+    assert unraised_error_classes(sources["errors.py"], sources) == []
 
 
 # The one float cast of a caller's array, and the CSV parse of strings to floats.

@@ -31,14 +31,7 @@ from gsvkit.gsv_solver import (
     objective_value,
 )
 from gsvkit.spectra_core import RESIDUAL_RTOL, fix_column_signs, gram_sum, max_eigenpair
-from gsvkit.stat_norm import (
-    CriticalSystem,
-    StatMatrix,
-    critical_residual,
-    is_snv,
-    snv_pair_identities,
-    standardize,
-)
+from gsvkit.stat_norm import StatMatrix, is_snv, standardize
 
 
 def eig2x2_sym(a, b, c):
@@ -462,14 +455,13 @@ def test_traced_solve_records_both_stages():
 SQUARE_BUILDS = {
     "WeightedProblem": lambda a: WeightedProblem((np.ones((2, 2)),), a),
     "joint_magnitude_state": lambda a: joint_magnitude_state([a]),
-    "CriticalSystem": lambda a: CriticalSystem(a, 1.0),
 }
 SQUARE_INPUTS = pytest.mark.parametrize(
     "build", list(SQUARE_BUILDS.values()), ids=list(SQUARE_BUILDS)
 )
 
-# the full base pins that ||a||_F counts the diagonal; CriticalSystem gates its couplings
-# alone (its diagonal is unused), so it takes the zero-diagonal base, as do the extra cases
+# the full base pins that ||a||_F counts the diagonal; the zero-diagonal base pins the rule on a
+# matrix whose norm is its mirrored off-diagonal pair alone
 FULL_BASE = np.array([[2.0, 1.0], [1.0, 2.0]])
 ZERO_DIAGONAL_BASE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -479,7 +471,6 @@ ZERO_DIAGONAL_BASE = np.array([[0.0, 1.0], [1.0, 0.0]])
     [
         pytest.param(SQUARE_BUILDS["WeightedProblem"], FULL_BASE, id="WeightedProblem"),
         pytest.param(SQUARE_BUILDS["joint_magnitude_state"], FULL_BASE, id="joint_magnitude_state"),
-        pytest.param(SQUARE_BUILDS["CriticalSystem"], ZERO_DIAGONAL_BASE, id="CriticalSystem"),
         pytest.param(
             SQUARE_BUILDS["WeightedProblem"], ZERO_DIAGONAL_BASE, id="WeightedProblem-zero_diagonal"
         ),
@@ -574,37 +565,28 @@ SNV = np.array([[1.0], [-1.0]])  # one standardized column
         # cast to real: lambda 1 with multiplicity 2, the truth is 4 with multiplicity 1
         lambda: joint_magnitude_state([np.array([[1, 1j], [-1j, 1]])]),
         lambda: joint_magnitude_state([[[1, 1j], [-1j, 1]]]),
-        lambda: gsvkit.gsv_solve_2col_equalnorm(np.array([[1.0, 1j], [1j, 1.0]])),
         lambda: WeightedProblem((SIGMA_Y,), np.eye(2)),
         lambda: WeightedProblem((np.eye(2),), np.eye(2) + 0j),
-        lambda: CriticalSystem(SIGMA_Y, 1.0),
         # Each case below failed at the float cast by a ComplexWarning (an error under
         # pytest's filterwarnings), a bare TypeError (a list) or a wrong answer.
-        lambda: critical_residual(CriticalSystem.equal_coefficients(2, 1.0, 0.5), [1j, 1.0]),
-        lambda: CriticalSystem(np.zeros((2, 2)), 1j),
-        lambda: CriticalSystem.equal_coefficients(2, 1j, 0.5),
         lambda: objective_value([np.eye(2)], [1j, 0.0]),
         lambda: fix_column_signs(np.array([[1j], [1.0]])),
         lambda: GsvSolution(1.0, np.array([[1.0 + 0j]]), 1.0, 0.0),
         lambda: standardize([1.0, 2j, 3.0]),
         lambda: is_snv(np.array([1 + 1j, -1 - 1j])),  # cast to real: True
-        lambda: snv_pair_identities([1.0, -1.0], np.array([1 + 1j, -1 - 1j])),
         lambda: StatMatrix(SNV + 0j),
         # cast to real: standardizes the real parts
         lambda: StatMatrix.from_raw(np.array([[1 + 1j, 2.0], [3.0, 4 - 1j], [0.0, 1.0]])),
         lambda: DensityModel(np.array([0.5 + 0j, 0.25])),
         lambda: DensityModel([0.5, 0.25j]),
-        lambda: DensityModel([0.5, 0.25]).apply(np.array([1j, 1.0])),
         # cast to real: writes only the real part
         lambda: matrix_io.write_matrix_csv(os.devnull, SIGMA_Y),
         lambda: matrix_io.write_vector_csv(os.devnull, [1j, 1.0]),
     ],
     ids=["pauli_pair", "sigma_y", "list", "joint_magnitude", "joint_magnitude_list",
-         "2col", "field", "resistance", "critical_system", "critical_residual",
-         "critical_system_lam", "equal_coefficients_c",
-         "objective_value", "fix_column_signs", "gsv_solution", "standardize", "is_snv",
-         "snv_pair_identities", "stat_matrix_data", "from_raw", "density_model",
-         "density_model_list", "density_apply", "write_matrix", "write_vector"],
+         "field", "resistance", "objective_value", "fix_column_signs", "gsv_solution",
+         "standardize", "is_snv", "stat_matrix_data", "from_raw", "density_model",
+         "density_model_list", "write_matrix", "write_vector"],
 )
 def test_complex_input_is_refused_before_the_float_cast(build):
     with pytest.raises(ComplexInput, match="is complex") as exc_info:
@@ -621,11 +603,6 @@ NON_FINITE_BUILDS = {
     "stat_matrix": lambda v: StatMatrix(np.array([[1.0, v], [-1.0, 1.0]])),
     "from_raw": lambda v: StatMatrix.from_raw(np.array([[1.0, 2.0], [3.0, v], [0.0, 1.0]])),
     "standardize": lambda v: standardize([1.0, v, 3.0]),
-    "critical_system_coupling": lambda v: CriticalSystem(np.array([[0.0, v], [v, 0.0]]), 1.0),
-    "critical_system_diagonal": lambda v: CriticalSystem(np.diag([0.0, v]), 1.0),
-    # lam was stored as given: a NaN, or an inf that made critical_residual return NaN
-    "critical_system_lam": lambda v: CriticalSystem(np.zeros((2, 2)), v),
-    "equal_coefficients_c": lambda v: CriticalSystem.equal_coefficients(2, v, 0.5),
 }
 
 
@@ -634,6 +611,23 @@ NON_FINITE_BUILDS = {
 def test_non_finite_input_is_refused_by_every_constructor(build, value):
     with pytest.raises(NonFiniteInput, match="non-finite"):
         build(value)
+
+
+# Each function taking a vector, with an array of another ndim.  Each flattened it before:
+# objective_value([np.eye(4)], np.eye(2)) returned 2.0, and DensityModel took 2 x 2 as 4 states.
+VECTOR_BUILDS = {
+    "objective_value": lambda x: objective_value([np.eye(4)], x),
+    "standardize": standardize,
+    "is_snv": is_snv,
+    "density_model": DensityModel,
+}
+
+
+@pytest.mark.parametrize("x", [np.eye(2) / 10, np.float64(0.5)], ids=["2-D", "0-D"])
+@pytest.mark.parametrize("build", VECTOR_BUILDS.values(), ids=VECTOR_BUILDS.keys())
+def test_vector_arguments_must_be_1_d(build, x):
+    with pytest.raises(ShapeMismatch, match=r"^expected a 1-D vector, got shape \("):
+        build(x)
 
 
 def fix_column_signs_loop(vectors):

@@ -10,27 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsvkit.errors import (
-    ComplexInput,
     ConstantVector,
-    LengthMismatch,
     NonFiniteInput,
     NotStandardized,
-    NotSymmetric,
     ShapeMismatch,
     TooShort,
-    ZeroVector,
 )
+from gsvkit.gsv_solver import gsv_solve
 from gsvkit.matrix_io import read_table_csv
-from gsvkit.stat_norm import (
-    CriticalSystem,
-    StatMatrix,
-    critical_residual,
-    is_snv,
-    rank_by_score,
-    score_rows,
-    snv_pair_identities,
-    standardize,
-)
+from gsvkit.stat_norm import StatMatrix, is_snv, rank_by_score, score_rows, standardize
 
 
 def random_unit_snv(rng, n):
@@ -191,7 +179,6 @@ def test_every_standardized_gate_is_is_snv(seed, m):
         v = base * scale + shift
         assert is_snv(v) == inside
         assert accepts(lambda u: StatMatrix(u[:, None]), v) == inside
-        assert accepts(lambda u: snv_pair_identities(u, u), v) == inside
 
 
 def test_gates_accept_an_snv_within_the_published_bound():
@@ -199,8 +186,6 @@ def test_gates_accept_an_snv_within_the_published_bound():
     v = np.array([1.0, -1.0, 1.0, -1.0]) * (1.0 + 1e-11)
     assert is_snv(v)
     StatMatrix(v[:, None])
-    _, bound_ok, _ = snv_pair_identities(v, v)
-    assert bound_ok
 
 
 def test_is_snv_is_false_and_warning_free_off_the_rule():
@@ -215,19 +200,26 @@ def test_is_snv_is_false_and_warning_free_off_the_rule():
 
 
 # ---------------------------------------------------------------------------
-# pair identities
+# pair identities: |x . y| <= m and x . y = (||x + y||^2 - 2m) / 2 for SNVs x, y of R^m
+
+
+def pair_identities(x, y):
+    """``(x . y, |x . y| <= m within 1e-10 m, the identity's defect)`` as plain expressions."""
+    m = x.shape[0]
+    dot = float(x @ y)
+    return dot, abs(dot) <= m + 1e-10 * m, abs(dot - (float(np.sum((x + y) ** 2)) - 2.0 * m) / 2.0)
 
 
 def test_pair_identities_equal_vectors_tight_bound():
     x = np.array([1.0, -1.0])
-    dot, bound_ok, gap = snv_pair_identities(x, x)
+    dot, bound_ok, gap = pair_identities(x, x)
     assert dot == 2.0 and bound_ok and gap <= 1e-12
 
 
 def test_pair_identities_antisymmetric():
     x = standardize([3.0, 1.0, -1.0, 2.0])
     y = -x
-    dot, bound_ok, gap = snv_pair_identities(x, y)
+    dot, bound_ok, gap = pair_identities(x, y)
     assert dot == pytest.approx(-4.0, abs=1e-12)
     assert bound_ok and gap <= 1e-10 * 4
 
@@ -237,75 +229,69 @@ def test_pair_identities_random_pairs():
     for _ in range(200):
         x = standardize(rng.normal(size=50))
         y = standardize(rng.normal(size=50))
-        dot, bound_ok, gap = snv_pair_identities(x, y)
+        dot, bound_ok, gap = pair_identities(x, y)
         assert bound_ok
         assert gap <= 1e-10 * 50
         assert abs(dot) <= 50 + 1e-10 * 50
 
 
-def test_pair_identities_errors():
-    a = standardize([1.0, 2.0, 3.0])
-    b = standardize([1.0, 2.0])
-    with pytest.raises(LengthMismatch):
-        snv_pair_identities(a, b)
-    with pytest.raises(NotStandardized):
-        snv_pair_identities(np.array([1.0, 2.0, 3.0]), a)
-    for bad in ([1.0, np.nan], [np.inf, -np.inf]):  # a NaN or inf fails is_snv's rule
-        with pytest.raises(NotStandardized):
-            snv_pair_identities(b, bad)
-    with pytest.raises(ComplexInput):
-        snv_pair_identities([1j, -1j], b)
-
-
 # ---------------------------------------------------------------------------
-# critical system
+# critical system: the sphere-constrained Lagrange system S x = lambda x, x . x = 1, checked
+# at gsv_solve's returned basis with the Gram sum S formed here.  With equal couplings c the
+# system matrix is c (J - I) up to a multiple of I.
+
+
+def kkt_defects(stack, sol):
+    """Largest ``||S x - lambda x|| / lambda`` and ``|x . x - 1|`` over the basis columns x."""
+    s = sum(a.T @ a for a in stack)
+    b = sol.basis
+    stationarity = np.linalg.norm(s @ b - sol.lambda_max * b, axis=0).max() / sol.lambda_max
+    return stationarity, np.abs(np.sum(b * b, axis=0) - 1.0).max()
 
 
 def test_critical_residual_snv_points():
-    # with equal couplings and lambda = c/2 the system reduces to the
-    # zero-sum unit-sphere system, solved by unit multiples of SNVs
+    # c < 0: c (J - I) - (n - 1) c I = n |c| (I - J / n), the Gram of one n x n matrix (the
+    # solve's tall side), is maximal on the zero-sum plane, n - 1 fold: every unit SNV is critical
     rng = np.random.default_rng(24)
     for n in range(2, 9):
-        for c in (-3.0, 0.5, 2.0):
-            sys = CriticalSystem.equal_coefficients(n, c, lam=c / 2.0)
+        for c in (-3.0, -0.5, -2.0):
+            stack = [np.sqrt(-n * c) * (np.eye(n) - 1.0 / n)]
+            sol = gsv_solve(stack)
+            assert sol.multiplicity == n - 1
+            assert sol.lambda_max == pytest.approx(-n * c, rel=1e-12)
+            stationarity, sphere = kkt_defects(stack, sol)
+            assert stationarity <= 1e-8 and sphere <= 1e-12
+            s = stack[0].T @ stack[0]
             for _ in range(100):
                 x = random_unit_snv(rng, n)
-                assert critical_residual(sys, x) <= 1e-12 * max(1.0, abs(c))
+                assert np.linalg.norm(s @ x - sol.lambda_max * x) <= 1e-8 * sol.lambda_max
+                assert np.linalg.norm(sol.basis @ (sol.basis.T @ x) - x) <= 1e-12
 
 
 def test_critical_residual_uniform_point_n3():
-    for c in (-3.0, 0.5, 2.0):
-        sys = CriticalSystem.equal_coefficients(3, c, lam=-c)
-        x = np.ones(3) / np.sqrt(3.0)
-        assert critical_residual(sys, x) <= 1e-12 * max(1.0, abs(c))
-        assert critical_residual(sys, -x) <= 1e-12 * max(1.0, abs(c))
+    # c > 0: c (J - I) + c I = c J, the Gram of the row sqrt(c) (1, 1, 1) (the solve's wide
+    # side), is maximal at the uniform points +-(1, 1, 1) / sqrt(3) alone
+    x = np.ones(3) / np.sqrt(3.0)
+    for c in (0.5, 2.0, 3.0):
+        stack = [np.full((1, 3), np.sqrt(c))]
+        sol = gsv_solve(stack)
+        assert sol.multiplicity == 1 and sol.lambda_max == pytest.approx(3.0 * c, rel=1e-14)
+        np.testing.assert_allclose(sol.basis[:, 0], x, atol=1e-15)
+        stationarity, sphere = kkt_defects(stack, sol)
+        assert stationarity <= 1e-8 and sphere <= 1e-12
+        for v in (x, -x):
+            assert np.linalg.norm(c * np.ones((3, 3)) @ v - sol.lambda_max * v) <= 1e-12 * c
 
 
 def test_critical_residual_generic_point_is_large():
+    # a generic unit x is no critical point: S x leaves the line through x
     rng = np.random.default_rng(25)
-    sys = CriticalSystem.equal_coefficients(4, 2.0, lam=1.7)
+    stack = [rng.normal(size=(6, 4))]
+    s = stack[0].T @ stack[0]
     for _ in range(20):
         x = rng.normal(size=4)
         x /= np.linalg.norm(x)
-        assert critical_residual(sys, x) > 0.1
-
-
-def test_critical_residual_direct_evaluation():
-    sys = CriticalSystem(np.array([[0.0, 1.0], [1.0, 0.0]]), lam=0.25)
-    x = np.array([1.0, 2.0])
-    # matrix [[0.5, 1], [1, 0.5]] @ (1, 2) = (2.5, 2.0); sphere defect = 4
-    expected = np.linalg.norm([2.5, 2.0, 4.0])
-    assert critical_residual(sys, x) == pytest.approx(expected, rel=1e-15)
-
-
-def test_critical_residual_errors():
-    sys = CriticalSystem.equal_coefficients(3, 1.0, lam=0.5)
-    with pytest.raises(ShapeMismatch):
-        critical_residual(sys, [1.0, 0.0])
-    with pytest.raises(ZeroVector):
-        critical_residual(sys, [0.0, 0.0, 0.0])
-    with pytest.raises(NotSymmetric):
-        CriticalSystem(np.array([[0.0, 1.0], [2.0, 0.0]]), lam=1.0)
+        assert np.linalg.norm(s @ x - (x @ s @ x) * x) > 0.1
 
 
 def test_critical_system_determinant_factorization_n3():
@@ -315,19 +301,10 @@ def test_critical_system_determinant_factorization_n3():
         candidates = np.sort(np.linalg.eigvalsh(-off / 2.0))
         expected = np.sort([c / 2.0, c / 2.0, -c])
         np.testing.assert_allclose(candidates, expected, atol=1e-12)
-        # and the determinant matches 2 (2 lam - c)^2 (lam + c) off the roots
+        # and the determinant of 2 lam I + off is 2 (2 lam - c)^2 (lam + c) off the roots
         for lam in (-2.0, 0.1, 1.0, 3.0):
-            sys = CriticalSystem.equal_coefficients(3, c, lam)
-            det = np.linalg.det(sys.matrix())
+            det = np.linalg.det(2.0 * lam * np.eye(3) + off)
             assert det == pytest.approx(2 * (2 * lam - c) ** 2 * (lam + c), rel=1e-10)
-
-
-def test_critical_system_gates_the_couplings_not_the_diagonal():
-    # c_12 and c_21 differ by 1%: a large unused diagonal must not hide it
-    with pytest.raises(NotSymmetric, match="relative asymmetry"):
-        CriticalSystem(np.array([[1e12, 1.0], [1.01, 0.0]]), lam=1.0)
-    sys = CriticalSystem(np.array([[1e300, 2.0], [2.0, -5.0]]), lam=1.0)
-    np.testing.assert_array_equal(sys.coeffs, [[0.0, 2.0], [2.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
