@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MassExceedsOne, NegativeProbability, ShapeMismatch
+from .errors import ArgumentOutOfRange, MassExceedsOne, NegativeProbability, ShapeMismatch
 from .gsv_solver import gsv_solve
 from .spectra_core import _frozen_array, _peak, _symmetrized, _vector
 
@@ -51,9 +51,9 @@ class DensityModel:
         return self.probs.shape[0]
 
     def truncated(self, k):
-        """Model keeping only the first ``k`` states; the rest joins the tail."""
+        """The first ``k`` states, the rest in the tail; ArgumentOutOfRange unless 1 <= k <= N."""
         if not 1 <= k <= self.n_states:
-            raise ValueError(f"truncation index must lie in [1, {self.n_states}]")
+            raise ArgumentOutOfRange(f"truncation index must lie in [1, {self.n_states}], got {k}")
         return DensityModel(self.probs[:k])
 
 

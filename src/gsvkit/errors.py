@@ -1,10 +1,10 @@
 """Exception hierarchy shared by all gsvkit modules.
 
-Every error raised on a documented contract violation derives from
-:class:`GsvError`.  Each class carries the CLI exit status of its failure
-kind in ``exit_code``, so the CLI maps errors to exit codes without string
-matching or a list of classes.  Each subclass names a failure that some
-gsvkit function raises: a class that nothing raises is not kept here.
+Every error raised on a documented contract violation derives from :class:`GsvError`; no
+gsvkit check raises a bare ``ValueError``.  Each class carries the CLI exit status of its
+failure kind in ``exit_code``, so the CLI maps errors to exit codes without string matching
+or a list of classes.  Each subclass names a failure that some gsvkit function raises: a
+class that nothing raises is not kept here.
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ class DimensionTooLarge(GsvError):
     """The sampling oracle only supports small ambient dimensions."""
 
 
+class ArgumentOutOfRange(GsvError, ValueError):
+    """A scalar argument lies outside its documented range; a ValueError too, as numpy's are."""
+
+
 class ParseError(GsvError):
     """A data file could not be parsed; carries file and line context."""
 
@@ -74,7 +78,7 @@ class ParseError(GsvError):
 
 
 class ConvergenceFailure(GsvError):
-    """The eigensolve failed: the backend's own error message, or a violated post-condition."""
+    """A solve failed: a LAPACK routine's own error, or a post-condition its answer violates."""
     exit_code = 3
 
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     AllZero,
+    ArgumentOutOfRange,
     ConvergenceFailure,
     DimensionTooLarge,
     MaximumOverflow,
@@ -25,8 +27,6 @@ from .errors import (
 )
 from .spectra_core import (
     GAP_RTOL,
-    RESIDUAL_RTOL,
-    _frozen_array,
     _rescaled,
     _symmetrized,
     _vector,
@@ -38,7 +38,7 @@ from .spectra_core import (
 _ORACLE_MAX_DIM = 10
 # Values per seeded Gaussian draw of the oracle: its memory is bounded by it, not by the count.
 _PANEL_VALUES = 1 << 16
-# GsvSolution's bounds are relative to |lambda_max| down to here: a subnormal has no 1e-8 to give.
+# The objective bound is relative to |lambda_max| down to here: a subnormal has no 1e-8 to give.
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
 
@@ -89,38 +89,20 @@ def objective_value(stack, x):
     return float(sum(np.add.reduce(np.square(a @ x), None) for a in stack.mats))
 
 
-@dataclass(frozen=True)
-class GsvSolution:
-    """Maximum value and maximizer basis of the stacked objective.
+class GsvSolution(NamedTuple):
+    """Maximum value and maximizer basis of the stacked objective, as ``gsv_solve`` checked them.
 
-    ``basis`` is an orthonormal n x r block spanning the merged maximal
+    ``basis`` is a read-only orthonormal n x r block spanning the merged maximal
     eigenspace of the Gram sum; every unit vector in its span (intersected
     with the unit sphere) attains ``lambda_max``.  ``objective_check`` is the
     objective re-evaluated from the stack at the first basis column, never
-    from the Gram matrix.  ``residual`` lies in ``[0, RESIDUAL_RTOL * |lambda_max|]``,
-    with ``|lambda_max|`` floored at the smallest normal float64 in both checks.
+    from the Gram matrix.  ``residual`` lies in ``[0, RESIDUAL_RTOL * |lambda_max|]``.
     """
 
     lambda_max: float
     basis: np.ndarray
     objective_check: float
     residual: float
-
-    def __post_init__(self):
-        basis = _frozen_array(self.basis, "basis is complex")
-        if basis.ndim != 2 or basis.shape[1] < 1:
-            raise ShapeMismatch("basis must be a 2-D array with r >= 1 columns")
-        norms = np.sqrt(np.add.reduce(basis * basis, 0))  # (basis * basis).sum(axis=0)
-        if not np.maximum.reduce(np.abs(norms - 1.0), None) <= 1e-12:  # a NaN fails each check
-            raise ValueError("basis columns must be unit vectors to 1e-12")
-        scale = max(abs(self.lambda_max), _NORMAL_MIN)  # a NaN leads, so max keeps it
-        if not abs(self.objective_check - self.lambda_max) <= 1e-8 * scale:
-            raise ValueError(
-                "objective re-evaluation disagrees with lambda_max beyond 1e-8"
-            )
-        if not 0.0 <= self.residual <= RESIDUAL_RTOL * scale:
-            raise ValueError("residual must lie in [0, RESIDUAL_RTOL * |lambda_max|]")
-        object.__setattr__(self, "basis", basis)
 
     @property
     def multiplicity(self):
@@ -135,16 +117,19 @@ class GsvSolution:
 def gsv_solve(stack, gap_rtol=GAP_RTOL):
     """Solve ``max sum_i ||A_i x||^2`` over unit vectors x, exactly.
 
-    Returns a GsvSolution with the largest eigenvalue of the Gram sum, an
-    orthonormal basis of its (gap-merged) eigenspace, and a direct
-    re-evaluation of the objective at the first basis column.
+    Returns a GsvSolution: the largest eigenvalue of the Gram sum, an orthonormal basis of
+    its (gap-merged) eigenspace, and the objective re-evaluated at the first basis column.
 
     The stack is validated once, by OperatorStack; a peak beyond ``2^±_EXP_WINDOW``
     is solved as ``2^-e * stack``, exactly, and lambda_max scaled back by ``2^(2e)``.
     Then ``gram_sum`` and ``max_eigenpair`` run on the smaller Gram: ``B B^T`` when
     ``B = vstack(A_i)`` has fewer rows than columns (u maps to ``B^T u / ||B^T u||``).
-    Raises EmptyStack, ShapeMismatch or NonFiniteInput for an invalid stack, AllZero
-    for an all-zero one, MaximumOverflow past float64, and ConvergenceFailure.
+    Each post-condition is checked once: ``max_eigenpair`` bounds the residual; here, scaled
+    back, the basis columns must be unit to 1e-12 and the objective check lie within
+    ``1e-8 * max(|lambda_max|, smallest normal float64)`` of lambda_max.
+    Raises EmptyStack, ShapeMismatch or NonFiniteInput for an invalid stack, AllZero for an
+    all-zero one, MaximumOverflow past float64, ArgumentOutOfRange for a gap_rtol outside
+    (0, 1), and ConvergenceFailure when the eigensolve or a post-condition fails.
     """
     stack = as_stack(stack)
     if stack.peak == 0.0:
@@ -154,8 +139,14 @@ def gsv_solve(stack, gap_rtol=GAP_RTOL):
     rows = np.concatenate(mats) if wide else None
     lam, basis, residual = max_eigenpair(gram_sum((rows.T,) if wide else mats), gap_rtol, rows)
     lam, residual = _scaled_back(lam, residual, e)
-    return GsvSolution(lambda_max=lam, basis=basis, residual=residual,
-                       objective_check=objective_value(stack, basis[:, 0]))
+    basis.setflags(write=False)  # fix_column_signs' fresh array: the record shares it with no one
+    norms = np.sqrt(np.add.reduce(basis * basis, 0))  # (basis * basis).sum(axis=0)
+    if not np.maximum.reduce(np.abs(norms - 1.0), None) <= 1e-12:  # a NaN fails each check
+        raise ConvergenceFailure("basis columns are not unit vectors to 1e-12")
+    check = objective_value(stack, basis[:, 0])
+    if not abs(check - lam) <= 1e-8 * max(abs(lam), _NORMAL_MIN):  # a NaN leads, so max keeps it
+        raise ConvergenceFailure(f"objective check {check!r} != lambda_max {lam!r} to 1e-8")
+    return GsvSolution(lam, basis, check, residual)
 
 
 @dataclass(frozen=True)
@@ -194,7 +185,7 @@ def _upper_cholesky(r):
     if info > 0:
         raise NotSPD(info)
     if info < 0:
-        raise ValueError(f"illegal value in Cholesky argument {-info}")
+        raise ConvergenceFailure(f"Cholesky factorization failed: dpotrf info = {info}")
     return c
 
 
@@ -263,7 +254,7 @@ def brute_force_max(stack, samples, seed):
         )
     samples = int(samples)
     if samples < 1:
-        raise ValueError("samples must be at least 1")
+        raise ArgumentOutOfRange(f"samples must be at least 1, got {samples}")
     mats, e = _rescaled(stack.mats, stack.peak)
     # Row-compress the stacked matrix through its isometric QR factor:
     # ||vstack(A) x|| == ||R x||, so per-sample cost drops to O(n^2).

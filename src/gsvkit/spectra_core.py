@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    ArgumentOutOfRange,
     ComplexInput,
     ConvergenceFailure,
     EmptyStack,
@@ -233,12 +234,12 @@ def max_eigenpair(s, gap_rtol=GAP_RTOL, rows=None):
     that does not depend on the units of ``s``; columns are oriented by
     :func:`fix_column_signs`.  With ``rows`` = B (M x n, M < n) and ``s = B B^T``,
     the pair is that of ``B^T B``, never formed: u maps to ``B^T u / ||B^T u||``.
-    Raises ValueError unless 0 < gap_rtol < 1, and ConvergenceFailure when the
-    backend fails (naming dsyevr's ``info``) or the residual exceeds
+    Raises ArgumentOutOfRange unless 0 < gap_rtol < 1, and ConvergenceFailure when
+    the backend fails (naming dsyevr's ``info``) or the residual exceeds
     ``RESIDUAL_RTOL * |lambda|``.
     """
     if not 0.0 < gap_rtol < 1.0:
-        raise ValueError(f"gap_rtol must lie in (0, 1), got {gap_rtol}")
+        raise ArgumentOutOfRange(f"gap_rtol must lie in (0, 1), got {gap_rtol}")
     if s.shape[0] >= _SUBSET_MIN_ORDER:
         w, v = _top_eigenpairs(s, gap_rtol)
     else:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gsvkit
-from gsvkit import cli, matrix_io
+from gsvkit import cli, gsv_solver, matrix_io
 from gsvkit.errors import GsvError, ParseError
 from gsvkit.gsv_solver import gsv_solve
 from gsvkit.stat_norm import StatMatrix
@@ -655,6 +655,17 @@ def test_exit_3_on_degenerate_solve(tmp_path, capsys):
     a = write_matrix(tmp_path / "z.csv", np.zeros((3, 2)))
     code, _, err = run_cli(capsys, ["solve", a])
     assert code == 3 and "solver failure" in err
+
+
+def test_exit_3_on_a_failed_solve_post_condition(tmp_path, capsys, monkeypatch):
+    # an objective re-evaluation 1e-6 off lambda_max = 4 stands in for a wrong eigensolve: the
+    # post-condition gsv_solve checks raises ConvergenceFailure, which main maps to exit 3
+    a = write_matrix(tmp_path / "a.csv", np.diag([2.0, 1.0]))
+    monkeypatch.setattr(gsv_solver, "objective_value", lambda *_: 4.0 * (1.0 + 1e-6))
+    code, _, err = run_cli(capsys, ["solve", a, "--out", tmp_path / "out"])
+    assert code == 3
+    assert err.startswith("gsvkit solve: solver failure: objective check ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_exit_4_on_not_spd(tmp_path, capsys):

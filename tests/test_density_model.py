@@ -14,7 +14,13 @@ from gsvkit.density_model import (
     density_trace,
     joint_magnitude_state,
 )
-from gsvkit.errors import MassExceedsOne, NegativeProbability, NotSymmetric, ShapeMismatch
+from gsvkit.errors import (
+    ArgumentOutOfRange,
+    MassExceedsOne,
+    NegativeProbability,
+    NotSymmetric,
+    ShapeMismatch,
+)
 from gsvkit.gsv_solver import _PANEL_VALUES, _gaussian_panels, brute_force_max, gsv_solve
 
 HALVING = 0.5 ** np.arange(1, 31)  # rho_n = 2^-n truncated at N = 30
@@ -270,10 +276,9 @@ def test_truncation_operator_norm_difference():
 
 def test_truncation_bounds():
     d = DensityModel([0.5, 0.25])
-    with pytest.raises(ValueError):
-        d.truncated(0)
-    with pytest.raises(ValueError):
-        d.truncated(3)
+    for k in (0, 3):
+        with pytest.raises(ArgumentOutOfRange, match=rf"\[1, 2\], got {k}$"):
+            d.truncated(k)
 
 
 # ---------------------------------------------------------------------------

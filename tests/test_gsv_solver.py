@@ -11,6 +11,7 @@ from gsvkit import gsv_solver
 from gsvkit.density_model import DensityModel
 from gsvkit.errors import (
     AllZero,
+    ArgumentOutOfRange,
     ComplexInput,
     ConvergenceFailure,
     DimensionTooLarge,
@@ -399,37 +400,46 @@ def test_solve_peak_memory_stays_below_a_quarter_of_the_stack():
     assert peak < 0.25 * sum(a.nbytes for a in stack)
 
 
-def test_gsv_solution_invariants_enforced():
-    for basis in (np.array([1.0, 0.0]), np.empty((2, 0))):
-        with pytest.raises(ShapeMismatch, match="2-D array with r >= 1 columns"):
-            GsvSolution(1.0, basis, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        GsvSolution(1.0, np.array([[2.0], [0.0]]), 1.0, 0.0)
-    with pytest.raises(ValueError):
-        GsvSolution(1.0, np.array([[1.0], [0.0]]), 2.0, 0.0)
-    # a NaN fails every check it reaches
-    nan = float("nan")
-    for lam, basis, check in ((nan, [[1.0], [0.0]], 1.0), (1.0, [[nan], [0.0]], 1.0),
-                              (nan, [[nan], [0.0]], nan), (1.0, [[1.0], [0.0]], nan)):
-        with pytest.raises(ValueError):
-            GsvSolution(lam, np.array(basis), check, nan)
-    # the residual lies in [0, RESIDUAL_RTOL * max(1, |lambda_max|)]: NaN, negative or above fail
-    for lam, residual in ((1.0, nan), (1.0, -5.0), (1.0, -1e-300), (1.0, 2e-8), (4.0, 5e-8)):
-        with pytest.raises(ValueError, match="residual"):
-            GsvSolution(lam, np.array([[1.0], [0.0]]), lam, residual)
-    for lam, residual in ((1.0, 0.0), (1.0, 1e-8), (4.0, 4e-8)):
-        GsvSolution(lam, np.array([[1.0], [0.0]]), lam, residual)
+def test_gsv_solution_invariants_enforced(monkeypatch):
+    # gsv_solve checks the unit basis columns once, on the basis it returns; a failed
+    # post-condition is a ConvergenceFailure (exit 3), and the record is read-only
+    stack = [np.diag([2.0, 1.0])]
+    sol = gsv_solve(stack)
+    assert not sol.basis.flags.writeable
+    with pytest.raises(AttributeError):
+        sol.lambda_max = 5.0
+    real = gsv_solver.max_eigenpair
+
+    def scaled_basis(factor):
+        def solve(*args):
+            pair = real(*args)
+            return pair._replace(vectors=factor * pair.vectors)
+        return solve
+
+    # a column 5e-13 off unit norm passes, one 2e-12 off fails; the objective check, off by
+    # twice as much, stays within its 1e-8, so only the unit-norm check decides
+    monkeypatch.setattr(gsv_solver, "max_eigenpair", scaled_basis(1.0 + 0.5e-12))
+    assert gsv_solve(stack).basis[0, 0] == 1.0 + 0.5e-12
+    for factor in (1.0 + 2e-12, 2.0, float("nan")):  # a doubled column, and a NaN fails too
+        monkeypatch.setattr(gsv_solver, "max_eigenpair", scaled_basis(factor))
+        with pytest.raises(ConvergenceFailure, match="^basis columns are not unit vectors"):
+            gsv_solve(stack)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-20, 1e-300])
-def test_gsv_solution_bounds_are_relative(scale):
-    # both bounds scale with lambda_max: below 1 there is no absolute floor to hide under
-    e1 = np.array([[1.0], [0.0]])
-    GsvSolution(scale, e1, scale * (1.0 + 0.5e-8), 0.5e-8 * scale)
-    with pytest.raises(ValueError, match="objective"):
-        GsvSolution(scale, e1, scale * (1.0 + 2e-8), 0.0)
-    with pytest.raises(ValueError, match="residual"):
-        GsvSolution(scale, e1, scale, 2e-8 * scale)
+def test_gsv_solution_bounds_are_relative(scale, monkeypatch):
+    # the objective bound scales with lambda_max: below 1 there is no absolute floor to hide
+    # under, and at 1e-300 the stack is solved rescaled, so the check reads the scaled-back value
+    stack = [np.diag([1.0, 0.5]) * math.sqrt(scale)]
+    lam = gsv_solve(stack).lambda_max
+    assert lam == pytest.approx(scale, rel=1e-14)
+    for factor in (1.0 + 0.5e-8, 1.0 - 0.5e-8, 1.0 + 2e-8, 1.0 - 2e-8, float("nan")):
+        monkeypatch.setattr(gsv_solver, "objective_value", lambda *_: lam * factor)
+        if abs(factor - 1.0) < 1e-8:
+            assert gsv_solve(stack).objective_check == lam * factor
+        else:
+            with pytest.raises(ConvergenceFailure, match="^objective check"):
+                gsv_solve(stack)
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (5, 5)])
@@ -626,6 +636,15 @@ def test_weighted_not_spd_reports_pivot():
     assert exc_info.value.pivot == 2
 
 
+def test_weighted_illegal_cholesky_argument_is_a_convergence_failure(monkeypatch):
+    # dpotrf's info < 0 names an argument it refused: a backend failure, exit 3, named by info
+    from scipy.linalg import lapack
+
+    monkeypatch.setattr(lapack, "dpotrf", lambda a, **kwargs: (a, -4))
+    with pytest.raises(ConvergenceFailure, match="^Cholesky factorization failed: dpotrf info = -4$"):
+        weighted_gsv_solve(WeightedProblem((np.ones((2, 3)),), np.eye(3)))
+
+
 def test_weighted_problem_validation():
     with pytest.raises(ShapeMismatch):
         WeightedProblem((np.ones((2, 3)),), np.eye(2))
@@ -679,7 +698,7 @@ def test_oracle_sandwich_multiple_seeds():
 def test_oracle_preconditions():
     with pytest.raises(DimensionTooLarge):
         brute_force_max([np.ones((2, 11))], 10, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentOutOfRange, match="got 0"):
         brute_force_max([np.eye(2)], 0, 0)
 
 

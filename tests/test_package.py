@@ -210,6 +210,39 @@ def test_every_error_class_is_raised():
     assert unraised_error_classes(sources["errors.py"], sources) == []
 
 
+def bare_value_errors(source):
+    """Lines of the ``raise`` statements in ``source`` that raise ``ValueError`` itself, the class
+    or an instance: a check's error should be a GsvError, which the CLI maps to an exit code."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and getattr(node.exc.func if isinstance(node.exc, ast.Call) else node.exc, "id", None)
+        == "ValueError"
+    )
+
+
+def test_bare_value_error_detector():
+    source = (
+        "def f(k):\n    if k < 1:\n        raise ValueError(f'k = {k}')\n"
+        "    raise errors.ArgumentOutOfRange('k')\n"
+        "try:\n    f(0)\nexcept ValueError:\n    raise\nraise ValueError\n"
+    )
+    assert bare_value_errors(source) == [3, 9]
+    # a range check put back as a bare ValueError is found where it stands
+    path = pathlib.Path(gsvkit.__file__).parent / "density_model.py"
+    mutated = path.read_text(encoding="utf-8").replace(
+        "raise ArgumentOutOfRange(", "raise ValueError(", 1)
+    lines = mutated.splitlines()
+    assert [lines[n - 1].strip()[:17] for n in bare_value_errors(mutated)] == ["raise ValueError("]
+
+
+def test_no_module_raises_a_bare_value_error():
+    paths = sorted(pathlib.Path(gsvkit.__file__).parent.glob("*.py"))
+    found = {p.name: bare_value_errors(p.read_text(encoding="utf-8")) for p in paths}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 # The one float cast of a caller's array, and the CSV parse of strings to floats.
 FLOAT_CAST_OWNERS = {"spectra_core.py": "_real", "matrix_io.py": "_parse_body"}
 FLOAT_NAMES = {"float", "float64", "double", "f8"}

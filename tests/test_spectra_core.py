@@ -15,6 +15,7 @@ from gsvkit import matrix_io, spectra_core
 from gsvkit.density_model import DensityModel, joint_magnitude_state
 from gsvkit.errors import (
     AllZero,
+    ArgumentOutOfRange,
     ComplexInput,
     ConvergenceFailure,
     EmptyStack,
@@ -24,7 +25,6 @@ from gsvkit.errors import (
     ShapeMismatch,
 )
 from gsvkit.gsv_solver import (
-    GsvSolution,
     OperatorStack,
     WeightedProblem,
     gsv_solve,
@@ -176,7 +176,7 @@ def test_max_eigenpair_random_against_closed_form():
 def test_max_eigenpair_gap_rtol_domain():
     s = np.eye(2)
     for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentOutOfRange, match="gap_rtol must lie in"):
             max_eigenpair(s, gap_rtol=bad)
 
 
@@ -380,7 +380,7 @@ def test_subset_route_top_pair_under_a_39_fold_second_eigenvalue(seed):
     # Q diag(1, 0.5, ..., 0.5) Q^T in two row blocks: the Gram's second eigenvalue 0.25 is
     # 39-fold.  With OpenBLAS 0.3.31's LAPACK, dsyevr asked for the top 2 pairs of each of these
     # Grams returns none (m = 0, info = 0).  Unchecked, the zero vectors passed the residual
-    # bound and the solve ended in GsvSolution's unit check (seed 24 escaped by chance).
+    # bound and the solve ended in gsv_solve's unit check (seed 24 escaped by chance).
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((40, 40)))
     a = (q * np.concatenate([[1.0], np.full(39, 0.5)])) @ q.T
     sol = gsv_solve([a[:20], a[20:]])
@@ -443,8 +443,9 @@ def test_traced_solve_records_both_stages():
                           text=True, env={**os.environ, "PYTHONPATH": path}, check=False)
     assert proc.returncode == 0, proc.stderr  # install raises MissedBinding on a stale alias
     # tall 4 x 3, wide 2 x 4 and wide 1 x 2 at 1e-6: one of each stage, as every solve
-    # runs on one side only.  One validation at each end: validations_per_solve stays 2.
-    assert json.loads(proc.stdout) == [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]]
+    # runs on one side only.  One validation, at entry: GsvSolution is a record with no span,
+    # so validations_per_solve is 1.
+    assert json.loads(proc.stdout) == [[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +572,6 @@ SNV = np.array([[1.0], [-1.0]])  # one standardized column
         # pytest's filterwarnings), a bare TypeError (a list) or a wrong answer.
         lambda: objective_value([np.eye(2)], [1j, 0.0]),
         lambda: fix_column_signs(np.array([[1j], [1.0]])),
-        lambda: GsvSolution(1.0, np.array([[1.0 + 0j]]), 1.0, 0.0),
         lambda: standardize([1.0, 2j, 3.0]),
         lambda: is_snv(np.array([1 + 1j, -1 - 1j])),  # cast to real: True
         lambda: StatMatrix(SNV + 0j),
@@ -584,7 +584,7 @@ SNV = np.array([[1.0], [-1.0]])  # one standardized column
         lambda: matrix_io.write_vector_csv(os.devnull, [1j, 1.0]),
     ],
     ids=["pauli_pair", "sigma_y", "list", "joint_magnitude", "joint_magnitude_list",
-         "field", "resistance", "objective_value", "fix_column_signs", "gsv_solution",
+         "field", "resistance", "objective_value", "fix_column_signs",
          "standardize", "is_snv", "stat_matrix_data", "from_raw", "density_model",
          "density_model_list", "write_matrix", "write_vector"],
 )
