@@ -23,7 +23,6 @@ from . import matrix_io
 from .density_model import DensityModel, chain_margin, check_positivity_chain, density_norm, density_trace
 from .errors import GsvError, NotStandardized, ParseError
 from .gsv_solver import OperatorStack, WeightedProblem, brute_force_max, gsv_solve, weighted_gsv_solve
-from .spectra_core import GAP_RTOL
 from .stat_norm import StatMatrix, score_rows
 
 SCHEMA_VERSION = 1
@@ -73,7 +72,7 @@ def _write_json(path, obj):
     return path
 
 
-def cmd_solve(matrix_files, gap_rtol=GAP_RTOL, oracle_samples=0, seed=42, out=".") -> dict:
+def cmd_solve(matrix_files, oracle_samples=0, seed=42, out=".") -> dict:
     """Solve the stacked maximization for matrices read from headerless CSVs.
 
     Writes ``solution.json``; with ``oracle_samples > 0`` the sampled
@@ -90,7 +89,7 @@ def cmd_solve(matrix_files, gap_rtol=GAP_RTOL, oracle_samples=0, seed=42, out=".
             raise ParseError(path, 1, f"matrix has {a.shape[1]} columns, expected {ncols}")
         mats.append(a)
     stack = OperatorStack(tuple(mats))
-    solution = gsv_solve(stack, gap_rtol=gap_rtol)
+    solution = gsv_solve(stack)
     payload = {
         "lambda_max": solution.lambda_max,
         "basis": [list(row) for row in solution.basis],
@@ -107,7 +106,7 @@ def cmd_solve(matrix_files, gap_rtol=GAP_RTOL, oracle_samples=0, seed=42, out=".
                    seed=int(seed) if sampling else None)
 
 
-def cmd_coil(ex, ey, ez, r, gap_rtol=GAP_RTOL, out=".") -> dict:
+def cmd_coil(ex, ey, ez, r, out=".") -> dict:
     """Energy-constrained solve for field matrices E_x, E_y, E_z and resistance R.
 
     Writes ``psi.csv`` (one nodal value per row) and ``psi_normalized.csv``
@@ -129,7 +128,7 @@ def cmd_coil(ex, ey, ez, r, gap_rtol=GAP_RTOL, out=".") -> dict:
             r, 1, f"resistance is {resistance.shape}, expected {(shape[1], shape[1])}"
         )
     prob = WeightedProblem(tuple(fields), resistance)
-    psi, solution = weighted_gsv_solve(prob, gap_rtol=gap_rtol)
+    psi, solution = weighted_gsv_solve(prob)
     energy = float(psi @ (prob.resistance @ psi))
     out_base = _out_dir(out)
     psi_path = out_base / "psi.csv"
@@ -141,7 +140,7 @@ def cmd_coil(ex, ey, ez, r, gap_rtol=GAP_RTOL, out=".") -> dict:
                    psi_r_psi=energy)
 
 
-def cmd_rank(data, standardize_flag=True, gap_rtol=GAP_RTOL, out=".") -> dict:
+def cmd_rank(data, standardize_flag=True, out=".") -> dict:
     """Rank table rows by their supporting-vector scores.
 
     Writes ``ranking.csv`` (rank, id, score; descending score) and
@@ -158,7 +157,7 @@ def cmd_rank(data, standardize_flag=True, gap_rtol=GAP_RTOL, out=".") -> dict:
         except NotStandardized as err:  # name the column by its header, as from_raw does
             raise NotStandardized("data matrix is not standardized",
                                   column=names[err.column]) from None
-    scores, solution = score_rows(m, gap_rtol=gap_rtol)
+    scores, solution = score_rows(m)
     order = np.argsort(-scores, kind="stable")
     ids = ['"' + i.replace('"', '""') + '"' if _NEEDS_QUOTES.search(i) else i for i in ids]
     out_base = _out_dir(out)
@@ -208,7 +207,7 @@ def _checked(convert, ok, rule):
             raise argparse.ArgumentTypeError(f"{rule}, got {text}")
         return value
 
-    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
     return parse
 
 
@@ -219,10 +218,6 @@ def build_parser():
     )
     # one parent per shared flag; each subcommand takes exactly the flags its cmd_* reads, bar
     # density's --seed and --trials: checked, kept for existing scripts, passed to no function
-    gap_rtol = argparse.ArgumentParser(add_help=False)
-    gap_rtol.add_argument("--gap-rtol", default=GAP_RTOL,
-                          type=_checked(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-                          help="eigenvalue merge tolerance, relative to lambda_max (default %(default)s)")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", default=42,
                       type=_checked(int, lambda v: v >= 0, "must be at least 0"),
@@ -232,31 +227,30 @@ def build_parser():
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[gap_rtol, seed, out],
+    p_solve = sub.add_parser("solve", parents=[seed, out],
                              help="maximize the stacked objective for CSV matrices")
     p_solve.add_argument("matrices", nargs="+", help="headerless CSV matrix files")
     p_solve.add_argument("--oracle-samples", default=0,
                          type=_checked(int, lambda v: v >= 0, "must be at least 0"),
                          help="sphere samples for the lower-bound oracle (default 0 = off)")
     p_solve.set_defaults(run=lambda a: cmd_solve(
-        a.matrices, gap_rtol=a.gap_rtol, oracle_samples=a.oracle_samples, seed=a.seed, out=a.out))
+        a.matrices, oracle_samples=a.oracle_samples, seed=a.seed, out=a.out))
 
-    p_coil = sub.add_parser("coil", parents=[gap_rtol, out],
+    p_coil = sub.add_parser("coil", parents=[out],
                             help="energy-constrained solve for field matrices")
     p_coil.add_argument("ex", help="E_x field matrix CSV (H x N)")
     p_coil.add_argument("ey", help="E_y field matrix CSV (H x N)")
     p_coil.add_argument("ez", help="E_z field matrix CSV (H x N)")
     p_coil.add_argument("r", help="SPD resistance matrix CSV (N x N)")
-    p_coil.set_defaults(run=lambda a: cmd_coil(
-        a.ex, a.ey, a.ez, a.r, gap_rtol=a.gap_rtol, out=a.out))
+    p_coil.set_defaults(run=lambda a: cmd_coil(a.ex, a.ey, a.ez, a.r, out=a.out))
 
-    p_rank = sub.add_parser("rank", parents=[gap_rtol, out],
+    p_rank = sub.add_parser("rank", parents=[out],
                             help="rank table rows by supporting-vector score")
     p_rank.add_argument("data", help="CSV with an 'id' column plus numeric columns")
     p_rank.add_argument("--no-standardize", action="store_true",
                         help="treat the columns as already standardized")
     p_rank.set_defaults(run=lambda a: cmd_rank(
-        a.data, standardize_flag=not a.no_standardize, gap_rtol=a.gap_rtol, out=a.out))
+        a.data, standardize_flag=not a.no_standardize, out=a.out))
 
     p_density = sub.add_parser("density", parents=[seed, out],
                                help="evaluate a truncated probability density model")

@@ -22,11 +22,11 @@ from .errors import (
     ConvergenceFailure,
     DimensionTooLarge,
     MaximumOverflow,
+    NonFiniteInput,
     NotSPD,
     ShapeMismatch,
 )
 from .spectra_core import (
-    GAP_RTOL,
     _rescaled,
     _symmetrized,
     _vector,
@@ -114,7 +114,7 @@ class GsvSolution(NamedTuple):
         return self.multiplicity == self.basis.shape[0]
 
 
-def gsv_solve(stack, gap_rtol=GAP_RTOL):
+def gsv_solve(stack):
     """Solve ``max sum_i ||A_i x||^2`` over unit vectors x, exactly.
 
     Returns a GsvSolution: the largest eigenvalue of the Gram sum, an orthonormal basis of
@@ -128,8 +128,8 @@ def gsv_solve(stack, gap_rtol=GAP_RTOL):
     back, the basis columns must be unit to 1e-12 and the objective check lie within
     ``1e-8 * max(|lambda_max|, smallest normal float64)`` of lambda_max.
     Raises EmptyStack, ShapeMismatch or NonFiniteInput for an invalid stack, AllZero for an
-    all-zero one, MaximumOverflow past float64, ArgumentOutOfRange for a gap_rtol outside
-    (0, 1), and ConvergenceFailure when the eigensolve or a post-condition fails.
+    all-zero one, MaximumOverflow past float64, and ConvergenceFailure when the eigensolve
+    or a post-condition fails.
     """
     stack = as_stack(stack)
     if stack.peak == 0.0:
@@ -137,7 +137,7 @@ def gsv_solve(stack, gap_rtol=GAP_RTOL):
     mats, e = _rescaled(stack.mats, stack.peak)
     wide = sum(a.shape[0] for a in mats) < stack.ncols
     rows = np.concatenate(mats) if wide else None
-    lam, basis, residual = max_eigenpair(gram_sum((rows.T,) if wide else mats), gap_rtol, rows)
+    lam, basis, residual = max_eigenpair(gram_sum((rows.T,) if wide else mats), rows)
     lam, residual = _scaled_back(lam, residual, e)
     basis.setflags(write=False)  # fix_column_signs' fresh array: the record shares it with no one
     norms = np.sqrt(np.add.reduce(basis * basis, 0))  # (basis * basis).sum(axis=0)
@@ -189,7 +189,7 @@ def _upper_cholesky(r):
     return c
 
 
-def weighted_gsv_solve(prob, gap_rtol=GAP_RTOL):
+def weighted_gsv_solve(prob):
     """Solve the energy-constrained problem via Cholesky whitening.
 
     Factors ``R = C^T C`` (upper-triangular C), whitens every field matrix to
@@ -201,7 +201,8 @@ def weighted_gsv_solve(prob, gap_rtol=GAP_RTOL):
     3H x 3H ``B R^{-1} B^T`` of the stacked fields B, not an N x N matrix.
 
     Returns ``(psi, solution)``.  Raises NotSPD (with the failing pivot
-    index, no automatic regularization) and propagates solver errors.
+    index, no automatic regularization), MaximumOverflow when a whitened entry overflows
+    float64 (the maximum is at least its square), and propagates solver errors.
     """
     from scipy.linalg import solve_triangular  # deferred like _upper_cholesky's lapack
 
@@ -212,7 +213,11 @@ def weighted_gsv_solve(prob, gap_rtol=GAP_RTOL):
     w = solve_triangular(c, np.concatenate(prob.fields).T, trans="T", lower=False,
                          overwrite_b=True, check_finite=False).T
     ends = np.cumsum([e.shape[0] for e in prob.fields])
-    solution = gsv_solve(np.split(w, ends[:-1]), gap_rtol=gap_rtol)
+    try:
+        solution = gsv_solve(np.split(w, ends[:-1]))
+    except NonFiniteInput:  # the fields and R were finite: the whitening overflowed
+        raise MaximumOverflow("lambda_max exceeds the float64 range: "
+                              "the whitened fields E_i C^-1 overflow") from None
     phi = solution.basis[:, 0]
     psi = solve_triangular(c, phi, lower=False, check_finite=False)
     energy = float(psi @ (prob.resistance @ psi))

@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    ArgumentOutOfRange,
     ComplexInput,
     ConvergenceFailure,
     EmptyStack,
@@ -42,7 +41,7 @@ _SUBSET_MIN_ORDER = 32
 # The published residual bound: ||S v - lambda v||_2 <= RESIDUAL_RTOL * |lambda|.
 RESIDUAL_RTOL = 1e-8
 
-# The default merge tolerance: eigenvalues within GAP_RTOL * |lambda_max| of the maximum merge.
+# The merge tolerance: eigenvalues within GAP_RTOL * |lambda_max| of the maximum merge.
 GAP_RTOL = 1e-10
 
 # numpy's float64 dtype is one object, so _real tests an array's dtype by identity.
@@ -203,7 +202,7 @@ def gram_sum(mats):
     return s
 
 
-def _top_eigenpairs(s, gap_rtol):
+def _top_eigenpairs(s):
     """The top k eigenvalues of ``s`` (ascending) and their vectors, by ``dsyevr`` (MRRR).
 
     k starts at 2 and doubles until all k pairs came back and the smallest eigenvalue found
@@ -221,34 +220,31 @@ def _top_eigenpairs(s, gap_rtol):
             raise ConvergenceFailure(f"eigendecomposition failed: dsyevr info = {info}")
         # MRRR may return m < k pairs with info 0 (here: none of the top 2 of a 40 x 40 Gram whose
         # second eigenvalue is 39-fold), zero vectors in their place: then ask for more
-        if m == k and (k == n or w[k - 1] - w[0] > gap_rtol * abs(w[k - 1])):
+        if m == k and (k == n or w[k - 1] - w[0] > GAP_RTOL * abs(w[k - 1])):
             return w[:k], v
         k = min(2 * k, n)
 
 
-def max_eigenpair(s, gap_rtol=GAP_RTOL, rows=None):
+def max_eigenpair(s, rows=None):
     """Largest eigenvalue of ``s`` and an orthonormal basis of its merged eigenspace.
 
     ``s`` must be finite and exactly symmetric, as :func:`gram_sum` returns it.
-    Eigenvalues within ``gap_rtol * |lambda_max|`` of the maximum merge, a rule
+    Eigenvalues within ``GAP_RTOL * |lambda_max|`` of the maximum merge, a rule
     that does not depend on the units of ``s``; columns are oriented by
     :func:`fix_column_signs`.  With ``rows`` = B (M x n, M < n) and ``s = B B^T``,
     the pair is that of ``B^T B``, never formed: u maps to ``B^T u / ||B^T u||``.
-    Raises ArgumentOutOfRange unless 0 < gap_rtol < 1, and ConvergenceFailure when
-    the backend fails (naming dsyevr's ``info``) or the residual exceeds
-    ``RESIDUAL_RTOL * |lambda|``.
+    Raises ConvergenceFailure when the backend fails (naming dsyevr's ``info``) or
+    the residual exceeds ``RESIDUAL_RTOL * |lambda|``.
     """
-    if not 0.0 < gap_rtol < 1.0:
-        raise ArgumentOutOfRange(f"gap_rtol must lie in (0, 1), got {gap_rtol}")
     if s.shape[0] >= _SUBSET_MIN_ORDER:
-        w, v = _top_eigenpairs(s, gap_rtol)
+        w, v = _top_eigenpairs(s)
     else:
         try:
             w, v = np.linalg.eigh(s)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     lam = float(w[-1])
-    keep = lam - w <= gap_rtol * abs(lam)  # w ascends to lam: the same as |w - lam| <= tol
+    keep = lam - w <= GAP_RTOL * abs(lam)  # w ascends to lam: the same as |w - lam| <= tol
     if rows is None:
         basis = fix_column_signs(v[:, keep])
         image = s @ basis

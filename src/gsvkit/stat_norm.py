@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConstantVector, NotStandardized, ShapeMismatch, TooShort
 from .gsv_solver import gsv_solve
-from .spectra_core import GAP_RTOL, _frozen_array, _peak, _real, _rescaled, _vector
+from .spectra_core import _frozen_array, _peak, _real, _rescaled, _vector
 
 # The published membership bound: |sum x| and |sum x^2 - m| at most _SNV_RTOL * m.
 _SNV_RTOL = 1e-10
@@ -137,7 +137,7 @@ class StatMatrix:
                                   column=names[err.column]) from None
 
 
-def score_rows(m, gap_rtol=GAP_RTOL):
+def score_rows(m):
     """Supporting-vector scores ``M x`` for the rows of a standardized matrix.
 
     x maximizes ``||M x||^2`` over unit vectors: the solver's first basis column, oriented by
@@ -149,17 +149,17 @@ def score_rows(m, gap_rtol=GAP_RTOL):
     rows, cols = m.shape
     if rows <= cols:
         raise ShapeMismatch(f"need more rows than columns, got {rows} x {cols}")
-    solution = gsv_solve([m.data], gap_rtol=gap_rtol)
+    solution = gsv_solve([m.data])
     return m.data @ solution.basis[:, 0], solution
 
 
-def rank_by_score(m, gap_rtol=GAP_RTOL):
+def rank_by_score(m):
     """Rank the rows of a standardized matrix by their supporting-vector scores.
 
     Returns ``[(row_index, score), ...]`` sorted by descending score with
     ties broken by ascending original index.
     """
-    scores, _ = score_rows(m, gap_rtol=gap_rtol)
+    scores, _ = score_rows(m)
     order = np.argsort(-scores, kind="stable")
     return [(int(i), float(scores[i])) for i in order]
 

@@ -723,9 +723,11 @@ def test_rank_no_standardize_requires_standardized(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["solve", "{a}", "--gap-rtol", "0"], "must lie in (0, 1), got 0"),
-        (["solve", "{a}", "--gap-rtol", "1"], "must lie in (0, 1), got 1"),
-        (["solve", "{a}", "--gap-rtol", "abc"], "invalid float value: 'abc'"),
+        # the merge tolerance is fixed, not a flag, on every subcommand
+        (["solve", "{a}", "--gap-rtol", "1e-10"], "unrecognized arguments: --gap-rtol 1e-10"),
+        (["coil", "{a}", "{a}", "{a}", "{a}", "--gap-rtol", "1e-10"],
+         "unrecognized arguments: --gap-rtol 1e-10"),
+        (["rank", "{a}", "--gap-rtol", "1e-10"], "unrecognized arguments: --gap-rtol 1e-10"),
         (["density", "{rho}", "--trials", "0"], "must be at least 1, got 0"),
         (["solve", "{a}", "--oracle-samples", "-1"], "must be at least 0, got -1"),
         (["rank", "{a}", "--seed", "1"], "unrecognized arguments: --seed 1"),

@@ -32,7 +32,7 @@ from gsvkit.gsv_solver import (
     weighted_gsv_solve,
 )
 from gsvkit.spectra_core import RESIDUAL_RTOL, EigenPair, gram_sum, max_eigenpair
-from gsvkit.stat_norm import StatMatrix, is_snv
+from gsvkit.stat_norm import StatMatrix, is_snv, rank_by_score, score_rows
 
 SQRT_HALF = np.sqrt(2.0) / 2.0
 
@@ -237,6 +237,19 @@ def test_weighted_solve_is_scale_free_bit_for_bit(h, n):
         np.testing.assert_array_equal(sol.basis, base.basis, err_msg=f"k = {k}")
         assert sol.multiplicity == base.multiplicity == 1
         assert sol.lambda_max == math.ldexp(base.lambda_max, -2 * k), k
+
+
+def test_weighted_whitening_overflow_is_a_maximum_overflow():
+    # finite fields and R = 2^-1000 I: C^-1 = 2^500 I, so fields times 2^600 whiten past
+    # float64, and lambda_max, at least the square of any whitened entry, is past it too:
+    # MaximumOverflow, as for fields times 2^400, which whiten finite
+    rng = np.random.default_rng(5)
+    fields = [rng.normal(size=(6, 4)) for _ in range(3)]
+    r = np.ldexp(np.eye(4), -1000)
+    for k in (400, 600):
+        with pytest.raises(MaximumOverflow, match="^lambda_max ") as info:
+            weighted_gsv_solve(WeightedProblem([np.ldexp(f, k) for f in fields], r))
+        assert info.value.exit_code == 2 and not isinstance(info.value, NonFiniteInput)
 
 
 def test_inputs_that_broke_the_scale_dependent_core():
@@ -472,9 +485,15 @@ def test_gsv_solution_multiplicity_is_basis_width():
         lambda: ConvergenceFailure("m", 90),
         lambda: is_snv([1.0, -1.0], tol=1e-10),
         lambda: StatMatrix(np.eye(2), np.zeros(2), np.ones(2)),
+        lambda: gsv_solve([np.eye(2)], gap_rtol=1e-10),
+        lambda: weighted_gsv_solve(WeightedProblem((np.eye(2),), np.eye(2)), gap_rtol=1e-10),
+        lambda: max_eigenpair(np.eye(2), gap_rtol=1e-10),
+        lambda: score_rows(StatMatrix(np.array([[1.0], [-1.0]])), gap_rtol=1e-10),
+        lambda: rank_by_score(StatMatrix(np.array([[1.0], [-1.0]])), gap_rtol=1e-10),
     ],
     ids=["ncols", "multiplicity", "tail", "residual_rtol", "rtol", "iterations",
-         "positional", "tol", "standardized"],
+         "positional", "tol", "standardized", "gsv_solve_gap_rtol", "weighted_gap_rtol",
+         "max_eigenpair_gap_rtol", "score_rows_gap_rtol", "rank_by_score_gap_rtol"],
 )
 def test_public_api_rejects_derived_or_fixed_arguments(build):
     with pytest.raises(TypeError):

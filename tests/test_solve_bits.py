@@ -13,10 +13,16 @@ import numpy as np
 import pytest
 
 from gsvkit.gsv_solver import gsv_solve
-from gsvkit.spectra_core import _EXP_WINDOW, _SUBSET_MIN_ORDER, _top_eigenpairs, fix_column_signs
+from gsvkit.spectra_core import (
+    _EXP_WINDOW,
+    _SUBSET_MIN_ORDER,
+    GAP_RTOL,
+    _top_eigenpairs,
+    fix_column_signs,
+)
 
 
-def reference_solve(stack, gap_rtol=1e-10):
+def reference_solve(stack):
     """``(lambda_max, basis, objective_check, residual)`` of gsv_solve, by plain expressions."""
     mats = [np.asarray(a, dtype=float, order="C") for a in stack]
     peak = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in mats)
@@ -32,11 +38,11 @@ def reference_solve(stack, gap_rtol=1e-10):
     else:
         s = rows @ rows.T
     if s.shape[0] >= _SUBSET_MIN_ORDER:
-        w, v = _top_eigenpairs(s, gap_rtol)
+        w, v = _top_eigenpairs(s)
     else:
         w, v = np.linalg.eigh(s)
     lam = float(w[-1])
-    keep = lam - w <= gap_rtol * abs(lam)
+    keep = lam - w <= GAP_RTOL * abs(lam)
     if rows is None:
         basis = fix_column_signs(v[:, keep])
         image = s @ basis

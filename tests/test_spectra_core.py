@@ -15,7 +15,6 @@ from gsvkit import matrix_io, spectra_core
 from gsvkit.density_model import DensityModel, joint_magnitude_state
 from gsvkit.errors import (
     AllZero,
-    ArgumentOutOfRange,
     ComplexInput,
     ConvergenceFailure,
     EmptyStack,
@@ -30,7 +29,13 @@ from gsvkit.gsv_solver import (
     gsv_solve,
     objective_value,
 )
-from gsvkit.spectra_core import RESIDUAL_RTOL, fix_column_signs, gram_sum, max_eigenpair
+from gsvkit.spectra_core import (
+    GAP_RTOL,
+    RESIDUAL_RTOL,
+    fix_column_signs,
+    gram_sum,
+    max_eigenpair,
+)
 from gsvkit.stat_norm import StatMatrix, is_snv, standardize
 
 
@@ -173,13 +178,6 @@ def test_max_eigenpair_random_against_closed_form():
         assert pair.value == pytest.approx(lam_oracle, rel=1e-10, abs=1e-10)
 
 
-def test_max_eigenpair_gap_rtol_domain():
-    s = np.eye(2)
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ArgumentOutOfRange, match="gap_rtol must lie in"):
-            max_eigenpair(s, gap_rtol=bad)
-
-
 def test_max_eigenpair_residual_bound():
     rng = np.random.default_rng(12)
     for _ in range(50):
@@ -225,20 +223,23 @@ def test_max_eigenpair_residual_bound_is_relative(scale, monkeypatch):
 
 
 def test_max_eigenpair_merge_boundary_is_exact():
-    # exact binary eigenvalues: lambda_max - w == gap_rtol * lambda_max merges, twice that does not
-    tol = 2.0**-30
-    merged = max_eigenpair(np.diag([1.0 - tol, 1.0]), gap_rtol=tol)
-    assert merged.multiplicity == 2 and merged.residual == tol
-    assert max_eigenpair(np.diag([1.0 - 2 * tol, 1.0]), gap_rtol=tol).multiplicity == 1
-    # the M side: row 1 of b holds three entries 2**-j per j, so ||row 1||^2 = 1 - 2**-30
-    b = np.zeros((2, 46))
-    b[0, 0] = 1.0
-    b[1, 1:] = np.repeat(2.0 ** -np.arange(1, 16), 3)
-    k = gram_sum((b.T,))
-    np.testing.assert_array_equal(k, np.diag([1.0, 1.0 - tol]))
-    pair = max_eigenpair(k, tol, b)
-    assert pair.multiplicity == 2 and pair.residual <= 1e-8
-    assert max_eigenpair(k, tol / 2, b).multiplicity == 1
+    # exact integer eigenvalues at the published tolerance, GAP_RTOL * 1e10 == 1.0 exactly:
+    # lambda_max - w == GAP_RTOL * lambda_max merges, twice that does not
+    assert GAP_RTOL * 1e10 == 1.0
+    merged = max_eigenpair(np.diag([1e10 - 1, 1e10]))
+    assert merged.multiplicity == 2 and merged.residual == 1.0
+    assert max_eigenpair(np.diag([1e10 - 2, 1e10])).multiplicity == 1
+    # the M side: row 1 of b holds integers whose squares sum to 1e10 - 1 (merges) or
+    # 1e10 - 2 (does not), so the Gram b b^T is exact
+    for tail, second, mult in [([99999, 447, 12, 6, 3], 1e10 - 1, 2),
+                               ([99999, 447, 12, 6, 2, 2], 1e10 - 2, 1)]:
+        b = np.zeros((2, 8))
+        b[0, 0] = 1e5
+        b[1, 1 : 1 + len(tail)] = tail
+        k = gram_sum((b.T,))
+        np.testing.assert_array_equal(k, np.diag([1e10, second]))
+        pair = max_eigenpair(k, b)
+        assert pair.multiplicity == mult and pair.residual <= RESIDUAL_RTOL * 1e10
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +331,12 @@ def test_subset_route_is_scale_free_to_rounding(shape, subset_calls):
 
 
 def test_subset_route_merge_boundary_is_exact():
-    # exact binary eigenvalues above the crossover, as in the eigh test above
-    tol = 2.0**-30
-    low = np.linspace(0.0, 0.5, 38)
+    # exact integer eigenvalues above the crossover, as in the eigh test above
+    low = np.linspace(0.0, 5e9, 38)
     assert 40 >= CROSSOVER
-    merged = max_eigenpair(np.diag(np.concatenate([low, [1.0 - tol, 1.0]])), gap_rtol=tol)
-    assert merged.multiplicity == 2 and merged.residual == tol
-    single = max_eigenpair(np.diag(np.concatenate([low, [1.0 - 2 * tol, 1.0]])), gap_rtol=tol)
+    merged = max_eigenpair(np.diag(np.concatenate([low, [1e10 - 1, 1e10]])))
+    assert merged.multiplicity == 2 and merged.residual == 1.0
+    single = max_eigenpair(np.diag(np.concatenate([low, [1e10 - 2, 1e10]])))
     assert single.multiplicity == 1
 
 
