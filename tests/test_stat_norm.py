@@ -1,5 +1,6 @@
 """Tests for standardization, critical systems, pair identities and ranking."""
 
+import importlib.resources
 import math
 import warnings
 
@@ -15,7 +16,9 @@ from gsvkit.errors import (
     ShapeMismatch,
     TooShort,
 )
+from gsvkit import spectra_core
 from gsvkit.gsv_solver import gsv_solve
+from gsvkit.matrix_io import read_table_csv
 from gsvkit.stat_norm import StatMatrix, is_snv, rank_by_score, score_rows, standardize
 
 
@@ -328,6 +331,22 @@ def test_rank_duplicated_column_scores_sqrt2():
     scores, sol = score_rows(m)
     np.testing.assert_allclose(scores, np.sqrt(2.0) * col, atol=1e-10)
     np.testing.assert_allclose(np.abs(sol.basis[:, 0]), np.sqrt(2.0) / 2.0, atol=1e-12)
+
+
+def test_rank_bundled_sample_stable_across_gap_rtol(monkeypatch):
+    # GAP_RTOL is fixed, not an option; moving it 100x either way must not move this ranking,
+    # as the sample's top eigenvalue is simple by far more than any such tolerance
+    path = importlib.resources.files("gsvkit") / "data" / "sample_locations.csv"
+    ids, _, raw = read_table_csv(str(path))
+    assert len(ids) == 52 and raw.shape == (52, 3)
+    m = StatMatrix.from_raw(raw)
+    rankings = []
+    for g in (1e-8, 1e-10, 1e-12):
+        monkeypatch.setattr(spectra_core, "GAP_RTOL", g)
+        _, sol = score_rows(m)
+        assert sol.multiplicity == 1
+        rankings.append(rank_by_score(m))
+    assert rankings[0] == rankings[1] == rankings[2]
 
 
 def test_rank_scale_invariance():
