@@ -1,7 +1,8 @@
 """Batch front-end: file ingestion, subcommand dispatch, machine-readable reports.
 
-Subcommands: ``gsvkit solve|coil|rank|density``, each writing deterministic
-result files into ``--out`` and emitting a JSON run report on stdout.
+Subcommands: ``gsvkit solve|coil|rank|density``, each writing deterministic result files into
+``--out`` and emitting a JSON run report on stdout.  The arrays ``matrix_io`` reads go to the
+library unchecked, and it raises its own error class; the parser owns every flag's default.
 
 Exit codes: 0 success, else the ``exit_code`` of the GsvError raised (see
 ``errors``); an unreadable file or a bad flag value exits 2, an input error.
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import matrix_io
 from .density_model import DensityModel, chain_margin, check_positivity_chain, density_norm, density_trace
-from .errors import GsvError, NotStandardized, ParseError
+from .errors import GsvError
 from .gsv_solver import OperatorStack, WeightedProblem, brute_force_max, gsv_solve, weighted_gsv_solve
 from .stat_norm import StatMatrix, score_rows
 
@@ -72,23 +73,14 @@ def _write_json(path, obj):
     return path
 
 
-def cmd_solve(matrix_files, oracle_samples=0, seed=42, out=".") -> dict:
+def cmd_solve(matrix_files, oracle_samples, seed, out) -> dict:
     """Solve the stacked maximization for matrices read from headerless CSVs.
 
     Writes ``solution.json``; with ``oracle_samples > 0`` the sampled
     lower bound and its gap to lambda_max are included.
     """
     start = time.perf_counter()
-    mats = []
-    ncols = None
-    for path in matrix_files:
-        a = matrix_io.read_matrix_csv(path)
-        if ncols is None:
-            ncols = a.shape[1]
-        elif a.shape[1] != ncols:
-            raise ParseError(path, 1, f"matrix has {a.shape[1]} columns, expected {ncols}")
-        mats.append(a)
-    stack = OperatorStack(tuple(mats))
+    stack = OperatorStack(tuple(matrix_io.read_matrix_csv(path) for path in matrix_files))
     solution = gsv_solve(stack)
     payload = {
         "lambda_max": solution.lambda_max,
@@ -96,38 +88,25 @@ def cmd_solve(matrix_files, oracle_samples=0, seed=42, out=".") -> dict:
         "multiplicity": solution.multiplicity,
         "residual": solution.residual,
     }
-    sampling = int(oracle_samples) > 0
+    sampling = oracle_samples > 0
     if sampling:
-        lower = brute_force_max(stack, int(oracle_samples), seed)
+        lower = brute_force_max(stack, oracle_samples, seed)
         payload["oracle_lower_bound"] = lower
         payload["oracle_gap"] = solution.lambda_max - lower
     out_path = _write_json(_out_dir(out) / "solution.json", payload)
     return _report("solve", matrix_files, [out_path], start, solution,
-                   seed=int(seed) if sampling else None)
+                   seed=seed if sampling else None)
 
 
-def cmd_coil(ex, ey, ez, r, out=".") -> dict:
+def cmd_coil(ex, ey, ez, r, out) -> dict:
     """Energy-constrained solve for field matrices E_x, E_y, E_z and resistance R.
 
     Writes ``psi.csv`` (one nodal value per row) and ``psi_normalized.csv``
     (psi scaled by its entry of largest magnitude, the colormap quantity).
     """
     start = time.perf_counter()
-    fields = []
-    shape = None
-    for path in (ex, ey, ez):
-        a = matrix_io.read_matrix_csv(path)
-        if shape is None:
-            shape = a.shape
-        elif a.shape != shape:
-            raise ParseError(path, 1, f"field matrix is {a.shape}, expected {shape}")
-        fields.append(a)
-    resistance = matrix_io.read_matrix_csv(r)
-    if resistance.shape != (shape[1], shape[1]):
-        raise ParseError(
-            r, 1, f"resistance is {resistance.shape}, expected {(shape[1], shape[1])}"
-        )
-    prob = WeightedProblem(tuple(fields), resistance)
+    fields = tuple(matrix_io.read_matrix_csv(path) for path in (ex, ey, ez))
+    prob = WeightedProblem(fields, matrix_io.read_matrix_csv(r))
     psi, solution = weighted_gsv_solve(prob)
     energy = float(psi @ (prob.resistance @ psi))
     out_base = _out_dir(out)
@@ -140,8 +119,8 @@ def cmd_coil(ex, ey, ez, r, out=".") -> dict:
                    psi_r_psi=energy)
 
 
-def cmd_rank(data, standardize_flag=True, out=".") -> dict:
-    """Rank table rows by their supporting-vector scores.
+def cmd_rank(data, out) -> dict:
+    """Rank table rows by their supporting-vector scores, standardizing every column first.
 
     Writes ``ranking.csv`` (rank, id, score; descending score) and
     ``scores_plot.csv`` (id, score in input order, bar-chart ready); an id
@@ -149,15 +128,7 @@ def cmd_rank(data, standardize_flag=True, out=".") -> dict:
     """
     start = time.perf_counter()
     ids, names, raw = matrix_io.read_table_csv(data)
-    if standardize_flag:
-        m = StatMatrix.from_raw(raw, columns=names)
-    else:
-        try:
-            m = StatMatrix(raw)
-        except NotStandardized as err:  # name the column by its header, as from_raw does
-            raise NotStandardized("data matrix is not standardized",
-                                  column=names[err.column]) from None
-    scores, solution = score_rows(m)
+    scores, solution = score_rows(StatMatrix.from_raw(raw, columns=names))
     order = np.argsort(-scores, kind="stable")
     ids = ['"' + i.replace('"', '""') + '"' if _NEEDS_QUOTES.search(i) else i for i in ids]
     out_base = _out_dir(out)
@@ -173,7 +144,7 @@ def cmd_rank(data, standardize_flag=True, out=".") -> dict:
     return _report("rank", [data], [rank_path, plot_path], start, solution)
 
 
-def cmd_density(rho, out=".") -> dict:
+def cmd_density(rho, out) -> dict:
     """Evaluate a truncated probability density model read from a rho CSV.
 
     Writes ``density.json`` with the operator norm, supporting state index, trace, tail mass,
@@ -238,19 +209,16 @@ def build_parser():
 
     p_coil = sub.add_parser("coil", parents=[out],
                             help="energy-constrained solve for field matrices")
-    p_coil.add_argument("ex", help="E_x field matrix CSV (H x N)")
-    p_coil.add_argument("ey", help="E_y field matrix CSV (H x N)")
-    p_coil.add_argument("ez", help="E_z field matrix CSV (H x N)")
+    p_coil.add_argument("ex", help="E_x field matrix CSV (H_x x N)")
+    p_coil.add_argument("ey", help="E_y field matrix CSV (H_y x N)")
+    p_coil.add_argument("ez", help="E_z field matrix CSV (H_z x N)")
     p_coil.add_argument("r", help="SPD resistance matrix CSV (N x N)")
     p_coil.set_defaults(run=lambda a: cmd_coil(a.ex, a.ey, a.ez, a.r, out=a.out))
 
     p_rank = sub.add_parser("rank", parents=[out],
                             help="rank table rows by supporting-vector score")
     p_rank.add_argument("data", help="CSV with an 'id' column plus numeric columns")
-    p_rank.add_argument("--no-standardize", action="store_true",
-                        help="treat the columns as already standardized")
-    p_rank.set_defaults(run=lambda a: cmd_rank(
-        a.data, standardize_flag=not a.no_standardize, out=a.out))
+    p_rank.set_defaults(run=lambda a: cmd_rank(a.data, out=a.out))
 
     p_density = sub.add_parser("density", parents=[seed, out],
                                help="evaluate a truncated probability density model")

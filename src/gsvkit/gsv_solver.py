@@ -92,11 +92,11 @@ def objective_value(stack, x):
 class GsvSolution(NamedTuple):
     """Maximum value and maximizer basis of the stacked objective, as ``gsv_solve`` checked them.
 
-    ``basis`` is a read-only orthonormal n x r block spanning the merged maximal
-    eigenspace of the Gram sum; every unit vector in its span (intersected
-    with the unit sphere) attains ``lambda_max``.  ``objective_check`` is the
-    objective re-evaluated from the stack at the first basis column, never
-    from the Gram matrix.  ``residual`` lies in ``[0, RESIDUAL_RTOL * |lambda_max|]``.
+    ``basis`` is a read-only orthonormal n x r block spanning the merged maximal eigenspace of the
+    Gram sum; every unit vector in its span attains ``lambda_max``.  Each column's first component
+    of largest magnitude (ties within ``SIGN_TIE_RTOL`` relative) is positive.  ``objective_check``
+    is the objective re-evaluated from the stack at the first basis column, never from the Gram
+    matrix.  ``residual`` lies in ``[0, RESIDUAL_RTOL * |lambda_max|]``.
     """
 
     lambda_max: float
@@ -151,7 +151,7 @@ def gsv_solve(stack):
 
 @dataclass(frozen=True)
 class WeightedProblem:
-    """Field matrices E_x, E_y, E_z (each H x N) with an SPD resistance R (N x N).
+    """Field matrices E_x, E_y, E_z (H_i x N, any heights) with an SPD resistance R (N x N).
 
     The solve maximizes the summed squared field responses subject to the quadratic energy
     constraint ``psi^T R psi = 1``.  ``fields`` are read-only views, as in OperatorStack, and so

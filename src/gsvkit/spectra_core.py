@@ -44,6 +44,9 @@ RESIDUAL_RTOL = 1e-8
 # The merge tolerance: eigenvalues within GAP_RTOL * |lambda_max| of the maximum merge.
 GAP_RTOL = 1e-10
 
+# The sign tie: components within SIGN_TIE_RTOL of a column's largest magnitude tie for the lead.
+SIGN_TIE_RTOL = 1e-12
+
 # numpy's float64 dtype is one object, so _real tests an array's dtype by identity.
 _FLOAT = np.dtype(float)
 
@@ -161,16 +164,20 @@ def validated_matrices(mats):
 
 
 def fix_column_signs(vectors):
-    """Flip column signs so the first component of largest magnitude is positive.
+    """Flip column signs so the first component of largest magnitude, up to ties, is positive.
 
-    Deterministic orientation for eigenvectors, whose sign is otherwise arbitrary.  Returns
-    a new array; zero columns are left unchanged.  Raises ComplexInput for complex vectors.
+    Deterministic orientation for eigenvectors.  Of the magnitudes within ``SIGN_TIE_RTOL``
+    (relative) of the largest, the first leads: a last-bit difference, as in ``(1, -1) / sqrt(2)``,
+    cannot flip a column.  Returns a new array, zero columns unchanged; ComplexInput if complex.
     """
     v = _real(vectors, "vector array is complex")
+    a = np.abs(v)
     if v.ndim == 1 or v.shape[1] == 1:  # one column, as in nearly every solve
-        return -v if v.flat[np.abs(v).argmax()] < 0 else v.copy()
+        lead = (a >= (1.0 - SIGN_TIE_RTOL) * a.flat[a.argmax()]).argmax()
+        return -v if v.flat[lead] < 0 else v.copy()
+    lead = (a >= (1.0 - SIGN_TIE_RTOL) * np.maximum.reduce(a, 0)).argmax(axis=0)
     # Exact: a column is multiplied by +-1, or a zero column by sign(0.0) = +0.0.
-    return v * np.sign(v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])])
+    return v * np.sign(v[lead, np.arange(v.shape[1])])
 
 
 class EigenPair(NamedTuple):

@@ -140,8 +140,8 @@ class StatMatrix:
 def score_rows(m):
     """Supporting-vector scores ``M x`` for the rows of a standardized matrix.
 
-    x maximizes ``||M x||^2`` over unit vectors: the solver's first basis column, oriented by
-    its one rule (the first weight of largest magnitude is positive).  The total ``1^T M x``
+    x maximizes ``||M x||^2`` over unit vectors: the solver's first basis column, whose first
+    weight of largest magnitude (ties within 1e-12 relative) is positive.  The total ``1^T M x``
     orients nothing, as standardized columns sum to zero.  Returns ``(scores, solution)``.
     """
     if not isinstance(m, StatMatrix):

@@ -15,8 +15,8 @@ import pytest
 
 import gsvkit
 from gsvkit import cli, gsv_solver, matrix_io
-from gsvkit.errors import GsvError, ParseError
-from gsvkit.gsv_solver import gsv_solve
+from gsvkit.errors import GsvError, NotSymmetric, ParseError, ShapeMismatch
+from gsvkit.gsv_solver import WeightedProblem, gsv_solve, weighted_gsv_solve
 from gsvkit.stat_norm import StatMatrix
 
 SAMPLE_CSV = str(importlib.resources.files("gsvkit") / "data" / "sample_locations.csv")
@@ -625,23 +625,45 @@ def test_exit_2_on_shape_mismatch(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.csv", np.eye(2))
     b = write_matrix(tmp_path / "b.csv", np.eye(3))
     code, _, err = run_cli(capsys, ["solve", a, b])
-    assert code == 2 and "b.csv" in err
+    # OperatorStack's ShapeMismatch: the files parsed, so no file and line is named
+    assert code == 2 and err == "gsvkit solve: input error: matrix 1 has 3 columns, expected 2\n"
 
 
 @pytest.mark.parametrize(
-    "fault, message",
-    [("field", "ez.csv:1: field matrix is (8, 4), expected (8, 5)"),
-     ("resistance", "r.csv:1: resistance is (4, 4), expected (5, 5)")],
+    "name, bad, cls, message",
+    [pytest.param("ez.csv", np.ones((8, 4)), ShapeMismatch, "matrix 2 has 4 columns, expected 5",
+                  id="field"),
+     pytest.param("r.csv", np.eye(4), ShapeMismatch,
+                  "resistance must be 5 x 5 to match the field matrices, got (4, 4)",
+                  id="resistance"),
+     pytest.param("r.csv", np.ones((4, 5)), NotSymmetric,
+                  "resistance matrix is not square: shape (4, 5)", id="nonsquare_resistance")],
 )
-def test_coil_exit_2_on_shape_mismatch(tmp_path, capsys, fault, message):
-    rng = np.random.default_rng(87)
-    _, paths, r_path = _coil_fixture(tmp_path, rng, np.eye(5))
-    if fault == "field":
-        paths[2] = write_matrix(tmp_path / "ez.csv", rng.normal(size=(8, 4)))
-    else:
-        r_path = write_matrix(tmp_path / "r.csv", np.eye(4))
+def test_coil_exit_2_on_shape_mismatch(tmp_path, capsys, name, bad, cls, message):
+    # WeightedProblem's own class and message, whichever input is off
+    _, paths, r_path = _coil_fixture(tmp_path, np.random.default_rng(87), np.eye(5))
+    write_matrix(tmp_path / name, bad)
+    with pytest.raises(cls) as exc_info:
+        cli.cmd_coil(*paths, r_path, out=tmp_path / "out")
+    assert str(exc_info.value) == message
     code, _, err = run_cli(capsys, ["coil", *paths, r_path])
-    assert code == 2 and message in err
+    assert code == 2 and err == f"gsvkit coil: input error: {message}\n"
+
+
+def test_coil_accepts_fields_of_unequal_heights(tmp_path, capsys):
+    rng = np.random.default_rng(88)
+    fields = tuple(rng.normal(size=(h, 5)) for h in (3, 7, 5))
+    paths = [write_matrix(tmp_path / f"e{i}.csv", f) for i, f in enumerate(fields)]
+    r = np.eye(5) + 0.1 * np.ones((5, 5))
+    code, report, _ = run_cli(
+        capsys, ["coil", *paths, write_matrix(tmp_path / "r.csv", r), "--out", tmp_path / "out"]
+    )
+    assert code == 0
+    psi, solution = weighted_gsv_solve(WeightedProblem(fields, r))
+    np.testing.assert_array_equal(
+        matrix_io.read_matrix_csv(tmp_path / "out" / "psi.csv").ravel(), psi
+    )
+    assert report["lambda_max"] == solution.lambda_max
 
 
 def test_exit_2_on_bad_rho_header(tmp_path, capsys):
@@ -711,31 +733,40 @@ def test_exit_6_on_bad_probabilities(tmp_path, capsys):
         assert code == 6 and f"probability above 1 at index {index}" in err
 
 
-def test_rank_no_standardize_requires_standardized(tmp_path, capsys):
-    data = tmp_path / "raw.csv"
-    data.write_text("id,a\nr0,5.0\nr1,6.0\nr2,7.0\n")
-    code, _, err = run_cli(capsys, ["rank", data, "--no-standardize"])
-    assert code == 2
-    # the column is named by its header, as the standardizing path names it: not "(column 0)"
-    assert err == "gsvkit rank: input error: data matrix is not standardized (column 'a')\n"
-
-
 @pytest.mark.parametrize(
     "argv, message",
+    # literal ids: a row added or deleted renames no other case
     [
         # the merge tolerance is fixed, not a flag, on every subcommand
-        (["solve", "{a}", "--gap-rtol", "1e-10"], "unrecognized arguments: --gap-rtol 1e-10"),
-        (["coil", "{a}", "{a}", "{a}", "{a}", "--gap-rtol", "1e-10"],
-         "unrecognized arguments: --gap-rtol 1e-10"),
-        (["rank", "{a}", "--gap-rtol", "1e-10"], "unrecognized arguments: --gap-rtol 1e-10"),
-        (["density", "{rho}", "--trials", "0"], "must be at least 1, got 0"),
-        (["solve", "{a}", "--oracle-samples", "-1"], "must be at least 0, got -1"),
-        (["rank", "{a}", "--seed", "1"], "unrecognized arguments: --seed 1"),
-        (["coil", "{a}", "{a}", "{a}", "{a}", "--oracle-samples", "5"],
-         "unrecognized arguments: --oracle-samples 5"),
-        (["density", "{rho}", "--gap-rtol", "1e-8"], "unrecognized arguments: --gap-rtol 1e-8"),
-        (["solve", "{a}", "--oracle-samples", "10", "--seed", "-1"], "must be at least 0, got -1"),
-        (["density", "{rho}", "--seed", "-1"], "must be at least 0, got -1"),
+        pytest.param(["solve", "{a}", "--gap-rtol", "1e-10"],
+                     "unrecognized arguments: --gap-rtol 1e-10",
+                     id="argv0-unrecognized arguments: --gap-rtol 1e-10"),
+        pytest.param(["coil", "{a}", "{a}", "{a}", "{a}", "--gap-rtol", "1e-10"],
+                     "unrecognized arguments: --gap-rtol 1e-10",
+                     id="argv1-unrecognized arguments: --gap-rtol 1e-10"),
+        pytest.param(["rank", "{a}", "--gap-rtol", "1e-10"],
+                     "unrecognized arguments: --gap-rtol 1e-10",
+                     id="argv2-unrecognized arguments: --gap-rtol 1e-10"),
+        pytest.param(["density", "{rho}", "--trials", "0"], "must be at least 1, got 0",
+                     id="argv3-must be at least 1, got 0"),
+        pytest.param(["solve", "{a}", "--oracle-samples", "-1"], "must be at least 0, got -1",
+                     id="argv4-must be at least 0, got -1"),
+        pytest.param(["rank", "{a}", "--seed", "1"], "unrecognized arguments: --seed 1",
+                     id="argv5-unrecognized arguments: --seed 1"),
+        pytest.param(["coil", "{a}", "{a}", "{a}", "{a}", "--oracle-samples", "5"],
+                     "unrecognized arguments: --oracle-samples 5",
+                     id="argv6-unrecognized arguments: --oracle-samples 5"),
+        pytest.param(["density", "{rho}", "--gap-rtol", "1e-8"],
+                     "unrecognized arguments: --gap-rtol 1e-8",
+                     id="argv7-unrecognized arguments: --gap-rtol 1e-8"),
+        pytest.param(["solve", "{a}", "--oracle-samples", "10", "--seed", "-1"],
+                     "must be at least 0, got -1", id="argv8-must be at least 0, got -1"),
+        pytest.param(["density", "{rho}", "--seed", "-1"], "must be at least 0, got -1",
+                     id="argv9-must be at least 0, got -1"),
+        # rank always standardizes: there is no second ranking path to select
+        pytest.param(["rank", "{a}", "--no-standardize"],
+                     "unrecognized arguments: --no-standardize",
+                     id="rank-no-standardize-unrecognized"),
     ],
 )
 def test_exit_2_with_usage_on_bad_flag_values(tmp_path, capsys, argv, message):

@@ -174,16 +174,21 @@ def test_every_private_name_is_read():
     assert unread_private_names(sources) == []
 
 
-def unraised_error_classes(errors_source, sources):
-    """Subclasses of ``GsvError`` defined in ``errors_source`` that no ``raise`` in ``sources``
-    (module name to source) names, whether it raises the class or an instance of it."""
-    tree = ast.parse(errors_source)
+def error_family(errors_source):
+    """``GsvError`` and the subclasses of it that ``errors_source`` defines."""
     family = {"GsvError"}
-    for node in tree.body:  # a subclass is defined after its base
+    for node in ast.parse(errors_source).body:  # a subclass is defined after its base
         if isinstance(node, ast.ClassDef) and any(
             getattr(b, "id", None) in family for b in node.bases
         ):
             family.add(node.name)
+    return family
+
+
+def unraised_error_classes(errors_source, sources):
+    """Subclasses of ``GsvError`` defined in ``errors_source`` that no ``raise`` in ``sources``
+    (module name to source) names, whether it raises the class or an instance of it."""
+    family = error_family(errors_source)
     raised = set()
     for source in sources.values():
         for node in ast.walk(ast.parse(source)):
@@ -208,6 +213,49 @@ def test_every_error_class_is_raised():
     paths = sorted(pathlib.Path(gsvkit.__file__).parent.glob("*.py"))
     sources = {p.name: p.read_text(encoding="utf-8") for p in paths}
     assert unraised_error_classes(sources["errors.py"], sources) == []
+
+
+def constructed_errors(source, family):
+    """``(line, class)`` for each call in ``source`` that constructs a class of ``family``, by its
+    name or as an attribute (``errors.ParseError(...)``), raised or not."""
+    return sorted(
+        (node.lineno, name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in family
+    )
+
+
+def misplaced_errors(sources, family):
+    """``module:line:class`` for each ParseError constructed outside ``matrix_io.py``, the one
+    parser that knows a file's lines, and each GsvError class constructed in ``cli.py``, which
+    passes what it reads to the library and lets the library name the fault."""
+    return [f"{module}:{line}:{cls}" for module, source in sorted(sources.items())
+            for line, cls in constructed_errors(source, family)
+            if module == "cli.py" or (cls == "ParseError" and module != "matrix_io.py")]
+
+
+def test_misplaced_error_detector():
+    family = error_family(
+        "class GsvError(Exception):\n    pass\nclass ParseError(GsvError):\n    pass\n"
+        "class ShapeMismatch(GsvError):\n    pass\n"
+    )
+    sources = {
+        "matrix_io.py": "raise ParseError(path, 3, 'x')\n",
+        "gsv_solver.py": "raise ShapeMismatch('y')\nraise errors.ParseError(path, 1, 'z')\n",
+        "cli.py": "try:\n    f()\nexcept GsvError:\n    raise\n"
+                  "err = ShapeMismatch('w')\nraise ParseError(path, 1, 'v')\n",
+    }
+    assert misplaced_errors(sources, family) == [
+        "cli.py:5:ShapeMismatch", "cli.py:6:ParseError", "gsv_solver.py:2:ParseError"]
+
+
+def test_parse_errors_come_from_matrix_io_and_the_cli_raises_none():
+    paths = sorted(pathlib.Path(gsvkit.__file__).parent.glob("*.py"))
+    sources = {p.name: p.read_text(encoding="utf-8") for p in paths}
+    family = error_family(sources["errors.py"])
+    assert any(cls == "ParseError" for _, cls in constructed_errors(sources["matrix_io.py"], family))
+    assert misplaced_errors(sources, family) == []
 
 
 def bare_value_errors(source):

@@ -32,6 +32,7 @@ from gsvkit.gsv_solver import (
 from gsvkit.spectra_core import (
     GAP_RTOL,
     RESIDUAL_RTOL,
+    SIGN_TIE_RTOL,
     fix_column_signs,
     gram_sum,
     max_eigenpair,
@@ -634,7 +635,8 @@ def fix_column_signs_loop(vectors):
     """Column-by-column reference for fix_column_signs on a 2-D block."""
     v = np.array(vectors, dtype=float)
     for j in range(v.shape[1]):
-        lead = np.argmax(np.abs(v[:, j]))
+        a = np.abs(v[:, j])
+        lead = np.flatnonzero(a >= (1.0 - SIGN_TIE_RTOL) * a.max())[0]
         if v[lead, j] < 0:
             v[:, j] = -v[:, j]
     return v
@@ -652,6 +654,9 @@ def test_fix_column_signs_matches_column_loop():
     # single columns: a negative lead, a tie in |lead| of both signs, an all-zero column
     blocks += [np.array([[0.5], [-2.0], [1.0]]), np.array([[-1.5], [1.5]]),
                np.array([[1.5], [-1.5]]), np.array([[-0.0], [0.0], [-0.0]])]
+    # near-ties before the largest magnitude, within the tie tolerance and outside it
+    near = np.array([[1 - 5e-13, -(1 - 5e-13), 1 - 1e-11], [-1.0, 1.0, -1.0]])
+    blocks += [near, near[:, :1], near[:, 1:2], near[:, 2:]]
     for block in blocks:
         got, want = fix_column_signs(block), fix_column_signs_loop(block)
         np.testing.assert_array_equal(got, want)
@@ -670,3 +675,8 @@ def test_fix_column_signs_orientation():
     # ties on |max|: the first such component decides
     tied = fix_column_signs(np.array([-0.70710678, 0.70710678]))
     assert tied[0] > 0
+    # a last-bit difference between tied components does not decide the sign: component 0 does
+    assert fix_column_signs(np.array([0.7071067811865475, -0.7071067811865476]))[0] > 0
+    block = np.array([[0.7071067811865475, -0.7071067811865475],
+                      [-0.7071067811865476, 0.7071067811865476]])
+    np.testing.assert_array_equal(fix_column_signs(block)[0], [0.7071067811865475] * 2)

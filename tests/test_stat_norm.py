@@ -349,6 +349,18 @@ def test_rank_bundled_sample_stable_across_gap_rtol(monkeypatch):
     assert rankings[0] == rankings[1] == rankings[2]
 
 
+def test_two_column_ranking_ignores_last_bit_changes():
+    # two standardized columns have the top eigenvector (1, +-1) / sqrt(2) exactly, so which of
+    # its components comes out an ulp larger must not set the sign: restandardizing a
+    # standardized table moves only last bits, and once reversed the whole ranking
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(30)
+        t = StatMatrix.from_raw(np.column_stack([x, -0.6 * x + 0.8 * rng.standard_normal(30)]))
+        again, kept = rank_by_score(StatMatrix.from_raw(t.data)), rank_by_score(t)
+        assert [i for i, _ in again] == [i for i, _ in kept], seed
+
+
 def test_rank_scale_invariance():
     rng = np.random.default_rng(28)
     raw = rng.normal(size=(20, 3)) + 5.0
