@@ -9,22 +9,10 @@ truncated probability density operators.
 """
 
 from . import errors
-from .density_model import (
-    DensityModel,
-    check_positivity_chain,
-    density_norm,
-    density_trace,
-    joint_magnitude_state,
-)
-from .gsv_solver import (
-    GsvSolution,
-    OperatorStack,
-    WeightedProblem,
-    brute_force_max,
-    gsv_solve,
-    objective_value,
-    weighted_gsv_solve,
-)
+from .density_model import (DensityModel, check_positivity_chain, density_norm, density_trace,
+                            joint_magnitude_state)
+from .gsv_solver import (GsvSolution, OperatorStack, WeightedProblem, brute_force_max, gsv_solve,
+                         objective_value, weighted_gsv_solve)
 from .spectra_core import fix_column_signs
 from .stat_norm import StatMatrix, is_snv, rank_by_score, score_rows, standardize
 

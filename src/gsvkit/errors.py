@@ -97,29 +97,30 @@ class NotSPD(GsvError):
 # statistics errors
 
 
-class ConstantVector(GsvError):
-    """A vector (or column) has no variability, so it cannot be standardized."""
-    exit_code = 5
+class _NamesColumn:
+    """Shared constructor: the message (else the class's ``_default``) names ``column`` if given."""
 
-    def __init__(self, message="vector is constant", column=None):
+    def __init__(self, message=None, column=None):
+        message = self._default if message is None else message
         if column is not None:
             message = f"{message} (column {column!r})"
         super().__init__(message)
         self.column = column
+
+
+class ConstantVector(_NamesColumn, GsvError):
+    """A vector (or column) has no variability, so it cannot be standardized."""
+    exit_code = 5
+    _default = "vector is constant"
 
 
 class TooShort(GsvError):
     """Standardization needs at least two components."""
 
 
-class NotStandardized(GsvError):
+class NotStandardized(_NamesColumn, GsvError):
     """Input was required to be column-standardized (zero mean, unit population std)."""
-
-    def __init__(self, message="vector is not standardized", column=None):
-        if column is not None:
-            message = f"{message} (column {column!r})"
-        super().__init__(message)
-        self.column = column
+    _default = "vector is not standardized"
 
 
 # ---------------------------------------------------------------------------

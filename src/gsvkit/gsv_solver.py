@@ -16,24 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AllZero,
-    ArgumentOutOfRange,
-    ConvergenceFailure,
-    DimensionTooLarge,
-    MaximumOverflow,
-    NonFiniteInput,
-    NotSPD,
-    ShapeMismatch,
-)
-from .spectra_core import (
-    _rescaled,
-    _symmetrized,
-    _vector,
-    gram_sum,
-    max_eigenpair,
-    validated_matrices,
-)
+from .errors import (AllZero, ArgumentOutOfRange, ConvergenceFailure, DimensionTooLarge,
+                     MaximumOverflow, NonFiniteInput, NotSPD, ShapeMismatch)
+from .spectra_core import _rescaled, _symmetrized, _vector, gram_sum, max_eigenpair, validated_matrices
 
 _ORACLE_MAX_DIM = 10
 # Values per seeded Gaussian draw of the oracle: its memory is bounded by it, not by the count.
@@ -174,52 +159,50 @@ class WeightedProblem:
         object.__setattr__(self, "resistance", r)
 
 
-def _upper_cholesky(r):
-    """Upper-triangular C with ``R = C^T C``; NotSPD carries the failing pivot."""
-    # Deferred: importing scipy.linalg costs ~0.2 s and only the coil path needs it.
-    from scipy.linalg import lapack
-
-    # r.T is r (exactly symmetric), F-ordered: f2py makes a plain copy, not a transposing one.
-    # The strict lower triangle of c is left as dpotrf found it: the solves read only the upper.
-    c, info = lapack.dpotrf(r.T, lower=0, clean=0)
-    if info > 0:
-        raise NotSPD(info)
-    if info < 0:
-        raise ConvergenceFailure(f"Cholesky factorization failed: dpotrf info = {info}")
-    return c
+def _check_info(info, what, routine):
+    """ConvergenceFailure ``<what> failed: <routine> info = <info>`` for a nonzero LAPACK info."""
+    if info:
+        raise ConvergenceFailure(f"{what} failed: {routine} info = {info}")
 
 
 def weighted_gsv_solve(prob):
     """Solve the energy-constrained problem via Cholesky whitening.
 
-    Factors ``R = C^T C`` (upper-triangular C), whitens every field matrix to
-    ``A_i = E_i C^{-1}`` by one in-place triangular solve on the stacked fields (C is never
+    Factors ``R = C^T C`` (upper-triangular C, ``dpotrf``), whitens every field matrix to
+    ``A_i = E_i C^{-1}`` by one in-place ``dtrtrs`` on the stacked fields (C is never
     inverted explicitly), runs :func:`gsv_solve` on the row blocks of the result and maps the
-    first basis column phi back through ``psi = C^{-1} phi``.  Since
+    first basis column phi back through ``psi = C^{-1} phi`` (``dtrtrs`` again).  Since
     ``||phi|| = 1``, the returned psi satisfies ``psi^T R psi = 1`` within
     1e-8.  With 3H field rows below N nodes, that solve eigendecomposes the
     3H x 3H ``B R^{-1} B^T`` of the stacked fields B, not an N x N matrix.
 
     Returns ``(psi, solution)``.  Raises NotSPD (with the failing pivot
     index, no automatic regularization), MaximumOverflow when a whitened entry overflows
-    float64 (the maximum is at least its square), and propagates solver errors.
+    float64 (the maximum is at least its square), ConvergenceFailure naming the routine and
+    its code for any other nonzero LAPACK ``info``, and propagates solver errors.
     """
-    from scipy.linalg import solve_triangular  # deferred like _upper_cholesky's lapack
+    # Deferred, as in _top_eigenpairs: importing scipy.linalg costs ~0.2 s.
+    from scipy.linalg import lapack
 
     if not isinstance(prob, WeightedProblem):
         raise TypeError("weighted_gsv_solve expects a WeightedProblem")
-    c = _upper_cholesky(prob.resistance)
-    # (vstack E)^T is F-ordered and fresh, so the solve overwrites it in place
-    w = solve_triangular(c, np.concatenate(prob.fields).T, trans="T", lower=False,
-                         overwrite_b=True, check_finite=False).T
+    # R.T is R (exactly symmetric), F-ordered: f2py makes a plain copy, not a transposing one.
+    # The strict lower triangle of c is left as dpotrf found it: dtrtrs reads only the upper.
+    c, info = lapack.dpotrf(prob.resistance.T, lower=0, clean=0)
+    if info > 0:
+        raise NotSPD(info)
+    _check_info(info, "Cholesky factorization", "dpotrf")
+    # C^T W^T = (vstack E)^T, which is F-ordered and fresh, so dtrtrs overwrites it in place
+    wt, info = lapack.dtrtrs(c, np.concatenate(prob.fields).T, lower=0, trans=1, overwrite_b=1)
+    _check_info(info, "whitening", "dtrtrs")
     ends = np.cumsum([e.shape[0] for e in prob.fields])
     try:
-        solution = gsv_solve(np.split(w, ends[:-1]))
+        solution = gsv_solve(np.split(wt.T, ends[:-1]))
     except NonFiniteInput:  # the fields and R were finite: the whitening overflowed
         raise MaximumOverflow("lambda_max exceeds the float64 range: "
                               "the whitened fields E_i C^-1 overflow") from None
-    phi = solution.basis[:, 0]
-    psi = solve_triangular(c, phi, lower=False, check_finite=False)
+    psi, info = lapack.dtrtrs(c, solution.basis[:, 0], lower=0)
+    _check_info(info, "mapping phi back", "dtrtrs")
     energy = float(psi @ (prob.resistance @ psi))
     if abs(energy - 1.0) > 1e-8:
         raise ConvergenceFailure(

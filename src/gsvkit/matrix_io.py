@@ -7,6 +7,7 @@ written by the toolkit re-parses to bit-identical values.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 
@@ -25,8 +26,37 @@ def format_float(x):
     return format(float(x), ".17g")
 
 
-def _parse_body(path, reader, start, width=None, id_pos=None):
-    """Parse the CSV records from line ``start`` on into a dense float matrix, in one pass.
+@contextlib.contextmanager
+def _csv_reader(path):
+    """A csv reader of UTF-8 ``path`` (BOM skipped); a csv fault or non-UTF-8 byte is a ParseError."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:  # a field past the csv module's size limit, say
+            raise ParseError(path, reader.line_num, str(exc)) from None
+        except UnicodeDecodeError:  # decoded ~8 KB ahead of line_num: rescan the bytes by line
+            with open(path, "rb") as raw:
+                for line_no, text in enumerate(raw.read().splitlines(keepends=True), 1):
+                    try:
+                        text.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise ParseError(path, line_no, f"not UTF-8 text: byte "
+                                         f"{text[exc.start]:#04x} ({exc.reason})") from None
+            raise  # no line fails alone: the decoder's own error stands
+
+
+def _records(reader):
+    """``(line, fields)`` for each non-blank record of ``reader``, from the line it starts on."""
+    line_no = reader.line_num
+    for fields in reader:
+        if fields:
+            yield line_no + 1, fields
+        line_no = reader.line_num  # a quoted field may span lines
+
+
+def _parse_body(path, reader, width=None, id_pos=None):
+    """Parse the CSV records left in ``reader`` into a dense float matrix, in one pass.
 
     Blank records are skipped.  Every other record must have ``width`` fields
     (default: the first record's count); field ``id_pos``, if given, is left
@@ -36,7 +66,8 @@ def _parse_body(path, reader, start, width=None, id_pos=None):
     does.  Only a block whose width differs, whose call fails or that holds a
     non-finite value is rescanned, by :func:`_raise_first_fault`.
     """
-    records = ((line_no, fields) for line_no, fields in enumerate(reader, start) if fields)
+    start = reader.line_num + 1
+    records = _records(reader)
     first = next(records, None)
     if first is None:
         raise ParseError(path, start, "file contains no data rows")
@@ -84,8 +115,8 @@ def read_matrix_csv(path):
     Raises ParseError (with file and line) on malformed values, ragged rows,
     or an empty file.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        return _parse_body(path, csv.reader(fh), 1)[1]
+    with _csv_reader(path) as reader:
+        return _parse_body(path, reader)[1]
 
 
 def write_matrix_csv(path, arr):
@@ -104,15 +135,14 @@ def write_vector_csv(path, vec):
 
 def read_probability_csv(path):
     """Parse a single-column CSV with header ``rho`` into a probability vector."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(path, 1, "file is empty") from None
         if [h.strip() for h in header] != ["rho"]:
             raise ParseError(path, 1, f"expected header 'rho', got {header!r}")
-        return _parse_body(path, reader, 2, 1)[1].ravel()
+        return _parse_body(path, reader, 1)[1].ravel()
 
 
 def read_table_csv(path):
@@ -121,8 +151,7 @@ def read_table_csv(path):
     Returns ``(ids, column_names, data)`` where ``data`` is a dense float
     matrix over the non-id columns.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -133,5 +162,5 @@ def read_table_csv(path):
         names = [h for i, h in enumerate(header) if i != id_pos]
         if not names:
             raise ParseError(path, 1, "need at least one numeric column besides 'id'")
-        ids, data = _parse_body(path, reader, 2, len(header), id_pos)
+        ids, data = _parse_body(path, reader, len(header), id_pos)
     return ids, names, data

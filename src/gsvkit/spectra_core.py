@@ -16,14 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ComplexInput,
-    ConvergenceFailure,
-    EmptyStack,
-    NonFiniteInput,
-    NotSymmetric,
-    ShapeMismatch,
-)
+from .errors import (ComplexInput, ConvergenceFailure, EmptyStack, NonFiniteInput, NotSymmetric,
+                     ShapeMismatch)
 
 # Relative Frobenius asymmetry above this is a caller bug, not round-off.
 ASYMMETRY_RTOL = 1e-10

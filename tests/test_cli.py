@@ -573,6 +573,46 @@ def test_exit_2_on_parse_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ('id,v\n"loc\n1",1.5\nloc2,oops\n', 4, "not a decimal number: 'oops'"),
+        ('id,v\nloc1,1.5\n"loc\n\n2",oops\nloc3,2\n', 3, "not a decimal number: 'oops'"),
+        ('id,v\n"loc\n1",1.5\n\n"loc\n2",1.5,2\n', 5, "row has 3 values, expected 2"),
+    ],
+    ids=["after a two-line id", "in a three-line record", "after a blank line"],
+)
+def test_rank_parse_error_names_the_line_a_record_starts_on(tmp_path, capsys, text, line, message):
+    # a quoted id may span lines: the error names the physical line, not the record's count
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, ["rank", path, "--out", tmp_path / "out"])
+    assert code == 2
+    assert err == f"gsvkit rank: input error: {path}:{line}: {message}\n"
+
+
+# subcommand per reader; each file's fault lies past the ~8 KB the text layer decodes ahead
+READER_COMMANDS = {"matrix": "solve", "table": "rank", "probability": "density"}
+UNREADABLE = {
+    "not UTF-8": (b"1,caf\xe9\n", "not UTF-8 text: byte 0xe9 (invalid continuation byte)"),
+    "oversized field": (f"1,{'7' * (csv.field_size_limit() + 1)}\n".encode(),
+                        f"field larger than field limit ({csv.field_size_limit()})"),
+}
+
+
+@pytest.mark.parametrize("reader", READER_COMMANDS)
+@pytest.mark.parametrize("fault", UNREADABLE)
+def test_exit_2_on_an_unreadable_csv(tmp_path, capsys, reader, fault):
+    bad, message = UNREADABLE[fault]
+    path = tmp_path / "in.csv"
+    write_rows(path, reader, [["0.0001"] * CSV_READERS[reader][2]] * 2000)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines) + bad + b"".join(lines[-2:]))
+    code, _, err = run_cli(capsys, [READER_COMMANDS[reader], path, "--out", tmp_path / "out"])
+    assert code == 2
+    assert err == f"gsvkit {READER_COMMANDS[reader]}: input error: {path}:{len(lines) + 1}: {message}\n"
+
+
 def test_exit_2_on_gram_overflow_with_one_stderr_line(tmp_path):
     src = os.path.dirname(os.path.dirname(gsvkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -664,6 +664,26 @@ def test_weighted_illegal_cholesky_argument_is_a_convergence_failure(monkeypatch
         weighted_gsv_solve(WeightedProblem((np.ones((2, 3)),), np.eye(3)))
 
 
+@pytest.mark.parametrize("failing_call", [0, 1], ids=["whitening", "map_back"])
+def test_weighted_triangular_solve_info_is_a_convergence_failure(monkeypatch, failing_call):
+    # a nonzero dtrtrs info, on the whitening or on the map-back call, is a backend failure
+    from scipy.linalg import lapack
+
+    calls, real = [], lapack.dtrtrs
+
+    def dtrtrs(a, b, **kwargs):
+        calls.append(kwargs)
+        x, _ = real(a, b, **kwargs)
+        return x, (-2 if len(calls) - 1 == failing_call else 0)
+
+    monkeypatch.setattr(lapack, "dtrtrs", dtrtrs)
+    with pytest.raises(ConvergenceFailure, match=r"failed: dtrtrs info = -2$") as caught:
+        weighted_gsv_solve(WeightedProblem((np.eye(3)[:2], np.ones((1, 3))), np.eye(3) * 2.0))
+    assert caught.value.exit_code == 3
+    assert len(calls) == failing_call + 1
+    assert calls[-1].get("trans", 0) == (1 if failing_call == 0 else 0)
+
+
 def test_weighted_problem_validation():
     with pytest.raises(ShapeMismatch):
         WeightedProblem((np.ones((2, 3)),), np.eye(2))

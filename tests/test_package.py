@@ -333,3 +333,46 @@ def test_float_cast_detector():
 def test_every_array_enters_through_the_one_float_cast(path):
     source = path.read_text(encoding="utf-8")
     assert float_casts(source, FLOAT_CAST_OWNERS.get(path.name)) == []
+
+
+def scipy_imports(source):
+    """``(line, allowed)`` for each import of scipy in ``source``; only ``from scipy.linalg import
+    lapack`` inside a function body is allowed: scipy is reached through its LAPACK wrappers
+    alone, loaded on first use, so ``import gsvkit`` loads no scipy."""
+    tree = ast.parse(source)
+    in_functions = {id(n) for f in ast.walk(tree)
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            lapack = isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg" and [
+                (a.name, a.asname) for a in node.names] == [("lapack", None)]
+            found.append((node.lineno, lapack and id(node) in in_functions))
+    return sorted(found)
+
+
+def test_scipy_import_detector():
+    source = (
+        "from scipy.linalg import lapack\nimport scipy\n"
+        "def f():\n    from scipy.linalg import lapack\n"
+        "    from scipy.linalg import solve_triangular\n    from scipy.linalg import lapack as lp\n"
+        "    import scipy.linalg.lapack\n    import numpy, scipypy\n"
+        "class C:\n    from scipy import linalg\n"
+    )
+    assert scipy_imports(source) == [
+        (1, False), (2, False), (4, True), (5, False), (6, False), (7, False), (10, False)]
+
+
+def test_scipy_is_reached_through_its_lapack_module_alone():
+    paths = sorted(pathlib.Path(gsvkit.__file__).parent.glob("*.py"))
+    found = {p.name: scipy_imports(p.read_text(encoding="utf-8")) for p in paths}
+    assert {name: lines for name, lines in found.items()
+            if any(not allowed for _, allowed in lines)} == {}
+    assert sorted(name for name, lines in found.items() if lines) == [
+        "gsv_solver.py", "spectra_core.py"]
