@@ -14,7 +14,7 @@ from .density_model import (DensityModel, check_positivity_chain, density_norm, 
 from .gsv_solver import (GsvSolution, OperatorStack, WeightedProblem, brute_force_max, gsv_solve,
                          objective_value, weighted_gsv_solve)
 from .spectra_core import fix_column_signs
-from .stat_norm import StatMatrix, is_snv, rank_by_score, score_rows, standardize
+from .stat_norm import StatMatrix, is_snv, rank_by_score, score_rows
 
 __version__ = "0.1.0"
 
@@ -36,6 +36,5 @@ __all__ = [
     "objective_value",
     "rank_by_score",
     "score_rows",
-    "standardize",
     "weighted_gsv_solve",
 ]

@@ -2,7 +2,8 @@
 
 Subcommands: ``gsvkit solve|coil|rank|density``, each writing deterministic result files into
 ``--out`` and emitting a JSON run report on stdout.  The arrays ``matrix_io`` reads go to the
-library unchecked, and it raises its own error class; the parser owns every flag's default.
+library unchecked, and it raises its own error class; a stack matrix's ``ShapeMismatch`` is
+printed after that argument's path.  The parser owns every flag's default.
 
 Exit codes: 0 success, else the ``exit_code`` of the GsvError raised (see
 ``errors``); an unreadable file or a bad flag value exits 2, an input error.
@@ -205,7 +206,8 @@ def build_parser():
                          type=_checked(int, lambda v: v >= 0, "must be at least 0"),
                          help="sphere samples for the lower-bound oracle (default 0 = off)")
     p_solve.set_defaults(run=lambda a: cmd_solve(
-        a.matrices, oracle_samples=a.oracle_samples, seed=a.seed, out=a.out))
+        a.matrices, oracle_samples=a.oracle_samples, seed=a.seed, out=a.out),
+        stack=lambda a: a.matrices)
 
     p_coil = sub.add_parser("coil", parents=[out],
                             help="energy-constrained solve for field matrices")
@@ -213,7 +215,8 @@ def build_parser():
     p_coil.add_argument("ey", help="E_y field matrix CSV (H_y x N)")
     p_coil.add_argument("ez", help="E_z field matrix CSV (H_z x N)")
     p_coil.add_argument("r", help="SPD resistance matrix CSV (N x N)")
-    p_coil.set_defaults(run=lambda a: cmd_coil(a.ex, a.ey, a.ez, a.r, out=a.out))
+    p_coil.set_defaults(run=lambda a: cmd_coil(a.ex, a.ey, a.ez, a.r, out=a.out),
+                        stack=lambda a: (a.ex, a.ey, a.ez))
 
     p_rank = sub.add_parser("rank", parents=[out],
                             help="rank table rows by supporting-vector score")
@@ -237,7 +240,9 @@ def main(argv=None):
         report = args.run(args)
     except (GsvError, OSError) as exc:
         code = getattr(exc, "exit_code", 2)  # an unreadable file is an input error
-        print(f"gsvkit {args.subcommand}: {_PREFIXES.get(code, '')}{exc}", file=sys.stderr)
+        index = getattr(exc, "index", None)  # a stack matrix's position: name its file
+        where = "" if index is None else f"{args.stack(args)[index]}: "
+        print(f"gsvkit {args.subcommand}: {_PREFIXES.get(code, '')}{where}{exc}", file=sys.stderr)
         return code
     print(json.dumps(report, indent=2))
     return 0

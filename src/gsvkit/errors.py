@@ -32,7 +32,12 @@ class EmptyStack(GsvError):
 
 
 class ShapeMismatch(GsvError):
-    """Matrix or vector dimensions are inconsistent with the operation."""
+    """Matrix or vector dimensions are inconsistent with the operation; ``index`` is the
+    0-based stack position of the matrix at fault, where one matrix is."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class NonFiniteInput(GsvError):
@@ -115,7 +120,7 @@ class ConstantVector(_NamesColumn, GsvError):
 
 
 class TooShort(GsvError):
-    """Standardization needs at least two components."""
+    """Standardization needs at least two rows."""
 
 
 class NotStandardized(_NamesColumn, GsvError):

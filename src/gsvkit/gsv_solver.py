@@ -233,16 +233,20 @@ def brute_force_max(stack, samples, seed):
     a desk-scale oracle, so the ambient dimension is capped at 10.  Memory is one
     draw and its products, whatever ``samples`` is.  The stack is sampled rescaled as in
     :func:`gsv_solve` and the value scaled back, so it is finite wherever lambda_max is.
+    ``seed`` is a non-negative integer.  Raises DimensionTooLarge past that cap, and
+    ArgumentOutOfRange unless ``samples`` is a whole number of at least 1 and ``seed`` at least 0.
     """
     stack = as_stack(stack)
     n = stack.ncols
     if n > _ORACLE_MAX_DIM:
-        raise DimensionTooLarge(
-            f"sampling oracle supports n <= {_ORACLE_MAX_DIM}, got {n}"
-        )
+        raise DimensionTooLarge(f"sampling oracle supports n <= {_ORACLE_MAX_DIM}, got {n}")
+    if not float(samples).is_integer():  # a NaN or an inf fails too
+        raise ArgumentOutOfRange(f"samples must be a whole number, got {samples}")
     samples = int(samples)
     if samples < 1:
         raise ArgumentOutOfRange(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ArgumentOutOfRange(f"seed must be at least 0, got {seed}")
     mats, e = _rescaled(stack.mats, stack.peak)
     # Row-compress the stacked matrix through its isometric QR factor:
     # ||vstack(A) x|| == ||R x||, so per-sample cost drops to O(n^2).

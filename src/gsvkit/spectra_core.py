@@ -132,15 +132,15 @@ def validated_matrices(mats):
 
     Returns read-only views of 2-D C-ordered float64 arrays (only a list, another dtype or
     byte order, or a non-C layout is copied, to convert it) and their peak ``max |a_ij|``.
-    Raises EmptyStack, ShapeMismatch (a non-2-D input, unequal column counts, no column:
-    R^0 has no unit vector), ComplexInput or NonFiniteInput.
+    Raises EmptyStack, ShapeMismatch (a non-2-D input or unequal column counts, carrying the
+    matrix's ``index``; no column: R^0 has no unit vector), ComplexInput or NonFiniteInput.
     """
     arrays, peak = [], 0.0
     for k, m in enumerate(mats):
         try:
             a = _real(m, "is complex", order="C")
             if a.ndim != 2:
-                raise ShapeMismatch(f"matrix {k} is not 2-D (ndim={a.ndim})")
+                raise ShapeMismatch(f"matrix {k} is not 2-D (ndim={a.ndim})", index=k)
             peak = max(_peak(a, "contains non-finite entries"), peak)
         except (ComplexInput, NonFiniteInput) as exc:  # named here, only when raised
             raise type(exc)(f"matrix {k} {exc}") from None
@@ -151,7 +151,7 @@ def validated_matrices(mats):
     ncols = arrays[0].shape[1]
     for k, a in enumerate(arrays):
         if a.shape[1] != ncols:
-            raise ShapeMismatch(f"matrix {k} has {a.shape[1]} columns, expected {ncols}")
+            raise ShapeMismatch(f"matrix {k} has {a.shape[1]} columns, expected {ncols}", index=k)
     if ncols == 0:
         raise ShapeMismatch("the matrices have no columns: R^0 has no unit vector")
     return tuple(arrays), peak
@@ -162,11 +162,15 @@ def fix_column_signs(vectors):
 
     Deterministic orientation for eigenvectors.  Of the magnitudes within ``SIGN_TIE_RTOL``
     (relative) of the largest, the first leads: a last-bit difference, as in ``(1, -1) / sqrt(2)``,
-    cannot flip a column.  Returns a new array, zero columns unchanged; ComplexInput if complex.
+    cannot flip a column.  Returns a new array, zero columns unchanged.  Raises ComplexInput if
+    complex, and ShapeMismatch unless ``vectors`` is 1-D or 2-D with at least one row.
     """
     v = _real(vectors, "vector array is complex")
+    ndim = v.ndim  # read once: the one-column branch below is on every solve's path
+    if not (0 < ndim < 3 and len(v)):  # an (n, 0) block passes, and comes back unchanged
+        raise ShapeMismatch(f"expected a 1-D or 2-D array with a row, got shape {v.shape}")
     a = np.abs(v)
-    if v.ndim == 1 or v.shape[1] == 1:  # one column, as in nearly every solve
+    if ndim == 1 or v.shape[1] == 1:  # one column, as in nearly every solve
         lead = (a >= (1.0 - SIGN_TIE_RTOL) * a.flat[a.argmax()]).argmax()
         return -v if v.flat[lead] < 0 else v.copy()
     lead = (a >= (1.0 - SIGN_TIE_RTOL) * np.maximum.reduce(a, 0)).argmax(axis=0)
@@ -185,10 +189,6 @@ class EigenPair(NamedTuple):
     value: float
     vectors: np.ndarray
     residual: float
-
-    @property
-    def multiplicity(self):
-        return self.vectors.shape[1]
 
 
 def gram_sum(mats):

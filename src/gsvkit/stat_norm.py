@@ -4,9 +4,8 @@ A vector is statistically normalized when its mean is zero and its population
 standard deviation (divisor m) is one; such vectors live on the radius-sqrt(m)
 sphere intersected with the zero-sum hyperplane.  :func:`is_snv` is the one
 membership rule, which the ``StatMatrix`` constructor applies per column.
-This module also provides the standardization transform, which scales through
-the solve's one rescale rule, and the ranking pipeline built on the
-supporting-vector solver.
+``StatMatrix.from_raw`` standardizes a raw table through the solve's one rescale
+rule, and the ranking pipeline is built on the supporting-vector solver.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ _SNV_RTOL = 1e-10
 
 
 def _standardized(x):
-    """The standardized values of a 1-D float array with m >= 2; see ``standardize``.
+    """The standardized values of a 1-D float array with m >= 2; see ``StatMatrix.from_raw``.
 
     The moments are taken of ``_rescaled``'s ``y = 2^-e x`` (x itself inside the
     window), so nothing overflows; scaling by a power of two is exact, so the values
@@ -44,25 +43,6 @@ def _standardized(x):
         # the only standardized vectors in R^2 are +-(1, -1); avoid round-off
         return np.array([1.0, -1.0]) if x[0] > x[1] else np.array([-1.0, 1.0])
     return centered / std
-
-
-def standardize(x):
-    """Center and scale ``x`` to zero mean and unit population standard deviation.
-
-    Returns a new read-only float64 array.  Uses the population convention (divisor m),
-    so the output has squared Euclidean norm m.  The two-point case is computed exactly:
-    it always standardizes to ``(1, -1)`` or ``(-1, 1)``.
-
-    Raises ComplexInput for a complex x, ShapeMismatch unless it is 1-D, TooShort for m < 2
-    and ConstantVector when the standard deviation vanishes relative to the vector's own
-    magnitude (at most ``1e-14 * max|x|``), so the verdict does not depend on the input's units.
-    """
-    x = _vector(x, "vector is complex")
-    if x.shape[0] < 2:
-        raise TooShort(f"standardization needs m >= 2, got m={x.shape[0]}")
-    values = _standardized(x)
-    values.setflags(write=False)
-    return values
 
 
 def is_snv(x):
@@ -110,10 +90,14 @@ class StatMatrix:
 
     @classmethod
     def from_raw(cls, raw, columns=None):
-        """Standardize every column of ``raw`` as :func:`standardize` does.
+        """Center and scale every column of ``raw`` to zero mean and unit population std.
 
-        ``columns``, one name per column (else ShapeMismatch), names the column in a ConstantVector,
-        or in a NotStandardized should a standardized column still miss :func:`is_snv`.
+        The divisor is m, so each column has squared norm m; a two-point column comes out exactly
+        ``(1, -1)`` or ``(-1, 1)``.  Raises ComplexInput, ShapeMismatch unless ``raw`` is 2-D,
+        TooShort for m < 2 rows, NonFiniteInput, and ConstantVector when a column's std is at most
+        ``1e-14 * max|column|``, so the verdict does not depend on the input's units.  ``columns``,
+        one name per column (else ShapeMismatch), names the column in a ConstantVector, or in a
+        NotStandardized should a standardized column still miss :func:`is_snv`.
         """
         raw = _real(raw, "data matrix is complex")
         if raw.ndim != 2:

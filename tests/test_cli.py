@@ -665,29 +665,44 @@ def test_exit_2_on_shape_mismatch(tmp_path, capsys):
     a = write_matrix(tmp_path / "a.csv", np.eye(2))
     b = write_matrix(tmp_path / "b.csv", np.eye(3))
     code, _, err = run_cli(capsys, ["solve", a, b])
-    # OperatorStack's ShapeMismatch: the files parsed, so no file and line is named
-    assert code == 2 and err == "gsvkit solve: input error: matrix 1 has 3 columns, expected 2\n"
+    # OperatorStack's ShapeMismatch: the files parsed, so no line is named, but its stack index
+    # names the file
+    assert code == 2
+    assert err == f"gsvkit solve: input error: {b}: matrix 1 has 3 columns, expected 2\n"
+
+
+def test_shape_error_names_the_argument_at_its_index(tmp_path, capsys):
+    # a path given twice: the error's stack index, not a lookup by name, picks the file
+    a = write_matrix(tmp_path / "a.csv", np.eye(2))
+    b3 = write_matrix(tmp_path / "b3.csv", np.ones((2, 3)))
+    for argv, named, message in [([a, a, b3], b3, "matrix 2 has 3 columns, expected 2"),
+                                 ([b3, b3, a], a, "matrix 2 has 2 columns, expected 3")]:
+        code, _, err = run_cli(capsys, ["solve", *argv, "--out", tmp_path / "out"])
+        assert code == 2 and err == f"gsvkit solve: input error: {named}: {message}\n"
 
 
 @pytest.mark.parametrize(
-    "name, bad, cls, message",
+    "name, bad, cls, message, named",
     [pytest.param("ez.csv", np.ones((8, 4)), ShapeMismatch, "matrix 2 has 4 columns, expected 5",
-                  id="field"),
+                  "ez.csv", id="field"),
      pytest.param("r.csv", np.eye(4), ShapeMismatch,
-                  "resistance must be 5 x 5 to match the field matrices, got (4, 4)",
+                  "resistance must be 5 x 5 to match the field matrices, got (4, 4)", None,
                   id="resistance"),
      pytest.param("r.csv", np.ones((4, 5)), NotSymmetric,
-                  "resistance matrix is not square: shape (4, 5)", id="nonsquare_resistance")],
+                  "resistance matrix is not square: shape (4, 5)", None,
+                  id="nonsquare_resistance")],
 )
-def test_coil_exit_2_on_shape_mismatch(tmp_path, capsys, name, bad, cls, message):
-    # WeightedProblem's own class and message, whichever input is off
+def test_coil_exit_2_on_shape_mismatch(tmp_path, capsys, name, bad, cls, message, named):
+    # WeightedProblem's own class and message, whichever input is off; a field's stack index
+    # names its file
     _, paths, r_path = _coil_fixture(tmp_path, np.random.default_rng(87), np.eye(5))
     write_matrix(tmp_path / name, bad)
     with pytest.raises(cls) as exc_info:
         cli.cmd_coil(*paths, r_path, out=tmp_path / "out")
     assert str(exc_info.value) == message
     code, _, err = run_cli(capsys, ["coil", *paths, r_path])
-    assert code == 2 and err == f"gsvkit coil: input error: {message}\n"
+    where = f"{tmp_path / named}: " if named else ""
+    assert code == 2 and err == f"gsvkit coil: input error: {where}{message}\n"
 
 
 def test_coil_accepts_fields_of_unequal_heights(tmp_path, capsys):

@@ -151,7 +151,7 @@ def test_wide_solve_matches_n_side_reference():
         sol = gsv_solve(stack)
         # the untouched n-side route: eigendecomposition of the n x n Gram sum
         ref = max_eigenpair(gram_sum(stack))
-        assert sol.multiplicity == ref.multiplicity == top
+        assert sol.multiplicity == ref.vectors.shape[1] == top
         assert abs(sol.lambda_max - ref.value) <= 1e-12 * ref.value
         np.testing.assert_allclose(
             sol.basis @ sol.basis.T, ref.vectors @ ref.vectors.T, rtol=0, atol=1e-10
@@ -739,6 +739,23 @@ def test_oracle_preconditions():
         brute_force_max([np.ones((2, 11))], 10, 0)
     with pytest.raises(ArgumentOutOfRange, match="got 0"):
         brute_force_max([np.eye(2)], 0, 0)
+    # a whole number of another type is taken as its int
+    assert brute_force_max([np.eye(2)], 2.0, np.int64(0)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "samples, seed, message",
+    [(10, -1, "seed must be at least 0, got -1"),
+     (2.7, 0, "samples must be a whole number, got 2.7"),
+     (math.nan, 0, "samples must be a whole number, got nan"),
+     (math.inf, 0, "samples must be a whole number, got inf")],
+    ids=["negative_seed", "fractional_samples", "nan_samples", "inf_samples"],
+)
+def test_oracle_argument_domain(samples, seed, message):
+    # a negative seed escaped as numpy's bare ValueError, and 2.7 samples drew 2
+    with pytest.raises(ArgumentOutOfRange, match=f"^{message}$") as exc_info:
+        brute_force_max([np.eye(2)], samples, seed)
+    assert exc_info.value.exit_code == 2
 
 
 def test_oracle_reproducible():

@@ -12,7 +12,7 @@ from gsvkit import errors
 
 DELETED = ("CriticalSystem", "EigenPair", "StatVector", "SymmetricMatrix", "build_density",
            "critical_residual", "gram_sum", "gsv_solve_2col_equalnorm", "max_eigenpair",
-           "rayleigh_quotient", "snv_pair_identities")
+           "rayleigh_quotient", "snv_pair_identities", "standardize")
 DELETED_ERRORS = ("ColumnNormMismatch", "LengthMismatch", "WrongShape", "ZeroVector")
 # Members of a public class, looked up on the class and among its dataclass fields.
 DELETED_MEMBERS = {"DensityModel": ("apply",),
@@ -50,6 +50,7 @@ ARGS = {
     errors.ParseError: ("data.csv", 3, "expected a number"),
     errors.NotSPD: (3,),
     errors.ConstantVector: ("vector is constant", "price"),
+    errors.ShapeMismatch: ("matrix 2 has 3 columns, expected 2", 2),
 }
 
 

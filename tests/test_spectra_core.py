@@ -37,7 +37,12 @@ from gsvkit.spectra_core import (
     gram_sum,
     max_eigenpair,
 )
-from gsvkit.stat_norm import StatMatrix, is_snv, standardize
+from gsvkit.stat_norm import StatMatrix, is_snv
+
+
+def standardized(x):
+    """``x`` standardized as the one column of ``StatMatrix.from_raw``: a read-only view."""
+    return StatMatrix.from_raw(np.reshape(x, (-1, 1))).data[:, 0]
 
 
 def eig2x2_sym(a, b, c):
@@ -142,13 +147,13 @@ def test_gram_sum_properties_hypothesis(seed, k, n):
 def test_max_eigenpair_identity_full_multiplicity():
     pair = max_eigenpair(np.eye(3))
     assert pair.value == pytest.approx(1.0, abs=1e-14)
-    assert pair.multiplicity == 3
+    assert pair.vectors.shape[1] == 3
 
 
 def test_max_eigenpair_diagonal_multiplicity_two():
     pair = max_eigenpair(np.diag([4.0, 4.0, 1.0]))
     assert pair.value == pytest.approx(4.0, abs=1e-14)
-    assert pair.multiplicity == 2
+    assert pair.vectors.shape[1] == 2
     # basis spans {e1, e2}: no component along e3
     np.testing.assert_allclose(pair.vectors[2, :], 0.0, atol=1e-14)
     span_check = pair.vectors @ pair.vectors.T
@@ -161,7 +166,7 @@ def test_max_eigenpair_against_closed_form_2x2():
     assert lam_oracle == 3.0
     pair = max_eigenpair(s)
     assert pair.value == pytest.approx(lam_oracle, rel=1e-12)
-    assert pair.multiplicity == 1
+    assert pair.vectors.shape[1] == 1
     np.testing.assert_allclose(
         np.abs(pair.vectors[:, 0]), np.abs(vec_oracle), atol=1e-12
     )
@@ -228,8 +233,8 @@ def test_max_eigenpair_merge_boundary_is_exact():
     # lambda_max - w == GAP_RTOL * lambda_max merges, twice that does not
     assert GAP_RTOL * 1e10 == 1.0
     merged = max_eigenpair(np.diag([1e10 - 1, 1e10]))
-    assert merged.multiplicity == 2 and merged.residual == 1.0
-    assert max_eigenpair(np.diag([1e10 - 2, 1e10])).multiplicity == 1
+    assert merged.vectors.shape[1] == 2 and merged.residual == 1.0
+    assert max_eigenpair(np.diag([1e10 - 2, 1e10])).vectors.shape[1] == 1
     # the M side: row 1 of b holds integers whose squares sum to 1e10 - 1 (merges) or
     # 1e10 - 2 (does not), so the Gram b b^T is exact
     for tail, second, mult in [([99999, 447, 12, 6, 3], 1e10 - 1, 2),
@@ -240,7 +245,7 @@ def test_max_eigenpair_merge_boundary_is_exact():
         k = gram_sum((b.T,))
         np.testing.assert_array_equal(k, np.diag([1e10, second]))
         pair = max_eigenpair(k, b)
-        assert pair.multiplicity == mult and pair.residual <= RESIDUAL_RTOL * 1e10
+        assert pair.vectors.shape[1] == mult and pair.residual <= RESIDUAL_RTOL * 1e10
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +341,9 @@ def test_subset_route_merge_boundary_is_exact():
     low = np.linspace(0.0, 5e9, 38)
     assert 40 >= CROSSOVER
     merged = max_eigenpair(np.diag(np.concatenate([low, [1e10 - 1, 1e10]])))
-    assert merged.multiplicity == 2 and merged.residual == 1.0
+    assert merged.vectors.shape[1] == 2 and merged.residual == 1.0
     single = max_eigenpair(np.diag(np.concatenate([low, [1e10 - 2, 1e10]])))
-    assert single.multiplicity == 1
+    assert single.vectors.shape[1] == 1
 
 
 def test_subset_route_failure_carries_lapack_info(monkeypatch):
@@ -573,7 +578,7 @@ SNV = np.array([[1.0], [-1.0]])  # one standardized column
         # pytest's filterwarnings), a bare TypeError (a list) or a wrong answer.
         lambda: objective_value([np.eye(2)], [1j, 0.0]),
         lambda: fix_column_signs(np.array([[1j], [1.0]])),
-        lambda: standardize([1.0, 2j, 3.0]),
+        lambda: standardized([1.0, 2j, 3.0]),
         lambda: is_snv(np.array([1 + 1j, -1 - 1j])),  # cast to real: True
         lambda: StatMatrix(SNV + 0j),
         # cast to real: standardizes the real parts
@@ -603,7 +608,7 @@ NON_FINITE_BUILDS = {
     "density_model": lambda v: DensityModel([0.25, v]),
     "stat_matrix": lambda v: StatMatrix(np.array([[1.0, v], [-1.0, 1.0]])),
     "from_raw": lambda v: StatMatrix.from_raw(np.array([[1.0, 2.0], [3.0, v], [0.0, 1.0]])),
-    "standardize": lambda v: standardize([1.0, v, 3.0]),
+    "standardize": lambda v: standardized([1.0, v, 3.0]),
 }
 
 
@@ -618,7 +623,6 @@ def test_non_finite_input_is_refused_by_every_constructor(build, value):
 # objective_value([np.eye(4)], np.eye(2)) returned 2.0, and DensityModel took 2 x 2 as 4 states.
 VECTOR_BUILDS = {
     "objective_value": lambda x: objective_value([np.eye(4)], x),
-    "standardize": standardize,
     "is_snv": is_snv,
     "density_model": DensityModel,
 }
@@ -651,6 +655,7 @@ def test_fix_column_signs_matches_column_loop():
         # half-integers: tied magnitudes of both signs and zero columns
         blocks.append(0.5 * rng.integers(-2, 3, size=shape))
     blocks.append(np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, 1.0]]))
+    blocks.append(np.ones((3, 0)))  # rows and no column: comes back unchanged
     # single columns: a negative lead, a tie in |lead| of both signs, an all-zero column
     blocks += [np.array([[0.5], [-2.0], [1.0]]), np.array([[-1.5], [1.5]]),
                np.array([[1.5], [-1.5]]), np.array([[-0.0], [0.0], [-0.0]])]
@@ -665,6 +670,14 @@ def test_fix_column_signs_matches_column_loop():
     np.testing.assert_array_equal(
         fix_column_signs(vector), fix_column_signs_loop(vector[:, None])[:, 0]
     )
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (0, 3), (0, 0), (2, 2, 2)])
+def test_fix_column_signs_takes_a_vector_or_a_block_with_a_row(shape):
+    # a 3-D array came back oriented along a meaningless axis, an empty vector or row-less block
+    # escaped as numpy's bare ValueError, and a 0-d array as an IndexError
+    with pytest.raises(ShapeMismatch, match=r"^expected a 1-D or 2-D array with a row, got shape"):
+        fix_column_signs(np.ones(shape))
 
 
 def test_fix_column_signs_orientation():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsvkit.errors import (
+    ComplexInput,
     ConstantVector,
     NonFiniteInput,
     NotStandardized,
@@ -19,12 +20,17 @@ from gsvkit.errors import (
 from gsvkit import spectra_core
 from gsvkit.gsv_solver import gsv_solve
 from gsvkit.matrix_io import read_table_csv
-from gsvkit.stat_norm import StatMatrix, is_snv, rank_by_score, score_rows, standardize
+from gsvkit.stat_norm import StatMatrix, is_snv, rank_by_score, score_rows
+
+
+def standardized(x):
+    """``x`` standardized as the one column of ``StatMatrix.from_raw``: a read-only view."""
+    return StatMatrix.from_raw(np.reshape(x, (-1, 1))).data[:, 0]
 
 
 def random_unit_snv(rng, n):
     """Unit-norm multiple of a statistically normalized vector of R^n."""
-    v = standardize(rng.normal(size=n))
+    v = standardized(rng.normal(size=n))
     return v / np.linalg.norm(v)
 
 
@@ -42,26 +48,26 @@ def snv_from_free_tail(m, tail, sign):
 
 
 # ---------------------------------------------------------------------------
-# standardize
+# standardization: one column through StatMatrix.from_raw
 
 
 def test_standardize_two_points_exact():
-    np.testing.assert_array_equal(standardize([1.0, -1.0]), [1.0, -1.0])
-    np.testing.assert_array_equal(standardize([0.0, 2.0]), [-1.0, 1.0])
-    np.testing.assert_array_equal(standardize([5.0, 3.0]), [1.0, -1.0])
+    np.testing.assert_array_equal(standardized([1.0, -1.0]), [1.0, -1.0])
+    np.testing.assert_array_equal(standardized([0.0, 2.0]), [-1.0, 1.0])
+    np.testing.assert_array_equal(standardized([5.0, 3.0]), [1.0, -1.0])
 
 
 def test_standardize_three_points_direct_computation():
     # mu = 2, sigma^2 = ((1-2)^2 + 0 + (3-2)^2) / 3 = 2/3
     expected = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0 / 3.0)
-    result = standardize([1.0, 2.0, 3.0])
+    result = standardized([1.0, 2.0, 3.0])
     np.testing.assert_allclose(result, expected, atol=1e-15)
     assert is_snv(result)
 
 
 def test_standardize_returns_a_read_only_float64_array():
     x = np.array([3.0, 1.0, -1.0, 2.0])
-    v = standardize(x)
+    v = standardized(x)
     assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (4,)
     assert not v.flags.writeable and not np.shares_memory(v, x)
     with pytest.raises(ValueError, match="read-only"):
@@ -69,16 +75,18 @@ def test_standardize_returns_a_read_only_float64_array():
 
 
 def test_standardize_errors():
-    with pytest.raises(TooShort):
-        standardize([1.0])
-    with pytest.raises(ConstantVector):
-        standardize([3.0, 3.0, 3.0])
+    with pytest.raises(TooShort, match=r"m >= 2 rows, got m=1$"):
+        standardized([1.0])
+    with pytest.raises(ConstantVector, match=r"^vector is constant \(column 0\)$"):
+        standardized([3.0, 3.0, 3.0])
+    with pytest.raises(ComplexInput, match="^data matrix is complex$"):
+        standardized([1.0, 2j, 3.0])
 
 
 @pytest.mark.parametrize("k", [-500, -200, -101, -100, -70, 0, 40, 100, 101, 300, 500])
 def test_standardize_is_invariant_under_power_of_two_scaling(k):
     x = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(standardize(x * 2.0**k), standardize(x))
+    np.testing.assert_array_equal(standardized(x * 2.0**k), standardized(x))
 
 
 def test_standardize_keeps_absolute_accuracy_on_subnormal_entries():
@@ -86,7 +94,7 @@ def test_standardize_keeps_absolute_accuracy_on_subnormal_entries():
     # subnormal grid is accurate to about 2^-1074 / std, not relative to itself: the mean
     # 2^-1074 / 3 rounds to 0, and entry 2 reads 6.98e-306 where it is 4.65e-306
     a, d = 2.0**-60, 5e-324
-    v = standardize(np.array([a, -a, d]))
+    v = standardized(np.array([a, -a, d]))
     sigma = a * math.sqrt(2.0 / 3.0)
     np.testing.assert_allclose(v[:2], [math.sqrt(1.5), -math.sqrt(1.5)], rtol=1e-15)
     assert abs(v[2] - 2.0 / 3.0 * (d / sigma)) <= 0.5 * (d / sigma)
@@ -95,13 +103,13 @@ def test_standardize_keeps_absolute_accuracy_on_subnormal_entries():
 @pytest.mark.parametrize("c", [3.0, 3e-20, 1e200, 0.1, 1.0 / 3.0])
 def test_constant_vector_raises_at_every_scale(c):
     with pytest.raises(ConstantVector):
-        standardize(np.full(5, c))
+        standardized(np.full(5, c))
 
 
 def test_non_finite_entries_raise_non_finite_input():
     for bad in ([1.0, np.nan], [1.0, np.inf, 2.0]):
         with pytest.raises(NonFiniteInput):
-            standardize(bad)
+            standardized(bad)
 
 
 def test_standardize_norm_squared_is_m():
@@ -109,7 +117,7 @@ def test_standardize_norm_squared_is_m():
     for _ in range(1000):
         m = int(rng.integers(2, 60))
         x = rng.normal(loc=rng.normal() * 10, scale=rng.uniform(0.1, 5.0), size=m)
-        assert abs(np.sum(standardize(x) ** 2) - m) <= 1e-10 * m
+        assert abs(np.sum(standardized(x) ** 2) - m) <= 1e-10 * m
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,7 +125,7 @@ def test_standardize_norm_squared_is_m():
 def test_standardize_roundtrip_is_snv(seed, m):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=m) * rng.uniform(0.5, 20.0) + rng.normal() * 100.0
-    assert is_snv(standardize(x))
+    assert is_snv(standardized(x))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +183,7 @@ SNV_PERTURBATIONS = [
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 60))
 def test_every_standardized_gate_is_is_snv(seed, m):
-    base = standardize(np.random.default_rng(seed).normal(size=m))
+    base = standardized(np.random.default_rng(seed).normal(size=m))
     for scale, shift, inside in SNV_PERTURBATIONS:
         v = base * scale + shift
         assert is_snv(v) == inside
@@ -218,7 +226,7 @@ def test_pair_identities_equal_vectors_tight_bound():
 
 
 def test_pair_identities_antisymmetric():
-    x = standardize([3.0, 1.0, -1.0, 2.0])
+    x = standardized([3.0, 1.0, -1.0, 2.0])
     y = -x
     dot, bound_ok, gap = pair_identities(x, y)
     assert dot == pytest.approx(-4.0, abs=1e-12)
@@ -228,8 +236,8 @@ def test_pair_identities_antisymmetric():
 def test_pair_identities_random_pairs():
     rng = np.random.default_rng(23)
     for _ in range(200):
-        x = standardize(rng.normal(size=50))
-        y = standardize(rng.normal(size=50))
+        x = standardized(rng.normal(size=50))
+        y = standardized(rng.normal(size=50))
         dot, bound_ok, gap = pair_identities(x, y)
         assert bound_ok
         assert gap <= 1e-10 * 50
@@ -326,7 +334,7 @@ def test_rank_single_column_scores_equal_column():
 def test_rank_duplicated_column_scores_sqrt2():
     # two identical columns: the equal-norm closed form picks (sqrt2/2, sqrt2/2)
     rng = np.random.default_rng(27)
-    col = standardize(rng.normal(size=15))
+    col = standardized(rng.normal(size=15))
     m = StatMatrix(np.column_stack([col, col]))
     scores, sol = score_rows(m)
     np.testing.assert_allclose(scores, np.sqrt(2.0) * col, atol=1e-10)
@@ -384,7 +392,7 @@ def test_rank_does_not_turn_on_round_off_in_the_column_sums():
 
 
 def test_rank_ties_broken_by_original_index():
-    col = standardize([2.0, 1.0, 2.0, -1.0, 2.0, -6.0])
+    col = standardized([2.0, 1.0, 2.0, -1.0, 2.0, -6.0])
     m = StatMatrix(col[:, None])
     ranking = rank_by_score(m)
     tied = [i for i, s in ranking if s == ranking[0][1]]
