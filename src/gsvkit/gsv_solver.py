@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import (AllZero, ArgumentOutOfRange, ConvergenceFailure, DimensionTooLarge,
                      MaximumOverflow, NonFiniteInput, NotSPD, ShapeMismatch)
-from .spectra_core import _rescaled, _symmetrized, _vector, gram_sum, max_eigenpair, validated_matrices
+from .spectra_core import (_EXP_WINDOW, _rescaled, _stack_peak, _symmetrized, _vector, gram_sum,
+                           max_eigenpair, validated_matrices)
 
 _ORACLE_MAX_DIM = 10
 # Values per seeded Gaussian draw of the oracle: its memory is bounded by it, not by the count.
@@ -38,16 +39,17 @@ def _scaled_back(lam, residual, e):
 class OperatorStack:
     """Read-only views of real m_i x n matrices sharing the column count n; ``peak`` is max |a_ij|.
 
-    The stack does not own its arrays: do not write into an input while it is in use.
+    Building one reads every entry for the exact peak, so a NaN or an inf raises NonFiniteInput
+    here.  The stack does not own its arrays: do not write into an input while it is in use.
     """
 
     mats: tuple
     peak: float = field(init=False)
 
     def __post_init__(self):
-        mats, peak = validated_matrices(self.mats)
+        mats = validated_matrices(self.mats)
         object.__setattr__(self, "mats", mats)
-        object.__setattr__(self, "peak", peak)
+        object.__setattr__(self, "peak", _stack_peak(mats))
 
     @property
     def ncols(self):
@@ -70,8 +72,19 @@ def objective_value(stack, x):
     x = _vector(x, "vector is complex")
     if x.shape[0] != stack.ncols:
         raise ShapeMismatch(f"vector length {x.shape[0]} != column count {stack.ncols}")
+    return _objective(stack.mats, x)
+
+
+def _objective(mats, x):
+    """``sum_i ||A_i x||^2`` of validated matrices at a real vector of their column count."""
     # ((a @ x) ** 2).sum() by the ufuncs behind ** 2 and .sum, without numpy's _methods frame
-    return float(sum(np.add.reduce(np.square(a @ x), None) for a in stack.mats))
+    return float(sum(np.add.reduce(np.square(a @ x), None) for a in mats))
+
+
+def _gram(mats, wide):
+    """``(S, B)``: the Gram ``gram_sum`` forms on the smaller side, and B = vstack(A_i) if wide."""
+    rows = np.concatenate(mats) if wide else None
+    return gram_sum((rows.T,) if wide else mats), rows
 
 
 class GsvSolution(NamedTuple):
@@ -105,30 +118,53 @@ def gsv_solve(stack):
     Returns a GsvSolution: the largest eigenvalue of the Gram sum, an orthonormal basis of
     its (gap-merged) eigenspace, and the objective re-evaluated at the first basis column.
 
-    The stack is validated once, by OperatorStack; a peak beyond ``2^±_EXP_WINDOW``
-    is solved as ``2^-e * stack``, exactly, and lambda_max scaled back by ``2^(2e)``.
-    Then ``gram_sum`` and ``max_eigenpair`` run on the smaller Gram: ``B B^T`` when
+    ``gram_sum`` and ``max_eigenpair`` run on the smaller Gram: ``B B^T`` when
     ``B = vstack(A_i)`` has fewer rows than columns (u maps to ``B^T u / ||B^T u||``).
+    A peak beyond ``2^±_EXP_WINDOW`` is solved as ``2^-e * stack``, exactly, and lambda_max
+    scaled back by ``2^(2e)``.  A matrix sequence is validated once, by ``validated_matrices``
+    (structure only), and its values read once, by the Gram, whose diagonal shows a NaN or an
+    inf and places the peak in the window; only a stack it cannot place has its exact peak read
+    (and its Gram formed again if outside), as an OperatorStack did when built.
     Each post-condition is checked once: ``max_eigenpair`` bounds the residual; here, scaled
-    back, the basis columns must be unit to 1e-12 and the objective check lie within
-    ``1e-8 * max(|lambda_max|, smallest normal float64)`` of lambda_max.
-    Raises EmptyStack, ShapeMismatch or NonFiniteInput for an invalid stack, AllZero for an
-    all-zero one, MaximumOverflow past float64, and ConvergenceFailure when the eigensolve
-    or a post-condition fails.
+    back, the basis columns must be unit to 1e-12 and the objective, evaluated on the unscaled
+    stack, lie within ``1e-8 * max(|lambda_max|, smallest normal float64)`` of lambda_max.
+    Raises EmptyStack, ShapeMismatch or NonFiniteInput for an invalid stack (a structural
+    fault first), AllZero for an all-zero one, MaximumOverflow past float64, and
+    ConvergenceFailure when the eigensolve or a post-condition fails.
     """
-    stack = as_stack(stack)
-    if stack.peak == 0.0:
-        raise AllZero("all matrices in the stack are zero")
-    mats, e = _rescaled(stack.mats, stack.peak)
-    wide = sum(a.shape[0] for a in mats) < stack.ncols
-    rows = np.concatenate(mats) if wide else None
-    lam, basis, residual = max_eigenpair(gram_sum((rows.T,) if wide else mats), rows)
+    if isinstance(stack, OperatorStack):
+        mats, peak = stack.mats, stack.peak
+    else:
+        mats, peak = validated_matrices(stack), None
+    m, n = sum(a.shape[0] for a in mats), mats[0].shape[1]
+    wide, s = m < n, None
+    if peak is None:
+        # S_jj sums the K = max(m, n) squares of column j (of row j of B when wide), so exactly
+        # peak^2 <= max_j S_jj <= K peak^2.  Computed in any order, a sum of K squares is within
+        # a factor 2 of the exact one while K u <= 1/2 (K <= 2^52: any stack in memory), and a
+        # NaN or an inf makes its own diagonal entry NaN or inf.  So with W = _EXP_WINDOW, a top
+        # within [4 K 2^(-2W), 2^(2W)] puts the peak in [2^-W, 2^(W+1)): finite, and left as it
+        # is by _rescaled.  Any other top (NaN, inf, zero, near or outside the window) asks for
+        # the exact peak, which raises NonFiniteInput or AllZero as an OperatorStack would.
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, rows = _gram(mats, wide)
+        top = float(np.maximum.reduce(s.diagonal(), None, None, None, False, 0.0))  # NaN leads
+        if not math.ldexp(4 * max(m, n), -2 * _EXP_WINDOW) <= top <= 2.0 ** (2 * _EXP_WINDOW):
+            peak = _stack_peak(mats)
+    e = 0
+    if peak is not None:
+        if peak == 0.0:
+            raise AllZero("all matrices in the stack are zero")
+        scaled, e = _rescaled(mats, peak)
+        if e or s is None:
+            s, rows = _gram(scaled, wide)
+    lam, basis, residual = max_eigenpair(s, rows)
     lam, residual = _scaled_back(lam, residual, e)
     basis.setflags(write=False)  # fix_column_signs' fresh array: the record shares it with no one
     norms = np.sqrt(np.add.reduce(basis * basis, 0))  # (basis * basis).sum(axis=0)
     if not np.maximum.reduce(np.abs(norms - 1.0), None) <= 1e-12:  # a NaN fails each check
         raise ConvergenceFailure("basis columns are not unit vectors to 1e-12")
-    check = objective_value(stack, basis[:, 0])
+    check = _objective(mats, basis[:, 0])
     if not abs(check - lam) <= 1e-8 * max(abs(lam), _NORMAL_MIN):  # a NaN leads, so max keeps it
         raise ConvergenceFailure(f"objective check {check!r} != lambda_max {lam!r} to 1e-8")
     return GsvSolution(lam, basis, check, residual)
@@ -148,7 +184,8 @@ class WeightedProblem:
     resistance: np.ndarray
 
     def __post_init__(self):
-        fields, _ = validated_matrices(self.fields)
+        fields = validated_matrices(self.fields)
+        _stack_peak(fields)  # NonFiniteInput here, where the problem is built
         n = fields[0].shape[1]
         r = _symmetrized(self.resistance, "resistance matrix")  # read-only, a view if symmetric
         if r.shape != (n, n):
@@ -234,13 +271,18 @@ def brute_force_max(stack, samples, seed):
     draw and its products, whatever ``samples`` is.  The stack is sampled rescaled as in
     :func:`gsv_solve` and the value scaled back, so it is finite wherever lambda_max is.
     ``seed`` is a non-negative integer.  Raises DimensionTooLarge past that cap, and
-    ArgumentOutOfRange unless ``samples`` is a whole number of at least 1 and ``seed`` at least 0.
+    ArgumentOutOfRange unless ``samples`` is a whole number from 1 within the float64 range and
+    ``seed`` at least 0.
     """
     stack = as_stack(stack)
     n = stack.ncols
     if n > _ORACLE_MAX_DIM:
         raise DimensionTooLarge(f"sampling oracle supports n <= {_ORACLE_MAX_DIM}, got {n}")
-    if not float(samples).is_integer():  # a NaN or an inf fails too
+    try:
+        whole = float(samples).is_integer()  # a NaN or an inf fails too
+    except OverflowError:  # an int past the float64 range, as 10**400
+        raise ArgumentOutOfRange("samples exceeds the float64 range") from None
+    if not whole:
         raise ArgumentOutOfRange(f"samples must be a whole number, got {samples}")
     samples = int(samples)
     if samples < 1:

@@ -2,7 +2,7 @@
 
 :func:`gram_sum` accumulates ``S = sum_i A_i^T A_i`` and :func:`max_eigenpair`
 extracts its maximal eigenpair, with explicit multiplicity and a checked
-residual, from inputs that ``OperatorStack`` validated once.  A stack ``B``
+residual, from inputs that :func:`validated_matrices` checked once.  A stack ``B``
 with fewer rows than columns is solved from the smaller ``B B^T`` (the method
 of snapshots).  The backend is LAPACK: below order ``_SUBSET_MIN_ORDER`` the
 full ``numpy.linalg.eigh``, from it up ``dsyevr`` (MRRR) for the top eigenvalues
@@ -128,22 +128,22 @@ def _symmetrized(a, name):
 
 
 def validated_matrices(mats):
-    """Validate a sequence of real matrices sharing a column count, reading each once.
+    """Check the structure of a sequence of real matrices sharing a column count, not its values.
 
     Returns read-only views of 2-D C-ordered float64 arrays (only a list, another dtype or
-    byte order, or a non-C layout is copied, to convert it) and their peak ``max |a_ij|``.
-    Raises EmptyStack, ShapeMismatch (a non-2-D input or unequal column counts, carrying the
-    matrix's ``index``; no column: R^0 has no unit vector), ComplexInput or NonFiniteInput.
+    byte order, or a non-C layout is copied, to convert it).  Raises EmptyStack, ShapeMismatch
+    (a non-2-D input or unequal column counts, carrying the matrix's ``index``; no column: R^0
+    has no unit vector) or ComplexInput.  No entry is read: ``_stack_peak`` finds a NaN or an
+    inf, or ``gsv_solve`` reads it off the Gram's diagonal.
     """
-    arrays, peak = [], 0.0
+    arrays = []
     for k, m in enumerate(mats):
         try:
             a = _real(m, "is complex", order="C")
-            if a.ndim != 2:
-                raise ShapeMismatch(f"matrix {k} is not 2-D (ndim={a.ndim})", index=k)
-            peak = max(_peak(a, "contains non-finite entries"), peak)
-        except (ComplexInput, NonFiniteInput) as exc:  # named here, only when raised
-            raise type(exc)(f"matrix {k} {exc}") from None
+        except ComplexInput as exc:  # named here, only when raised
+            raise ComplexInput(f"matrix {k} {exc}") from None
+        if a.ndim != 2:
+            raise ShapeMismatch(f"matrix {k} is not 2-D (ndim={a.ndim})", index=k)
         arrays.append(a.view())  # the caller's array keeps its own write flag
         arrays[-1].setflags(write=False)
     if not arrays:
@@ -154,7 +154,12 @@ def validated_matrices(mats):
             raise ShapeMismatch(f"matrix {k} has {a.shape[1]} columns, expected {ncols}", index=k)
     if ncols == 0:
         raise ShapeMismatch("the matrices have no columns: R^0 has no unit vector")
-    return tuple(arrays), peak
+    return tuple(arrays)
+
+
+def _stack_peak(arrays):
+    """The exact ``max |a_ij|`` of validated matrices; NonFiniteInput names the first non-finite."""
+    return max(_peak(a, f"matrix {k} contains non-finite entries") for k, a in enumerate(arrays))
 
 
 def fix_column_signs(vectors):

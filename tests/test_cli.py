@@ -738,7 +738,7 @@ def test_exit_3_on_a_failed_solve_post_condition(tmp_path, capsys, monkeypatch):
     # an objective re-evaluation 1e-6 off lambda_max = 4 stands in for a wrong eigensolve: the
     # post-condition gsv_solve checks raises ConvergenceFailure, which main maps to exit 3
     a = write_matrix(tmp_path / "a.csv", np.diag([2.0, 1.0]))
-    monkeypatch.setattr(gsv_solver, "objective_value", lambda *_: 4.0 * (1.0 + 1e-6))
+    monkeypatch.setattr(gsv_solver, "_objective", lambda *_: 4.0 * (1.0 + 1e-6))
     code, _, err = run_cli(capsys, ["solve", a, "--out", tmp_path / "out"])
     assert code == 3
     assert err.startswith("gsvkit solve: solver failure: objective check ")

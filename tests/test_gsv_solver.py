@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,87 @@ def test_zero_column_stack_refused_where_it_enters():
         gsv_solve([np.zeros((3, 0)), np.ones((3, 2))])
 
 
+def assert_same_solution(got, want):
+    assert got.lambda_max == want.lambda_max and got.objective_check == want.objective_check
+    assert got.residual == want.residual and got.basis.tobytes() == want.basis.tobytes()
+
+
+# gsv_solve on a sequence reads the peak's range off the Gram's diagonal; an OperatorStack
+# brings the exact peak.  Both must rescale, and so solve, alike on each side of the window.
+DIAGONAL_RULE_STACKS = {
+    "n_side": [np.arange(12.0).reshape(4, 3) - 5.5, np.ones((2, 3))],
+    "m_side": [np.arange(8.0).reshape(2, 4) - 3.5, np.full((1, 4), -0.25)],
+    "dominant": [np.diag([1.0, 2.0**-300, 2.0**-300]), np.full((5, 3), 2.0**-300)],
+    "order_40": [np.sin(np.arange(1600.0)).reshape(40, 40)],
+}
+
+
+@pytest.mark.parametrize("stack", list(DIAGONAL_RULE_STACKS.values()),
+                         ids=list(DIAGONAL_RULE_STACKS))
+def test_diagonal_rule_has_the_bits_of_the_exact_peak(stack):
+    # k crosses both window edges (peak 2^k in or out of [2^-100, 2^101)); "dominant" has one
+    # entry at 2^k and every other at most 2^(k-300), so the diagonal's top is that entry squared
+    for k in [0, -500, 400, *range(-112, -94), *range(95, 113)]:
+        scaled = [np.ldexp(a, k) for a in stack]
+        assert_same_solution(gsv_solve(scaled), gsv_solve(OperatorStack(scaled)))
+
+
+def test_in_window_sequence_reads_no_peak(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gsv_solver, "_stack_peak", lambda mats: calls.append(1) or 1.0)
+    for stack in DIAGONAL_RULE_STACKS.values():
+        gsv_solve(stack)
+    assert not calls
+    gsv_solve([np.ldexp(np.eye(2), 101)])  # the diagonal's top 2^202 is past 2^200
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300], ids=["unit", "gram_overflows"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shapes", [[(3, 2), (4, 2)], [(1, 4), (2, 4)]], ids=["tall", "wide"])
+def test_diagonal_rule_finds_every_non_finite_entry(shapes, bad, scale):
+    base = [np.full(shape, scale) for shape in shapes]
+    for k, shape in enumerate(shapes):
+        for at in np.ndindex(shape):
+            stack = [a.copy() for a in base]
+            stack[k][at] = bad
+            message = f"^matrix {k} contains non-finite entries$"
+            for build in (gsv_solve, OperatorStack):
+                with pytest.raises(NonFiniteInput, match=message):
+                    build(stack)
+
+
+def test_diagonal_rule_edge_inputs():
+    for stack in ([np.zeros((3, 2))], [np.zeros((1, 4)), np.zeros((0, 4))], [np.zeros((0, 2))]):
+        with pytest.raises(AllZero, match="^all matrices in the stack are zero$"):
+            gsv_solve(stack)
+    # subnormal entries alone: the squares underflow, so the exact peak decides the rescale
+    for stack in ([np.full((3, 2), 5e-324), np.array([[1e-310, 0.0]])], [np.full((1, 3), 4e-320)]):
+        assert_same_solution(gsv_solve(stack), gsv_solve(OperatorStack(stack)))
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 5)], ids=["tall", "wide"])
+def test_an_overflowing_gram_warns_nothing(shape):
+    # 1e300 squared overflows the Gram: the rule reads the exact peak and solves 2^-e * stack,
+    # whose lambda_max (at least the diagonal's top) is past float64
+    stack = [np.full(shape, 1e300), np.full((1, shape[1]), -1e299)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MaximumOverflow, match="exceeds the float64 range"):
+            gsv_solve(stack)
+
+
+def test_structural_faults_are_reported_before_non_finite_entries():
+    nan = np.full((2, 3), np.nan)
+    for build in (gsv_solve, OperatorStack, lambda s: WeightedProblem(s, np.eye(3))):
+        with pytest.raises(ShapeMismatch, match="^matrix 1 has 2 columns, expected 3$"):
+            build([nan, np.ones((2, 2))])
+        with pytest.raises(ComplexInput, match="^matrix 1 is complex$"):
+            build([nan, np.ones((2, 3)) * 1j])
+        with pytest.raises(ShapeMismatch, match=r"^matrix 1 is not 2-D \(ndim=1\)$"):
+            build([nan, np.ones(3)])
+
+
 def test_validation_allocates_no_array_the_size_of_an_input():
     a = np.random.default_rng(22).normal(size=(2000, 100))
     OperatorStack((a,))  # warm-up
@@ -447,7 +529,7 @@ def test_gsv_solution_bounds_are_relative(scale, monkeypatch):
     lam = gsv_solve(stack).lambda_max
     assert lam == pytest.approx(scale, rel=1e-14)
     for factor in (1.0 + 0.5e-8, 1.0 - 0.5e-8, 1.0 + 2e-8, 1.0 - 2e-8, float("nan")):
-        monkeypatch.setattr(gsv_solver, "objective_value", lambda *_: lam * factor)
+        monkeypatch.setattr(gsv_solver, "_objective", lambda *_: lam * factor)
         if abs(factor - 1.0) < 1e-8:
             assert gsv_solve(stack).objective_check == lam * factor
         else:
@@ -748,11 +830,13 @@ def test_oracle_preconditions():
     [(10, -1, "seed must be at least 0, got -1"),
      (2.7, 0, "samples must be a whole number, got 2.7"),
      (math.nan, 0, "samples must be a whole number, got nan"),
-     (math.inf, 0, "samples must be a whole number, got inf")],
-    ids=["negative_seed", "fractional_samples", "nan_samples", "inf_samples"],
+     (math.inf, 0, "samples must be a whole number, got inf"),
+     (10**400, 0, "samples exceeds the float64 range")],
+    ids=["negative_seed", "fractional_samples", "nan_samples", "inf_samples", "huge_samples"],
 )
 def test_oracle_argument_domain(samples, seed, message):
-    # a negative seed escaped as numpy's bare ValueError, and 2.7 samples drew 2
+    # a negative seed escaped as numpy's bare ValueError, 2.7 samples drew 2, and 10**400
+    # samples escaped as float()'s bare OverflowError
     with pytest.raises(ArgumentOutOfRange, match=f"^{message}$") as exc_info:
         brute_force_max([np.eye(2)], samples, seed)
     assert exc_info.value.exit_code == 2

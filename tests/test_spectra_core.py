@@ -433,7 +433,7 @@ for stack in ([np.arange(12.0).reshape(4, 3)], [np.arange(8.0).reshape(2, 4)],
     gsvkit.gsv_solve(stack)
     names = [rec[2] for rec in spans[start:]]
     counts.append([names.count(name) for name in (
-        "gsv_solver.OperatorStack", "spectra_core.gram_sum", "spectra_core.max_eigenpair",
+        "spectra_core.validated_matrices", "spectra_core.gram_sum", "spectra_core.max_eigenpair",
         "gsv_solver.GsvSolution")])
 print(json.dumps(counts))
 """
@@ -449,8 +449,8 @@ def test_traced_solve_records_both_stages():
                           text=True, env={**os.environ, "PYTHONPATH": path}, check=False)
     assert proc.returncode == 0, proc.stderr  # install raises MissedBinding on a stale alias
     # tall 4 x 3, wide 2 x 4 and wide 1 x 2 at 1e-6: one of each stage, as every solve
-    # runs on one side only.  One validation, at entry: GsvSolution is a record with no span,
-    # so validations_per_solve is 1.
+    # runs on one side only.  One validation, at entry, by validated_matrices: a sequence builds
+    # no OperatorStack, and GsvSolution is a record with no span.
     assert json.loads(proc.stdout) == [[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0]]
 
 
