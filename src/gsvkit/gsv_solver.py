@@ -30,6 +30,8 @@ _NORMAL_MIN = float(np.finfo(float).tiny)
 
 def _scaled_back(lam, residual, e):
     """``(lam, residual) * 2^(2e)``; MaximumOverflow, before numpy can warn, past float64."""
+    if not e:
+        return lam, residual  # what ldexp(x, 0) returns
     if math.frexp(lam)[1] + 2 * e > 1024:
         raise MaximumOverflow(f"lambda_max = {lam!r} * 2**{2 * e} exceeds the float64 range")
     return math.ldexp(lam, 2 * e), math.ldexp(residual, 2 * e)
@@ -77,8 +79,12 @@ def objective_value(stack, x):
 
 def _objective(mats, x):
     """``sum_i ||A_i x||^2`` of validated matrices at a real vector of their column count."""
-    # ((a @ x) ** 2).sum() by the ufuncs behind ** 2 and .sum, without numpy's _methods frame
-    return float(sum(np.add.reduce(np.square(a @ x), None) for a in mats))
+    # ((a @ x) ** 2).sum() by the ufuncs behind ** 2 and .sum, without numpy's _methods frame,
+    # added in stack order from 0, as sum() adds them
+    total = 0.0
+    for a in mats:
+        total += np.add.reduce(np.square(a @ x), None)
+    return float(total)
 
 
 def _gram(mats, wide):
@@ -161,8 +167,11 @@ def gsv_solve(stack):
     lam, basis, residual = max_eigenpair(s, rows)
     lam, residual = _scaled_back(lam, residual, e)
     basis.setflags(write=False)  # fix_column_signs' fresh array: the record shares it with no one
-    norms = np.sqrt(np.add.reduce(basis * basis, 0))  # (basis * basis).sum(axis=0)
-    if not np.maximum.reduce(np.abs(norms - 1.0), None) <= 1e-12:  # a NaN fails each check
+    if basis.shape[1] == 1:  # a check, not an output: on Python floats, by hypot's norm
+        off = abs(math.hypot(*basis.ravel().tolist()) - 1.0)
+    else:
+        off = np.maximum.reduce(np.abs(np.sqrt(np.add.reduce(basis * basis, 0)) - 1.0), None)
+    if not off <= 1e-12:  # a NaN fails each check
         raise ConvergenceFailure("basis columns are not unit vectors to 1e-12")
     check = _objective(mats, basis[:, 0])
     if not abs(check - lam) <= 1e-8 * max(abs(lam), _NORMAL_MIN):  # a NaN leads, so max keeps it

@@ -4,9 +4,10 @@
 extracts its maximal eigenpair, with explicit multiplicity and a checked
 residual, from inputs that :func:`validated_matrices` checked once.  A stack ``B``
 with fewer rows than columns is solved from the smaller ``B B^T`` (the method
-of snapshots).  The backend is LAPACK: below order ``_SUBSET_MIN_ORDER`` the
-full ``numpy.linalg.eigh``, from it up ``dsyevr`` (MRRR) for the top eigenvalues
-only.  The contract is the post-condition and residual bound.
+of snapshots).  The backend is LAPACK: below order ``_SUBSET_MIN_ORDER`` the full
+``dsyevd`` behind ``numpy.linalg.eigh``, called through numpy's ``eigh_lo`` kernel without
+the wrapper, from it up ``dsyevr`` (MRRR) for the top eigenvalues only.  The contract is
+the post-condition and residual bound.
 """
 
 from __future__ import annotations
@@ -43,6 +44,23 @@ SIGN_TIE_RTOL = 1e-12
 
 # numpy's float64 dtype is one object, so _real tests an array's dtype by identity.
 _FLOAT = np.dtype(float)
+
+# max_eigenpair's message for a NaN or an inf in the matrix it decomposes.
+_NON_FINITE = "eigenproblem matrix contains non-finite entries"
+
+
+try:  # the gufunc numpy.linalg.eigh calls, without the wrapper's checks and casts
+    from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
+except ImportError:  # a numpy that keeps it elsewhere: the wrapper, with the same bits
+    _eigh = np.linalg.eigh
+else:
+    @np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")  # eigh's state
+    def _eigh(s):
+        """``numpy.linalg.eigh(s)`` of a square float matrix, bit for bit and error for error."""
+        try:
+            return _eigh_lo(s, signature="d->dd")
+        except FloatingPointError:  # the kernel's invalid flag, which numpy.linalg.eigh maps so
+            raise np.linalg.LinAlgError("Eigenvalues did not converge") from None
 
 
 def _peak(a, message):
@@ -174,13 +192,29 @@ def fix_column_signs(vectors):
     ndim = v.ndim  # read once: the one-column branch below is on every solve's path
     if not (0 < ndim < 3 and len(v)):  # an (n, 0) block passes, and comes back unchanged
         raise ShapeMismatch(f"expected a 1-D or 2-D array with a row, got shape {v.shape}")
-    a = np.abs(v)
     if ndim == 1 or v.shape[1] == 1:  # one column, as in nearly every solve
+        if len(v) < _SUBSET_MIN_ORDER:  # short, as on the small route: floats beat numpy calls
+            col = (v if ndim == 1 else v[:, 0]).tolist()
+            lead = _sign_lead(col)
+            return -v if col[lead] < 0 else v.copy()
+        a = np.abs(v)
         lead = (a >= (1.0 - SIGN_TIE_RTOL) * a.flat[a.argmax()]).argmax()
         return -v if v.flat[lead] < 0 else v.copy()
+    a = np.abs(v)
     lead = (a >= (1.0 - SIGN_TIE_RTOL) * np.maximum.reduce(a, 0)).argmax(axis=0)
     # Exact: a column is multiplied by +-1, or a zero column by sign(0.0) = +0.0.
     return v * np.sign(v[lead, np.arange(v.shape[1])])
+
+
+def _sign_lead(col):
+    """The array rule's lead of one column, as a list of floats: 0 if it holds a NaN."""
+    a = list(map(abs, col))
+    if math.isnan(sum(a)):  # a.argmax() finds the first NaN, and no entry is >= a NaN cut
+        return 0
+    cut = (1.0 - SIGN_TIE_RTOL) * max(a)
+    for i, x in enumerate(a):
+        if x >= cut:
+            return i
 
 
 class EigenPair(NamedTuple):
@@ -234,32 +268,47 @@ def _top_eigenpairs(s):
 def max_eigenpair(s, rows=None):
     """Largest eigenvalue of ``s`` and an orthonormal basis of its merged eigenspace.
 
-    ``s`` must be finite and exactly symmetric, as :func:`gram_sum` returns it.
-    Eigenvalues within ``GAP_RTOL * |lambda_max|`` of the maximum merge, a rule
+    ``s`` must be exactly symmetric, as :func:`gram_sum` returns it.  Below order
+    ``_SUBSET_MIN_ORDER`` it is decomposed whole by numpy's ``eigh_lo`` kernel, under the
+    floating-point state ``numpy.linalg.eigh`` sets and with its bits (by ``numpy.linalg.eigh``
+    itself where the kernel cannot be imported); from that order up, the top cluster only, by
+    ``dsyevr``.  Eigenvalues within ``GAP_RTOL * |lambda_max|`` of the maximum merge, a rule
     that does not depend on the units of ``s``; columns are oriented by
     :func:`fix_column_signs`.  With ``rows`` = B (M x n, M < n) and ``s = B B^T``,
     the pair is that of ``B^T B``, never formed: u maps to ``B^T u / ||B^T u||``.
-    Raises ConvergenceFailure when the backend fails (naming dsyevr's ``info``) or
-    the residual exceeds ``RESIDUAL_RTOL * |lambda|``.
+    Raises NonFiniteInput when ``s`` holds a NaN or an inf (read before ``dsyevr``, which a
+    NaN can keep spinning; read on the full route only once a step fails), and
+    ConvergenceFailure when the backend fails (naming dsyevr's ``info``, or numpy's
+    "Eigenvalues did not converge") or the residual exceeds ``RESIDUAL_RTOL * |lambda|``.
     """
     if s.shape[0] >= _SUBSET_MIN_ORDER:
+        _peak(s, _NON_FINITE)  # one O(n^2) pass next to the O(n^3) reduction
         w, v = _top_eigenpairs(s)
     else:
         try:
-            w, v = np.linalg.eigh(s)
+            w, v = _eigh(s)
         except np.linalg.LinAlgError as exc:
+            _peak(s, _NON_FINITE)
             raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     lam = float(w[-1])
-    keep = lam - w <= GAP_RTOL * abs(lam)  # w ascends to lam: the same as |w - lam| <= tol
+    if not math.isfinite(lam):  # a finite s gets here only by overflow, and carries on
+        _peak(s, _NON_FINITE)
+    tol = GAP_RTOL * abs(lam)
+    # w ascends to lam: the cluster is the tail lam - w <= tol, the same as |w - lam| <= tol
+    if len(w) == 1 or not lam - w[-2] <= tol:  # one column, as in nearly every solve
+        top = v[:, -1:]
+    else:
+        top = v[:, lam - w <= tol]
     if rows is None:
-        basis = fix_column_signs(v[:, keep])
+        basis = fix_column_signs(top)  # a fresh array, whatever the layout of top
         image = s @ basis
     else:
-        x = rows.T @ v[:, keep]
-        basis = fix_column_signs(x / np.sqrt((x * x).sum(axis=0)))
+        x = rows.T @ np.ascontiguousarray(top)  # unit stride, as the mask gives: the same gemv
+        basis = fix_column_signs(x / np.sqrt(np.add.reduce(x * x, 0)))  # (x * x).sum(axis=0)
         image = rows.T @ (rows @ basis)
     d = image - lam * basis  # sqrt((d * d).sum(axis=0)).max(), by the ufuncs behind the methods
     residual = float(np.maximum.reduce(np.sqrt(np.add.reduce(d * d, 0)), None))
     if not residual <= RESIDUAL_RTOL * abs(lam):  # a NaN fails too
+        _peak(s, _NON_FINITE)
         raise ConvergenceFailure(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |lambda|")
     return EigenPair(lam, basis, residual)

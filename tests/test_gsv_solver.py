@@ -521,6 +521,40 @@ def test_gsv_solution_invariants_enforced(monkeypatch):
             gsv_solve(stack)
 
 
+@pytest.mark.parametrize("stack", [[np.ones((2, 2))], [np.ones((3, 3)), np.diag([1.0, 0.0, 0.0])],
+                                   [np.eye(2)], [np.eye(3)[:2]]],
+                         ids=["one_column", "one_column_of_3", "two_columns", "wide_two_columns"])
+def test_unit_check_rejects_off_nan_and_inf_columns(stack, monkeypatch):
+    # one column is checked on Python floats, several on arrays: the same 1e-12 bound on each
+    real = gsv_solver.max_eigenpair
+
+    def spoiled(spoil):
+        def solve(*args):
+            pair = real(*args)
+            vectors = pair.vectors.copy()
+            spoil(vectors)
+            return pair._replace(vectors=vectors)
+        return solve
+
+    def scale_last(factor):
+        def spoil(v):
+            v[:, -1] *= factor
+        return spoil
+
+    def put(value):
+        def spoil(v):
+            v[-1, -1] = value
+        return spoil
+
+    monkeypatch.setattr(gsv_solver, "max_eigenpair", spoiled(scale_last(1.0 + 0.5e-12)))
+    gsv_solve(stack)  # half the bound passes
+    for spoil in (scale_last(1.0 + 2e-12), scale_last(1.0 - 2e-12), put(np.nan), put(np.inf),
+                  put(-np.inf)):
+        monkeypatch.setattr(gsv_solver, "max_eigenpair", spoiled(spoil))
+        with pytest.raises(ConvergenceFailure, match="^basis columns are not unit vectors"):
+            gsv_solve(stack)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-20, 1e-300])
 def test_gsv_solution_bounds_are_relative(scale, monkeypatch):
     # the objective bound scales with lambda_max: below 1 there is no absolute floor to hide

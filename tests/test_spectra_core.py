@@ -197,7 +197,7 @@ def test_max_eigenpair_backend_failure_maps_to_convergence_failure(monkeypatch):
     def boom(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", boom)
+    monkeypatch.setattr(spectra_core, "_eigh", boom)
     with pytest.raises(ConvergenceFailure) as exc_info:
         max_eigenpair(np.eye(3))
     assert "Eigenvalues did not converge" in str(exc_info.value)
@@ -208,7 +208,7 @@ def test_max_eigenpair_nan_residual_fails_the_bound(monkeypatch):
     def nan_vectors(s):
         return np.array([0.0, 1.0]), np.array([[1.0, np.nan], [0.0, np.nan]])
 
-    monkeypatch.setattr(np.linalg, "eigh", nan_vectors)
+    monkeypatch.setattr(spectra_core, "_eigh", nan_vectors)
     with pytest.raises(ConvergenceFailure):
         max_eigenpair(np.diag([0.0, 1.0]))
 
@@ -221,9 +221,9 @@ def test_max_eigenpair_residual_bound_is_relative(scale, monkeypatch):
         c, s = np.cos(theta), np.sin(theta)
         return lambda _: (np.array([scale, 2.0 * scale]), np.array([[c, -s], [s, c]]))
 
-    monkeypatch.setattr(np.linalg, "eigh", turned(1e-9))
+    monkeypatch.setattr(spectra_core, "_eigh", turned(1e-9))
     assert max_eigenpair(np.diag([scale, 2.0 * scale])).residual <= RESIDUAL_RTOL * 2.0 * scale
-    monkeypatch.setattr(np.linalg, "eigh", turned(1e-7))
+    monkeypatch.setattr(spectra_core, "_eigh", turned(1e-7))
     with pytest.raises(ConvergenceFailure, match=r"\* \|lambda\|"):
         max_eigenpair(np.diag([scale, 2.0 * scale]))
 
@@ -246,6 +246,92 @@ def test_max_eigenpair_merge_boundary_is_exact():
         np.testing.assert_array_equal(k, np.diag([1e10, second]))
         pair = max_eigenpair(k, b)
         assert pair.vectors.shape[1] == mult and pair.residual <= RESIDUAL_RTOL * 1e10
+
+
+def test_max_eigenpair_maps_the_kernels_invalid_flag_to_numpys_error(monkeypatch):
+    # the kernel runs under numpy.linalg.eigh's floating-point state: an invalid flag raised
+    # inside it is eigh's LinAlgError, so ConvergenceFailure with numpy's message ...
+    real = spectra_core._eigh_lo
+
+    def flagged(s, signature):
+        np.sqrt(np.full(2, -1.0))
+        return real(s, signature=signature)
+
+    monkeypatch.setattr(spectra_core, "_eigh_lo", flagged)
+    with pytest.raises(ConvergenceFailure,
+                       match="^eigendecomposition failed: Eigenvalues did not converge$"):
+        max_eigenpair(np.diag([1.0, 2.0]))
+
+    # ... while overflow, division by zero and underflow pass silently, as in eigh
+    def quiet(s, signature):
+        np.float64(1e300) * np.float64(1e300), np.divide(1.0, np.zeros(1)), np.float64(1e-300) ** 2
+        return real(s, signature=signature)
+
+    monkeypatch.setattr(spectra_core, "_eigh_lo", quiet)
+    pair = max_eigenpair(np.diag([1.0, 2.0]))
+    assert pair.value == 2.0 and pair.vectors.tolist() == [[0.0], [1.0]]
+
+
+SMALL_STREAM_DIGEST = r"""
+import hashlib, sys
+import numpy as np
+if sys.argv[1] == "fallback":
+    sys.modules["numpy.linalg._umath_linalg"] = None  # the kernel's import fails
+from gsvkit import gsv_solve, spectra_core
+assert (spectra_core._eigh is np.linalg.eigh) == (sys.argv[1] == "fallback")
+rng = np.random.default_rng(35)
+digest = hashlib.sha256()
+for _ in range(400):  # many_small's shapes: tall and wide, n below the subset route
+    n = int(rng.integers(1, 13))
+    stack = [rng.standard_normal((int(rng.integers(1, 21)), n)) for _ in range(rng.integers(1, 6))]
+    for sol in (gsv_solve(stack), gsv_solve([np.kron(np.eye(2), a) for a in stack])):
+        digest.update(f"{sol.lambda_max.hex()} {sol.objective_check.hex()} {sol.residual.hex()}"
+                      .encode())
+        digest.update(sol.basis.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def package_env():
+    """The environment of a child interpreter that imports the gsvkit under test."""
+    src = os.path.dirname(os.path.dirname(gsvkit.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_eigh_fallback_binding_keeps_every_output_bit():
+    # where numpy's kernel cannot be imported, _eigh is numpy.linalg.eigh itself: the four
+    # outputs of a seeded small-stack stream keep their bits (each stack doubled block-diagonally
+    # has a two-fold maximum)
+    out = {}
+    for binding in ("kernel", "fallback"):
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", SMALL_STREAM_DIGEST, binding],
+                              capture_output=True, text=True, env=package_env(), check=False)
+        assert proc.returncode == 0, proc.stderr
+        out[binding] = proc.stdout
+    assert out["kernel"] == out["fallback"]
+
+
+@pytest.mark.parametrize("order, where, value", [
+    (2, (0, 1), "inf"), (2, (0, 1), "nan"), (40, (0, 1), "inf"), (40, (0, 1), "nan"),
+    (3, (0, 0), "nan"),  # lambda_max comes back finite: the NaN residual finds it
+    (12, (0, 0), "-inf"),  # lambda_max comes back NaN: read before a matmul can warn
+    (5, (2, 0), "nan"),  # the kernel's invalid flag: numpy's "did not converge"
+], ids=["inf_pair", "nan_pair", "inf_pair_dsyevr", "nan_pair_dsyevr", "nan_diagonal",
+        "inf_diagonal", "not_converged"])
+def test_max_eigenpair_refuses_a_non_finite_matrix(order, where, value):
+    # [[1, inf], [inf, 1]] and its NaN twin escaped as numpy's zero-size ValueError, an order-40
+    # identity with an inf pair as "dsyevr info = 0", and with a NaN pair dsyevr spun for
+    # minutes: run in a child process, so a hang fails the test instead of stalling the suite
+    i, j = where
+    code = (f"import numpy as np; from gsvkit.spectra_core import max_eigenpair\n"
+            f"s = np.eye({order}); s[{i}, {j}] = s[{j}, {i}] = float('{value}')\n"
+            f"try:\n    max_eigenpair(s)\nexcept Exception as exc:\n"
+            f"    print(type(exc).__name__, exc)")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True, env=package_env(), timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "NonFiniteInput eigenproblem matrix contains non-finite entries\n"
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +756,41 @@ def test_fix_column_signs_matches_column_loop():
     np.testing.assert_array_equal(
         fix_column_signs(vector), fix_column_signs_loop(vector[:, None])[:, 0]
     )
+
+
+def sign_battery(rng):
+    """Seeded columns for the sign rule: NaN first, inside and everywhere, +-0.0, zero columns,
+    infinities, and ties within and just outside SIGN_TIE_RTOL, on both sides of the length
+    at which fix_column_signs leaves Python floats for arrays."""
+    near = [1 - 5e-13, 1 - 1e-12, 1 - 2e-12, 1 - 1e-11, 1.0]
+    for _ in range(400):
+        n = int(rng.integers(1, 2 * spectra_core._SUBSET_MIN_ORDER))
+        signs = rng.choice([-1.0, 1.0], size=n)
+        for col in (rng.standard_normal(n), 0.5 * rng.integers(-2, 3, size=n),
+                    rng.choice([-0.0, 0.0], size=n), rng.choice(near, size=n) * signs):
+            yield col
+            for value in (np.nan, np.inf, -np.inf, -0.0):
+                for where in {0, n // 2, n - 1}:
+                    spoiled = col.copy()
+                    spoiled[where] = value
+                    yield spoiled
+            yield np.full(n, np.nan)
+            yield -np.abs(col)
+
+
+def test_one_column_sign_lead_is_the_array_rule():
+    # the one-column lead, on Python floats below the subset order, against the lead the
+    # vectorized branch of fix_column_signs takes for the same column in a block
+    count = 0
+    for col in sign_battery(np.random.default_rng(35)):
+        a = np.abs(col[:, None])
+        lead = int((a >= (1.0 - SIGN_TIE_RTOL) * np.maximum.reduce(a, 0)).argmax(axis=0)[0])
+        assert spectra_core._sign_lead(col.tolist()) == lead, col
+        want = -col if col[lead] < 0 else col
+        for got in (fix_column_signs(col), fix_column_signs(col[:, None])[:, 0]):
+            assert got.tobytes() == want.tobytes(), col
+        count += 1
+    assert count > 10000
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (0, 3), (0, 0), (2, 2, 2)])
