@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _lapack
 from .errors import (AllZero, ArgumentOutOfRange, ConvergenceFailure, DimensionTooLarge,
                      MaximumOverflow, NonFiniteInput, NotSPD, ShapeMismatch)
 from .spectra_core import (_EXP_WINDOW, _rescaled, _stack_peak, _symmetrized, _vector, gram_sum,
@@ -127,10 +128,9 @@ def gsv_solve(stack):
     ``gram_sum`` and ``max_eigenpair`` run on the smaller Gram: ``B B^T`` when
     ``B = vstack(A_i)`` has fewer rows than columns (u maps to ``B^T u / ||B^T u||``).
     A peak beyond ``2^±_EXP_WINDOW`` is solved as ``2^-e * stack``, exactly, and lambda_max
-    scaled back by ``2^(2e)``.  A matrix sequence is validated once, by ``validated_matrices``
-    (structure only), and its values read once, by the Gram, whose diagonal shows a NaN or an
-    inf and places the peak in the window; only a stack it cannot place has its exact peak read
-    (and its Gram formed again if outside), as an OperatorStack did when built.
+    scaled back by ``2^(2e)``.  Every stack's values are read once, by the Gram, whose diagonal
+    shows a NaN or an inf and places the peak in the window; only a stack it cannot place has
+    its exact peak read (and its Gram formed again if outside).
     Each post-condition is checked once: ``max_eigenpair`` bounds the residual; here, scaled
     back, the basis columns must be unit to 1e-12 and the objective, evaluated on the unscaled
     stack, lie within ``1e-8 * max(|lambda_max|, smallest normal float64)`` of lambda_max.
@@ -138,31 +138,26 @@ def gsv_solve(stack):
     fault first), AllZero for an all-zero one, MaximumOverflow past float64, and
     ConvergenceFailure when the eigensolve or a post-condition fails.
     """
-    if isinstance(stack, OperatorStack):
-        mats, peak = stack.mats, stack.peak
-    else:
-        mats, peak = validated_matrices(stack), None
+    mats = stack.mats if isinstance(stack, OperatorStack) else validated_matrices(stack)
     m, n = sum(a.shape[0] for a in mats), mats[0].shape[1]
-    wide, s = m < n, None
-    if peak is None:
-        # S_jj sums the K = max(m, n) squares of column j (of row j of B when wide), so exactly
-        # peak^2 <= max_j S_jj <= K peak^2.  Computed in any order, a sum of K squares is within
-        # a factor 2 of the exact one while K u <= 1/2 (K <= 2^52: any stack in memory), and a
-        # NaN or an inf makes its own diagonal entry NaN or inf.  So with W = _EXP_WINDOW, a top
-        # within [4 K 2^(-2W), 2^(2W)] puts the peak in [2^-W, 2^(W+1)): finite, and left as it
-        # is by _rescaled.  Any other top (NaN, inf, zero, near or outside the window) asks for
-        # the exact peak, which raises NonFiniteInput or AllZero as an OperatorStack would.
-        with np.errstate(over="ignore", invalid="ignore"):
-            s, rows = _gram(mats, wide)
-        top = float(np.maximum.reduce(s.diagonal(), None, None, None, False, 0.0))  # NaN leads
-        if not math.ldexp(4 * max(m, n), -2 * _EXP_WINDOW) <= top <= 2.0 ** (2 * _EXP_WINDOW):
-            peak = _stack_peak(mats)
+    wide = m < n
+    # S_jj sums the K = max(m, n) squares of column j (of row j of B when wide), so exactly
+    # peak^2 <= max_j S_jj <= K peak^2.  Computed in any order, a sum of K squares is within
+    # a factor 2 of the exact one while K u <= 1/2 (K <= 2^52: any stack in memory), and a
+    # NaN or an inf makes its own diagonal entry NaN or inf.  So with W = _EXP_WINDOW, a top
+    # within [4 K 2^(-2W), 2^(2W)] puts the peak in [2^-W, 2^(W+1)): finite, and left as it
+    # is by _rescaled.  Any other top (NaN, inf, zero, near or outside the window) asks for
+    # the exact peak, which raises NonFiniteInput or AllZero.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, rows = _gram(mats, wide)
+    top = float(np.maximum.reduce(s.diagonal(), None, None, None, False, 0.0))  # NaN leads
     e = 0
-    if peak is not None:
+    if not math.ldexp(4 * max(m, n), -2 * _EXP_WINDOW) <= top <= 2.0 ** (2 * _EXP_WINDOW):
+        peak = _stack_peak(mats)
         if peak == 0.0:
             raise AllZero("all matrices in the stack are zero")
         scaled, e = _rescaled(mats, peak)
-        if e or s is None:
+        if e:
             s, rows = _gram(scaled, wide)
     lam, basis, residual = max_eigenpair(s, rows)
     lam, residual = _scaled_back(lam, residual, e)
@@ -205,12 +200,6 @@ class WeightedProblem:
         object.__setattr__(self, "resistance", r)
 
 
-def _check_info(info, what, routine):
-    """ConvergenceFailure ``<what> failed: <routine> info = <info>`` for a nonzero LAPACK info."""
-    if info:
-        raise ConvergenceFailure(f"{what} failed: {routine} info = {info}")
-
-
 def weighted_gsv_solve(prob):
     """Solve the energy-constrained problem via Cholesky whitening.
 
@@ -227,28 +216,25 @@ def weighted_gsv_solve(prob):
     float64 (the maximum is at least its square), ConvergenceFailure naming the routine and
     its code for any other nonzero LAPACK ``info``, and propagates solver errors.
     """
-    # Deferred, as in _top_eigenpairs: importing scipy.linalg costs ~0.2 s.
-    from scipy.linalg import lapack
-
     if not isinstance(prob, WeightedProblem):
         raise TypeError("weighted_gsv_solve expects a WeightedProblem")
     # R.T is R (exactly symmetric), F-ordered: f2py makes a plain copy, not a transposing one.
     # The strict lower triangle of c is left as dpotrf found it: dtrtrs reads only the upper.
-    c, info = lapack.dpotrf(prob.resistance.T, lower=0, clean=0)
+    c, info = _lapack.dpotrf(prob.resistance.T, lower=0, clean=0)
     if info > 0:
         raise NotSPD(info)
-    _check_info(info, "Cholesky factorization", "dpotrf")
+    _lapack.check(info, "Cholesky factorization", "dpotrf")
     # C^T W^T = (vstack E)^T, which is F-ordered and fresh, so dtrtrs overwrites it in place
-    wt, info = lapack.dtrtrs(c, np.concatenate(prob.fields).T, lower=0, trans=1, overwrite_b=1)
-    _check_info(info, "whitening", "dtrtrs")
+    wt, info = _lapack.dtrtrs(c, np.concatenate(prob.fields).T, lower=0, trans=1, overwrite_b=1)
+    _lapack.check(info, "whitening", "dtrtrs")
     ends = np.cumsum([e.shape[0] for e in prob.fields])
     try:
         solution = gsv_solve(np.split(wt.T, ends[:-1]))
     except NonFiniteInput:  # the fields and R were finite: the whitening overflowed
         raise MaximumOverflow("lambda_max exceeds the float64 range: "
                               "the whitened fields E_i C^-1 overflow") from None
-    psi, info = lapack.dtrtrs(c, solution.basis[:, 0], lower=0)
-    _check_info(info, "mapping phi back", "dtrtrs")
+    psi, info = _lapack.dtrtrs(c, solution.basis[:, 0], lower=0)
+    _lapack.check(info, "mapping phi back", "dtrtrs")
     energy = float(psi @ (prob.resistance @ psi))
     if abs(energy - 1.0) > 1e-8:
         raise ConvergenceFailure(

@@ -4,10 +4,8 @@
 extracts its maximal eigenpair, with explicit multiplicity and a checked
 residual, from inputs that :func:`validated_matrices` checked once.  A stack ``B``
 with fewer rows than columns is solved from the smaller ``B B^T`` (the method
-of snapshots).  The backend is LAPACK: below order ``_SUBSET_MIN_ORDER`` the full
-``dsyevd`` behind ``numpy.linalg.eigh``, called through numpy's ``eigh_lo`` kernel without
-the wrapper, from it up ``dsyevr`` (MRRR) for the top eigenvalues only.  The contract is
-the post-condition and residual bound.
+of snapshots).  LAPACK is reached through ``_lapack``; the contract is the
+post-condition and residual bound.
 """
 
 from __future__ import annotations
@@ -17,8 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ComplexInput, ConvergenceFailure, EmptyStack, NonFiniteInput, NotSymmetric,
-                     ShapeMismatch)
+from . import _lapack
+from .errors import (ComplexInput, ConvergenceFailure, EmptyStack, MaximumOverflow, NonFiniteInput,
+                     NotSymmetric, ShapeMismatch)
 
 # Relative Frobenius asymmetry above this is a caller bug, not round-off.
 ASYMMETRY_RTOL = 1e-10
@@ -47,20 +46,6 @@ _FLOAT = np.dtype(float)
 
 # max_eigenpair's message for a NaN or an inf in the matrix it decomposes.
 _NON_FINITE = "eigenproblem matrix contains non-finite entries"
-
-
-try:  # the gufunc numpy.linalg.eigh calls, without the wrapper's checks and casts
-    from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
-except ImportError:  # a numpy that keeps it elsewhere: the wrapper, with the same bits
-    _eigh = np.linalg.eigh
-else:
-    @np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")  # eigh's state
-    def _eigh(s):
-        """``numpy.linalg.eigh(s)`` of a square float matrix, bit for bit and error for error."""
-        try:
-            return _eigh_lo(s, signature="d->dd")
-        except FloatingPointError:  # the kernel's invalid flag, which numpy.linalg.eigh maps so
-            raise np.linalg.LinAlgError("Eigenvalues did not converge") from None
 
 
 def _peak(a, message):
@@ -248,16 +233,13 @@ def _top_eigenpairs(s):
     k starts at 2 and doubles until all k pairs came back and the smallest eigenvalue found
     lies outside the merge tolerance, or k = n: the merged top cluster is then complete.
     """
-    # Deferred: importing scipy.linalg costs ~0.2 s, which small solves never pay.
-    from scipy.linalg import lapack
-
     n = s.shape[0]
     k = min(2, n)
     while True:
         # s.T is s, F-ordered: f2py makes a plain copy, not a transposing one
-        w, v, m, _, info = lapack.dsyevr(s.T, range="I", il=n - k + 1, iu=n)
-        if info or m < k == n:  # m < k == n: the whole spectrum came back short
-            raise ConvergenceFailure(f"eigendecomposition failed: dsyevr info = {info}")
+        w, v, m, _, info = _lapack.dsyevr(s.T, range="I", il=n - k + 1, iu=n)
+        # m < k == n: the whole spectrum came back short
+        _lapack.check(info, "eigendecomposition", "dsyevr", short=m < k == n)
         # MRRR may return m < k pairs with info 0 (here: none of the top 2 of a 40 x 40 Gram whose
         # second eigenvalue is 39-fold), zero vectors in their place: then ask for more
         if m == k and (k == n or w[k - 1] - w[0] > GAP_RTOL * abs(w[k - 1])):
@@ -265,34 +247,44 @@ def _top_eigenpairs(s):
         k = min(2 * k, n)
 
 
+@np.errstate(over="ignore")
+def _residual_near_overflow(d):
+    """max_eigenpair's residual of d, bit for bit, or where only its squares overflow, 2^e times
+    that of ``_rescaled``'s ``2^-e d``: the same value, without the overflow."""
+    residual = float(np.maximum.reduce(np.sqrt(np.add.reduce(d * d, 0)), None))
+    if residual == math.inf:  # a d holding an inf is left as it is, and gives inf again
+        (x,), e = _rescaled((d,), float(np.maximum.reduce(np.abs(d), None)))
+        residual = float(np.ldexp(np.maximum.reduce(np.sqrt(np.add.reduce(x * x, 0)), None), e))
+    return residual
+
+
 def max_eigenpair(s, rows=None):
     """Largest eigenvalue of ``s`` and an orthonormal basis of its merged eigenspace.
 
     ``s`` must be exactly symmetric, as :func:`gram_sum` returns it.  Below order
-    ``_SUBSET_MIN_ORDER`` it is decomposed whole by numpy's ``eigh_lo`` kernel, under the
-    floating-point state ``numpy.linalg.eigh`` sets and with its bits (by ``numpy.linalg.eigh``
-    itself where the kernel cannot be imported); from that order up, the top cluster only, by
-    ``dsyevr``.  Eigenvalues within ``GAP_RTOL * |lambda_max|`` of the maximum merge, a rule
-    that does not depend on the units of ``s``; columns are oriented by
-    :func:`fix_column_signs`.  With ``rows`` = B (M x n, M < n) and ``s = B B^T``,
-    the pair is that of ``B^T B``, never formed: u maps to ``B^T u / ||B^T u||``.
-    Raises NonFiniteInput when ``s`` holds a NaN or an inf (read before ``dsyevr``, which a
-    NaN can keep spinning; read on the full route only once a step fails), and
-    ConvergenceFailure when the backend fails (naming dsyevr's ``info``, or numpy's
-    "Eigenvalues did not converge") or the residual exceeds ``RESIDUAL_RTOL * |lambda|``.
+    ``_SUBSET_MIN_ORDER`` it is decomposed whole by ``_lapack.eigh``; from that order up, the
+    top cluster only, by ``_lapack.dsyevr``.  Eigenvalues within ``GAP_RTOL * |lambda_max|`` of
+    the maximum merge, a rule that does not depend on the units of ``s``; columns are oriented
+    by :func:`fix_column_signs`.  With ``rows`` = B (M x n, M < n) and ``s = B B^T``, the pair
+    is that of ``B^T B``, never formed: u maps to ``B^T u / ||B^T u||``.  Raises NonFiniteInput
+    when ``s`` holds a NaN or an inf (read before ``dsyevr``, which a NaN can keep spinning; read
+    on the full route only once a step fails), MaximumOverflow when lambda_max of a finite ``s``
+    is past float64, and ConvergenceFailure when the backend fails (naming dsyevr's ``info``, or
+    numpy's "Eigenvalues did not converge") or the residual exceeds ``RESIDUAL_RTOL * |lambda|``.
     """
     if s.shape[0] >= _SUBSET_MIN_ORDER:
         _peak(s, _NON_FINITE)  # one O(n^2) pass next to the O(n^3) reduction
         w, v = _top_eigenpairs(s)
     else:
         try:
-            w, v = _eigh(s)
+            w, v = _lapack.eigh(s)
         except np.linalg.LinAlgError as exc:
             _peak(s, _NON_FINITE)
             raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     lam = float(w[-1])
-    if not math.isfinite(lam):  # a finite s gets here only by overflow, and carries on
+    if not math.isfinite(lam):  # a finite s gets here only by overflow
         _peak(s, _NON_FINITE)
+        raise MaximumOverflow("lambda_max of the finite matrix exceeds the float64 range")
     tol = GAP_RTOL * abs(lam)
     # w ascends to lam: the cluster is the tail lam - w <= tol, the same as |w - lam| <= tol
     if len(w) == 1 or not lam - w[-2] <= tol:  # one column, as in nearly every solve
@@ -307,7 +299,10 @@ def max_eigenpair(s, rows=None):
         basis = fix_column_signs(x / np.sqrt(np.add.reduce(x * x, 0)))  # (x * x).sum(axis=0)
         image = rows.T @ (rows @ basis)
     d = image - lam * basis  # sqrt((d * d).sum(axis=0)).max(), by the ufuncs behind the methods
-    residual = float(np.maximum.reduce(np.sqrt(np.add.reduce(d * d, 0)), None))
+    if abs(lam) < 2.0 ** 510:  # on a Gram |d| <= 2 |lambda|: no square overflows
+        residual = float(np.maximum.reduce(np.sqrt(np.add.reduce(d * d, 0)), None))
+    else:
+        residual = _residual_near_overflow(d)
     if not residual <= RESIDUAL_RTOL * abs(lam):  # a NaN fails too
         _peak(s, _NON_FINITE)
         raise ConvergenceFailure(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |lambda|")

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gsvkit import gsv_solver
+from gsvkit import _lapack, gsv_solver
 from gsvkit.density_model import DensityModel
 from gsvkit.errors import (
     AllZero,
@@ -773,9 +773,7 @@ def test_weighted_not_spd_reports_pivot():
 
 def test_weighted_illegal_cholesky_argument_is_a_convergence_failure(monkeypatch):
     # dpotrf's info < 0 names an argument it refused: a backend failure, exit 3, named by info
-    from scipy.linalg import lapack
-
-    monkeypatch.setattr(lapack, "dpotrf", lambda a, **kwargs: (a, -4))
+    monkeypatch.setattr(_lapack, "dpotrf", lambda a, **kwargs: (a, -4))
     with pytest.raises(ConvergenceFailure, match="^Cholesky factorization failed: dpotrf info = -4$"):
         weighted_gsv_solve(WeightedProblem((np.ones((2, 3)),), np.eye(3)))
 
@@ -783,16 +781,14 @@ def test_weighted_illegal_cholesky_argument_is_a_convergence_failure(monkeypatch
 @pytest.mark.parametrize("failing_call", [0, 1], ids=["whitening", "map_back"])
 def test_weighted_triangular_solve_info_is_a_convergence_failure(monkeypatch, failing_call):
     # a nonzero dtrtrs info, on the whitening or on the map-back call, is a backend failure
-    from scipy.linalg import lapack
-
-    calls, real = [], lapack.dtrtrs
+    calls, real = [], _lapack.dtrtrs
 
     def dtrtrs(a, b, **kwargs):
         calls.append(kwargs)
         x, _ = real(a, b, **kwargs)
         return x, (-2 if len(calls) - 1 == failing_call else 0)
 
-    monkeypatch.setattr(lapack, "dtrtrs", dtrtrs)
+    monkeypatch.setattr(_lapack, "dtrtrs", dtrtrs)
     with pytest.raises(ConvergenceFailure, match=r"failed: dtrtrs info = -2$") as caught:
         weighted_gsv_solve(WeightedProblem((np.eye(3)[:2], np.ones((1, 3))), np.eye(3) * 2.0))
     assert caught.value.exit_code == 3

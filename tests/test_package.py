@@ -336,10 +336,11 @@ def test_every_array_enters_through_the_one_float_cast(path):
     assert float_casts(source, FLOAT_CAST_OWNERS.get(path.name)) == []
 
 
-def scipy_imports(source):
-    """``(line, allowed)`` for each import of scipy in ``source``; only ``from scipy.linalg import
-    lapack`` inside a function body is allowed: scipy is reached through its LAPACK wrappers
-    alone, loaded on first use, so ``import gsvkit`` loads no scipy."""
+def lapack_imports(source):
+    """``(line, allowed)`` for each import of scipy or of numpy's ``linalg._umath_linalg`` in
+    ``source``.  Of scipy, only ``from scipy.linalg import lapack`` inside a function body is
+    allowed: scipy is reached through its LAPACK wrappers alone, loaded on first use, so
+    ``import gsvkit`` loads no scipy."""
     tree = ast.parse(source)
     in_functions = {id(n) for f in ast.walk(tree)
                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in ast.walk(f)}
@@ -355,6 +356,8 @@ def scipy_imports(source):
             lapack = isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg" and [
                 (a.name, a.asname) for a in node.names] == [("lapack", None)]
             found.append((node.lineno, lapack and id(node) in in_functions))
+        elif any(m.startswith("numpy.linalg._umath_linalg") for m in modules):
+            found.append((node.lineno, True))
     return sorted(found)
 
 
@@ -365,15 +368,17 @@ def test_scipy_import_detector():
         "    from scipy.linalg import solve_triangular\n    from scipy.linalg import lapack as lp\n"
         "    import scipy.linalg.lapack\n    import numpy, scipypy\n"
         "class C:\n    from scipy import linalg\n"
+        "from numpy.linalg._umath_linalg import eigh_lo\nimport numpy.linalg._umath_linalg as u\n"
+        "from numpy.linalg import eigh\n"
     )
-    assert scipy_imports(source) == [
-        (1, False), (2, False), (4, True), (5, False), (6, False), (7, False), (10, False)]
+    assert lapack_imports(source) == [(1, False), (2, False), (4, True), (5, False), (6, False),
+                                      (7, False), (10, False), (11, True), (12, True)]
 
 
 def test_scipy_is_reached_through_its_lapack_module_alone():
+    # scipy and numpy's eigh kernel are imported in gsvkit/_lapack.py alone, the one LAPACK seam
     paths = sorted(pathlib.Path(gsvkit.__file__).parent.glob("*.py"))
-    found = {p.name: scipy_imports(p.read_text(encoding="utf-8")) for p in paths}
+    found = {p.name: lapack_imports(p.read_text(encoding="utf-8")) for p in paths}
     assert {name: lines for name, lines in found.items()
             if any(not allowed for _, allowed in lines)} == {}
-    assert sorted(name for name, lines in found.items() if lines) == [
-        "gsv_solver.py", "spectra_core.py"]
+    assert sorted(name for name, lines in found.items() if lines) == ["_lapack.py"]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsvkit
-from gsvkit import matrix_io, spectra_core
+from gsvkit import _lapack, matrix_io, spectra_core
 from gsvkit.density_model import DensityModel, joint_magnitude_state
 from gsvkit.errors import (
     AllZero,
@@ -197,7 +197,7 @@ def test_max_eigenpair_backend_failure_maps_to_convergence_failure(monkeypatch):
     def boom(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(spectra_core, "_eigh", boom)
+    monkeypatch.setattr(_lapack, "eigh", boom)
     with pytest.raises(ConvergenceFailure) as exc_info:
         max_eigenpair(np.eye(3))
     assert "Eigenvalues did not converge" in str(exc_info.value)
@@ -208,7 +208,7 @@ def test_max_eigenpair_nan_residual_fails_the_bound(monkeypatch):
     def nan_vectors(s):
         return np.array([0.0, 1.0]), np.array([[1.0, np.nan], [0.0, np.nan]])
 
-    monkeypatch.setattr(spectra_core, "_eigh", nan_vectors)
+    monkeypatch.setattr(_lapack, "eigh", nan_vectors)
     with pytest.raises(ConvergenceFailure):
         max_eigenpair(np.diag([0.0, 1.0]))
 
@@ -221,9 +221,9 @@ def test_max_eigenpair_residual_bound_is_relative(scale, monkeypatch):
         c, s = np.cos(theta), np.sin(theta)
         return lambda _: (np.array([scale, 2.0 * scale]), np.array([[c, -s], [s, c]]))
 
-    monkeypatch.setattr(spectra_core, "_eigh", turned(1e-9))
+    monkeypatch.setattr(_lapack, "eigh", turned(1e-9))
     assert max_eigenpair(np.diag([scale, 2.0 * scale])).residual <= RESIDUAL_RTOL * 2.0 * scale
-    monkeypatch.setattr(spectra_core, "_eigh", turned(1e-7))
+    monkeypatch.setattr(_lapack, "eigh", turned(1e-7))
     with pytest.raises(ConvergenceFailure, match=r"\* \|lambda\|"):
         max_eigenpair(np.diag([scale, 2.0 * scale]))
 
@@ -251,13 +251,13 @@ def test_max_eigenpair_merge_boundary_is_exact():
 def test_max_eigenpair_maps_the_kernels_invalid_flag_to_numpys_error(monkeypatch):
     # the kernel runs under numpy.linalg.eigh's floating-point state: an invalid flag raised
     # inside it is eigh's LinAlgError, so ConvergenceFailure with numpy's message ...
-    real = spectra_core._eigh_lo
+    real = _lapack._eigh_lo
 
     def flagged(s, signature):
         np.sqrt(np.full(2, -1.0))
         return real(s, signature=signature)
 
-    monkeypatch.setattr(spectra_core, "_eigh_lo", flagged)
+    monkeypatch.setattr(_lapack, "_eigh_lo", flagged)
     with pytest.raises(ConvergenceFailure,
                        match="^eigendecomposition failed: Eigenvalues did not converge$"):
         max_eigenpair(np.diag([1.0, 2.0]))
@@ -267,7 +267,7 @@ def test_max_eigenpair_maps_the_kernels_invalid_flag_to_numpys_error(monkeypatch
         np.float64(1e300) * np.float64(1e300), np.divide(1.0, np.zeros(1)), np.float64(1e-300) ** 2
         return real(s, signature=signature)
 
-    monkeypatch.setattr(spectra_core, "_eigh_lo", quiet)
+    monkeypatch.setattr(_lapack, "_eigh_lo", quiet)
     pair = max_eigenpair(np.diag([1.0, 2.0]))
     assert pair.value == 2.0 and pair.vectors.tolist() == [[0.0], [1.0]]
 
@@ -277,8 +277,8 @@ import hashlib, sys
 import numpy as np
 if sys.argv[1] == "fallback":
     sys.modules["numpy.linalg._umath_linalg"] = None  # the kernel's import fails
-from gsvkit import gsv_solve, spectra_core
-assert (spectra_core._eigh is np.linalg.eigh) == (sys.argv[1] == "fallback")
+from gsvkit import _lapack, gsv_solve
+assert (_lapack.eigh is np.linalg.eigh) == (sys.argv[1] == "fallback")
 rng = np.random.default_rng(35)
 digest = hashlib.sha256()
 for _ in range(400):  # many_small's shapes: tall and wide, n below the subset route
@@ -300,7 +300,7 @@ def package_env():
 
 
 def test_eigh_fallback_binding_keeps_every_output_bit():
-    # where numpy's kernel cannot be imported, _eigh is numpy.linalg.eigh itself: the four
+    # where numpy's kernel cannot be imported, _lapack.eigh is numpy.linalg.eigh itself: the four
     # outputs of a seeded small-stack stream keep their bits (each stack doubled block-diagonally
     # has a two-fold maximum)
     out = {}
@@ -334,6 +334,48 @@ def test_max_eigenpair_refuses_a_non_finite_matrix(order, where, value):
     assert proc.stdout == "NonFiniteInput eigenproblem matrix contains non-finite entries\n"
 
 
+@pytest.mark.parametrize("order, entry", [(2, 1e308), (40, 1e307)], ids=["eigh", "dsyevr"])
+def test_max_eigenpair_of_a_finite_matrix_past_float64_is_maximum_overflow(order, entry):
+    # lambda_max = order * entry overflows: eigh returned (inf, (1, -1) / sqrt(2), inf), a wrong
+    # pair, and dsyevr's inf ended as "residual nan"
+    with pytest.raises(MaximumOverflow,
+                       match="^lambda_max of the finite matrix exceeds the float64 range$"):
+        max_eigenpair(np.full((order, order), entry))
+
+
+@pytest.mark.parametrize("order", [5, 40], ids=["eigh", "dsyevr"])
+def test_max_eigenpair_residual_is_finite_where_only_its_squares_overflow(order):
+    # at 1e200 the residual, ~1e185, is in range but its square is not: it was inf, a
+    # ConvergenceFailure; the pair is the rescaled one's, lambda_max to rounding
+    a = np.random.default_rng(order).standard_normal((order, order))
+    base = max_eigenpair(a @ a.T)
+    for scale in (1e150, 1e200, 1e300, 1e305):
+        pair = max_eigenpair(a @ a.T * scale)
+        assert 0.0 < pair.residual <= RESIDUAL_RTOL * pair.value < np.inf, scale
+        assert pair.value == pytest.approx(base.value * scale, rel=1e-13), scale
+        np.testing.assert_allclose(pair.vectors, base.vectors, rtol=0, atol=1e-12)
+
+
+def test_residual_near_overflow_keeps_finite_residuals_and_rescales_overflowing_ones():
+    # the residual's bits where d * d is finite; where only the squares overflow, 2^e times
+    # that of 2^-e d, exactly; an inf or a NaN in d stays inf or NaN
+    rng = np.random.default_rng(22)
+    for cols in (1, 3):
+        d = rng.standard_normal((7, cols))
+        norm = float(np.sqrt((d * d).sum(axis=0)).max())
+        for k in range(-1074, 1024, 37):
+            x = np.ldexp(d, k)
+            with np.errstate(over="ignore", under="ignore"):
+                plain = float(np.sqrt((x * x).sum(axis=0)).max())
+            got = spectra_core._residual_near_overflow(x)
+            if plain < np.inf:
+                assert got == plain, k
+            else:
+                assert got == np.ldexp(norm, k), k
+    assert spectra_core._residual_near_overflow(np.array([[np.inf], [1.0]])) == np.inf
+    assert np.isnan(spectra_core._residual_near_overflow(np.array([[np.nan], [1e300]])))
+
+
 # ---------------------------------------------------------------------------
 # the top-cluster route: dsyevr subsets from _SUBSET_MIN_ORDER up
 
@@ -352,15 +394,13 @@ def clustered_stack(rng, m, n, mult):
 @pytest.fixture
 def subset_calls(monkeypatch):
     """Record the subset size k of every dsyevr call."""
-    from scipy.linalg import lapack
-
-    ks, real = [], lapack.dsyevr
+    ks, real = [], _lapack.dsyevr
 
     def spy(a, **kw):
         ks.append(kw["iu"] - kw["il"] + 1)
         return real(a, **kw)
 
-    monkeypatch.setattr(lapack, "dsyevr", spy)
+    monkeypatch.setattr(_lapack, "dsyevr", spy)
     return ks
 
 
@@ -433,9 +473,7 @@ def test_subset_route_merge_boundary_is_exact():
 
 
 def test_subset_route_failure_carries_lapack_info(monkeypatch):
-    from scipy.linalg import lapack
-
-    monkeypatch.setattr(lapack, "dsyevr", lambda a, **kw: (None, None, 0, None, 7))
+    monkeypatch.setattr(_lapack, "dsyevr", lambda a, **kw: (None, None, 0, None, 7))
     with pytest.raises(ConvergenceFailure, match="info = 7"):
         max_eigenpair(np.eye(CROSSOVER))
 
@@ -443,11 +481,9 @@ def test_subset_route_failure_carries_lapack_info(monkeypatch):
 def test_subset_route_asks_again_when_mrrr_drops_pairs(monkeypatch):
     # dsyevr can return m < k pairs with info 0 and zero vectors in their place; the first
     # answer here drops both, as LAPACK did on the 40 x 40 Grams of the next test
-    from scipy.linalg import lapack
-
     stack = clustered_stack(np.random.default_rng(5), 120, 40, 1)
     want = gsv_solve(stack)
-    calls, real = [], lapack.dsyevr
+    calls, real = [], _lapack.dsyevr
 
     def drop_first(a, **kw):
         w, v, m, isuppz, info = real(a, **kw)
@@ -456,13 +492,13 @@ def test_subset_route_asks_again_when_mrrr_drops_pairs(monkeypatch):
             v, m = np.zeros_like(v), 0
         return w, v, m, isuppz, info
 
-    monkeypatch.setattr(lapack, "dsyevr", drop_first)
+    monkeypatch.setattr(_lapack, "dsyevr", drop_first)
     sol = gsv_solve(stack)
     assert calls == [2, 4] and sol.multiplicity == 1
     assert sol.lambda_max == pytest.approx(want.lambda_max, rel=1e-14)
     np.testing.assert_allclose(sol.basis, want.basis, rtol=0, atol=1e-12)
     # never an endless loop: too few pairs even for k = n is a ConvergenceFailure
-    monkeypatch.setattr(lapack, "dsyevr", lambda a, **kw: (np.zeros(40), None, 0, None, 0))
+    monkeypatch.setattr(_lapack, "dsyevr", lambda a, **kw: (np.zeros(40), None, 0, None, 0))
     with pytest.raises(ConvergenceFailure, match="^eigendecomposition failed: dsyevr info = 0$"):
         max_eigenpair(np.eye(40))
 
