@@ -2,8 +2,8 @@
 
 Subcommands: ``gsvkit solve|coil|rank|density``, each writing deterministic result files into
 ``--out`` and emitting a JSON run report on stdout.  The arrays ``matrix_io`` reads go to the
-library unchecked, and it raises its own error class; a stack matrix's ``ShapeMismatch`` is
-printed after that argument's path.  The parser owns every flag's default.
+library unchecked, and it raises its own error class; an error's input ``index`` (a stack
+matrix's, or ``coil``'s R) prints that argument's path first.  The parser owns every flag's default.
 
 Exit codes: 0 success, else the ``exit_code`` of the GsvError raised (see
 ``errors``); an unreadable file or a bad flag value exits 2, an input error.
@@ -216,7 +216,7 @@ def build_parser():
     p_coil.add_argument("ez", help="E_z field matrix CSV (H_z x N)")
     p_coil.add_argument("r", help="SPD resistance matrix CSV (N x N)")
     p_coil.set_defaults(run=lambda a: cmd_coil(a.ex, a.ey, a.ez, a.r, out=a.out),
-                        stack=lambda a: (a.ex, a.ey, a.ez))
+                        stack=lambda a: (a.ex, a.ey, a.ez, a.r))  # R after the fields
 
     p_rank = sub.add_parser("rank", parents=[out],
                             help="rank table rows by supporting-vector score")
@@ -240,7 +240,7 @@ def main(argv=None):
         report = args.run(args)
     except (GsvError, OSError) as exc:
         code = getattr(exc, "exit_code", 2)  # an unreadable file is an input error
-        index = getattr(exc, "index", None)  # a stack matrix's position: name its file
+        index = getattr(exc, "index", None)  # an input matrix's position: name its file
         where = "" if index is None else f"{args.stack(args)[index]}: "
         print(f"gsvkit {args.subcommand}: {_PREFIXES.get(code, '')}{where}{exc}", file=sys.stderr)
         return code

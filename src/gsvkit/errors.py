@@ -32,8 +32,8 @@ class EmptyStack(GsvError):
 
 
 class ShapeMismatch(GsvError):
-    """Matrix or vector dimensions are inconsistent with the operation; ``index`` is the
-    0-based stack position of the matrix at fault, where one matrix is."""
+    """Matrix or vector dimensions are inconsistent with the operation; ``index`` is the 0-based
+    input position of the matrix at fault, where one is (a WeightedProblem's R follows its fields)."""
 
     def __init__(self, message, index=None):
         super().__init__(message)

@@ -17,25 +17,16 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _lapack
-from .errors import (AllZero, ArgumentOutOfRange, ConvergenceFailure, DimensionTooLarge,
+from .errors import (AllZero, ArgumentOutOfRange, ConvergenceFailure, DimensionTooLarge, GsvError,
                      MaximumOverflow, NonFiniteInput, NotSPD, ShapeMismatch)
-from .spectra_core import (_EXP_WINDOW, _rescaled, _stack_peak, _symmetrized, _vector, gram_sum,
-                           max_eigenpair, validated_matrices)
+from .spectra_core import (_GRAM_MAX, _GRAM_MIN, _rescaled, _scaled_back, _stack_peak, _symmetrized,
+                           _vector, gram_sum, max_eigenpair, validated_matrices)
 
 _ORACLE_MAX_DIM = 10
 # Values per seeded Gaussian draw of the oracle: its memory is bounded by it, not by the count.
 _PANEL_VALUES = 1 << 16
 # The objective bound is relative to |lambda_max| down to here: a subnormal has no 1e-8 to give.
 _NORMAL_MIN = float(np.finfo(float).tiny)
-
-
-def _scaled_back(lam, residual, e):
-    """``(lam, residual) * 2^(2e)``; MaximumOverflow, before numpy can warn, past float64."""
-    if not e:
-        return lam, residual  # what ldexp(x, 0) returns
-    if math.frexp(lam)[1] + 2 * e > 1024:
-        raise MaximumOverflow(f"lambda_max = {lam!r} * 2**{2 * e} exceeds the float64 range")
-    return math.ldexp(lam, 2 * e), math.ldexp(residual, 2 * e)
 
 
 @dataclass(frozen=True)
@@ -152,7 +143,7 @@ def gsv_solve(stack):
         s, rows = _gram(mats, wide)
     top = float(np.maximum.reduce(s.diagonal(), None, None, None, False, 0.0))  # NaN leads
     e = 0
-    if not math.ldexp(4 * max(m, n), -2 * _EXP_WINDOW) <= top <= 2.0 ** (2 * _EXP_WINDOW):
+    if not 4 * max(m, n) * _GRAM_MIN <= top <= _GRAM_MAX:
         peak = _stack_peak(mats)
         if peak == 0.0:
             raise AllZero("all matrices in the stack are zero")
@@ -191,11 +182,15 @@ class WeightedProblem:
         fields = validated_matrices(self.fields)
         _stack_peak(fields)  # NonFiniteInput here, where the problem is built
         n = fields[0].shape[1]
-        r = _symmetrized(self.resistance, "resistance matrix")  # read-only, a view if symmetric
-        if r.shape != (n, n):
-            raise ShapeMismatch(
-                f"resistance must be {n} x {n} to match the field matrices, got {r.shape}"
-            )
+        try:  # a fault of R carries its position after the fields, as a field's carries its own
+            r = _symmetrized(self.resistance, "resistance matrix")  # read-only, a view if symmetric
+            if r.shape != (n, n):
+                raise ShapeMismatch(
+                    f"resistance must be {n} x {n} to match the field matrices, got {r.shape}"
+                )
+        except GsvError as exc:
+            exc.index = len(fields)
+            raise
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "resistance", r)
 

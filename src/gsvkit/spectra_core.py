@@ -22,10 +22,11 @@ from .errors import (ComplexInput, ConvergenceFailure, EmptyStack, MaximumOverfl
 # Relative Frobenius asymmetry above this is a caller bug, not round-off.
 ASYMMETRY_RTOL = 1e-10
 
-# Peak in [2^e, 2^(e+1)), |e| > _EXP_WINDOW: work on 2^-e * a, dsyev's rescale but exact.
-# Inside, the Gram's top entry lies in [2^(2e), K 2^(2e+2)] (K < 2^53 rows or columns), within
-# [2^-485, 2^255], where eigh's dsyevd and dsyevr never rescale (sqrt(safmin/eps), safmin^(-1/4)).
+# Peak in [2^e, 2^(e+1)), |e| > _EXP_WINDOW: work on 2^-e * a, dsyev's rescale but exact.  A Gram
+# peak outside 2^±2W (W = _EXP_WINDOW): work on 2^-2f s, peak in [1, 4).  Each matrix decomposed is
+# in [2^-485, 2^255], where dsyevd (eigh) and dsyevr never rescale: sqrt(safmin/eps), safmin^-1/4.
 _EXP_WINDOW = 100
+_GRAM_MIN, _GRAM_MAX = 2.0 ** (-2 * _EXP_WINDOW), 2.0 ** (2 * _EXP_WINDOW)
 
 # From this Gram order up, max_eigenpair computes only the top eigenvalues.  Below
 # it, one numpy eigh beats a subset solve that needs a second call for a cluster,
@@ -65,6 +66,23 @@ def _rescaled(mats, peak):
     """``(2^-e * mats, e)``, the peak scaled into [1, 2), outside the window; else ``(mats, 0)``."""
     e = math.frexp(peak)[1] - 1
     return (tuple(np.ldexp(a, -e) for a in mats), e) if abs(e) > _EXP_WINDOW else (mats, 0)
+
+
+def _scaled_back(lam, residual, e):
+    """``(lam, residual) * 2^(2e)``; MaximumOverflow, before numpy can warn, past float64."""
+    if not e:
+        return lam, residual  # what ldexp(x, 0) returns
+    if math.frexp(lam)[1] + 2 * e > 1024:
+        raise MaximumOverflow(f"lambda_max = {lam!r} * 2**{2 * e} exceeds the float64 range")
+    return math.ldexp(lam, 2 * e), math.ldexp(residual, 2 * e)
+
+
+def _prescaled(s, rows, peak):
+    """``(2^-2f s, 2^-f rows, f)``, the Gram peak scaled into [1, 4), outside 2^±2W; else f = 0."""
+    f = (math.frexp(peak)[1] - 1) >> 1
+    if abs(f) <= _EXP_WINDOW:
+        return s, rows, 0
+    return np.ldexp(s, -2 * f), None if rows is None else np.ldexp(rows, -f), f
 
 
 def _real(a, message, order=None):
@@ -247,17 +265,6 @@ def _top_eigenpairs(s):
         k = min(2 * k, n)
 
 
-@np.errstate(over="ignore")
-def _residual_near_overflow(d):
-    """max_eigenpair's residual of d, bit for bit, or where only its squares overflow, 2^e times
-    that of ``_rescaled``'s ``2^-e d``: the same value, without the overflow."""
-    residual = float(np.maximum.reduce(np.sqrt(np.add.reduce(d * d, 0)), None))
-    if residual == math.inf:  # a d holding an inf is left as it is, and gives inf again
-        (x,), e = _rescaled((d,), float(np.maximum.reduce(np.abs(d), None)))
-        residual = float(np.ldexp(np.maximum.reduce(np.sqrt(np.add.reduce(x * x, 0)), None), e))
-    return residual
-
-
 def max_eigenpair(s, rows=None):
     """Largest eigenvalue of ``s`` and an orthonormal basis of its merged eigenspace.
 
@@ -266,25 +273,29 @@ def max_eigenpair(s, rows=None):
     top cluster only, by ``_lapack.dsyevr``.  Eigenvalues within ``GAP_RTOL * |lambda_max|`` of
     the maximum merge, a rule that does not depend on the units of ``s``; columns are oriented
     by :func:`fix_column_signs`.  With ``rows`` = B (M x n, M < n) and ``s = B B^T``, the pair
-    is that of ``B^T B``, never formed: u maps to ``B^T u / ||B^T u||``.  Raises NonFiniteInput
-    when ``s`` holds a NaN or an inf (read before ``dsyevr``, which a NaN can keep spinning; read
-    on the full route only once a step fails), MaximumOverflow when lambda_max of a finite ``s``
-    is past float64, and ConvergenceFailure when the backend fails (naming dsyevr's ``info``, or
-    numpy's "Eigenvalues did not converge") or the residual exceeds ``RESIDUAL_RTOL * |lambda|``.
+    is that of ``B^T B``, never formed: u maps to ``B^T u / ||B^T u||``.  A peak of ``s`` outside
+    ``2^±2W`` (W = ``_EXP_WINDOW``) is solved exactly, as ``2^-2f s`` (peak in [1, 4)) with
+    ``2^-f rows``, and lambda_max and the residual scaled back by ``2^2f``.  Raises NonFiniteInput
+    for a NaN or an inf in ``s`` (read before ``dsyevr``, which a NaN can keep spinning; on the full
+    route only outside the window or once a step fails), MaximumOverflow when lambda_max of a finite
+    ``s`` is past float64, and ConvergenceFailure when the backend fails (naming dsyevr's ``info``,
+    or numpy's "Eigenvalues did not converge") or the residual exceeds ``RESIDUAL_RTOL * |lambda|``.
     """
     if s.shape[0] >= _SUBSET_MIN_ORDER:
-        _peak(s, _NON_FINITE)  # one O(n^2) pass next to the O(n^3) reduction
+        s, rows, f = _prescaled(s, rows, _peak(s, _NON_FINITE))  # O(n^2) beside O(n^3)
         w, v = _top_eigenpairs(s)
     else:
+        f = 0
         try:
             w, v = _lapack.eigh(s)
+            # |w_min| + |w_max| is in [peak, 2n peak]: outside the window (a NaN too), read the peak
+            if not _GRAM_MIN <= abs(w.item(0)) + abs(w.item(-1)) <= _GRAM_MAX:  # floats: no warning
+                s, rows, f = _prescaled(s, rows, _peak(s, _NON_FINITE))
+                w, v = _lapack.eigh(s)
         except np.linalg.LinAlgError as exc:
             _peak(s, _NON_FINITE)
             raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     lam = float(w[-1])
-    if not math.isfinite(lam):  # a finite s gets here only by overflow
-        _peak(s, _NON_FINITE)
-        raise MaximumOverflow("lambda_max of the finite matrix exceeds the float64 range")
     tol = GAP_RTOL * abs(lam)
     # w ascends to lam: the cluster is the tail lam - w <= tol, the same as |w - lam| <= tol
     if len(w) == 1 or not lam - w[-2] <= tol:  # one column, as in nearly every solve
@@ -299,11 +310,9 @@ def max_eigenpair(s, rows=None):
         basis = fix_column_signs(x / np.sqrt(np.add.reduce(x * x, 0)))  # (x * x).sum(axis=0)
         image = rows.T @ (rows @ basis)
     d = image - lam * basis  # sqrt((d * d).sum(axis=0)).max(), by the ufuncs behind the methods
-    if abs(lam) < 2.0 ** 510:  # on a Gram |d| <= 2 |lambda|: no square overflows
-        residual = float(np.maximum.reduce(np.sqrt(np.add.reduce(d * d, 0)), None))
-    else:
-        residual = _residual_near_overflow(d)
+    residual = float(np.maximum.reduce(np.sqrt(np.add.reduce(d * d, 0)), None))
     if not residual <= RESIDUAL_RTOL * abs(lam):  # a NaN fails too
         _peak(s, _NON_FINITE)
         raise ConvergenceFailure(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |lambda|")
+    lam, residual = _scaled_back(lam, residual, f)
     return EigenPair(lam, basis, residual)

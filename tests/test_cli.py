@@ -686,15 +686,18 @@ def test_shape_error_names_the_argument_at_its_index(tmp_path, capsys):
     [pytest.param("ez.csv", np.ones((8, 4)), ShapeMismatch, "matrix 2 has 4 columns, expected 5",
                   "ez.csv", id="field"),
      pytest.param("r.csv", np.eye(4), ShapeMismatch,
-                  "resistance must be 5 x 5 to match the field matrices, got (4, 4)", None,
+                  "resistance must be 5 x 5 to match the field matrices, got (4, 4)", "r.csv",
                   id="resistance"),
      pytest.param("r.csv", np.ones((4, 5)), NotSymmetric,
-                  "resistance matrix is not square: shape (4, 5)", None,
-                  id="nonsquare_resistance")],
+                  "resistance matrix is not square: shape (4, 5)", "r.csv",
+                  id="nonsquare_resistance"),
+     pytest.param("r.csv", np.eye(5) + np.triu(np.ones((5, 5)), 1), NotSymmetric,
+                  "resistance matrix is not symmetric: relative asymmetry 1.155e+00 exceeds 1e-10",
+                  "r.csv", id="asymmetric_resistance")],
 )
 def test_coil_exit_2_on_shape_mismatch(tmp_path, capsys, name, bad, cls, message, named):
-    # WeightedProblem's own class and message, whichever input is off; a field's stack index
-    # names its file
+    # WeightedProblem's own class and message, whichever input is off; the error's input index
+    # names its file: a field's stack position, or R's after the three fields
     _, paths, r_path = _coil_fixture(tmp_path, np.random.default_rng(87), np.eye(5))
     write_matrix(tmp_path / name, bad)
     with pytest.raises(cls) as exc_info:

@@ -1,6 +1,7 @@
 """Tests for the Gram-sum / maximal-eigenpair substrate."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -337,9 +338,9 @@ def test_max_eigenpair_refuses_a_non_finite_matrix(order, where, value):
 @pytest.mark.parametrize("order, entry", [(2, 1e308), (40, 1e307)], ids=["eigh", "dsyevr"])
 def test_max_eigenpair_of_a_finite_matrix_past_float64_is_maximum_overflow(order, entry):
     # lambda_max = order * entry overflows: eigh returned (inf, (1, -1) / sqrt(2), inf), a wrong
-    # pair, and dsyevr's inf ended as "residual nan"
+    # pair, and dsyevr's inf ended as "residual nan"; now the prescaled pair's scale-back refuses it
     with pytest.raises(MaximumOverflow,
-                       match="^lambda_max of the finite matrix exceeds the float64 range$"):
+                       match=r"^lambda_max = \S+ \* 2\*\*\d+ exceeds the float64 range$"):
         max_eigenpair(np.full((order, order), entry))
 
 
@@ -354,26 +355,6 @@ def test_max_eigenpair_residual_is_finite_where_only_its_squares_overflow(order)
         assert 0.0 < pair.residual <= RESIDUAL_RTOL * pair.value < np.inf, scale
         assert pair.value == pytest.approx(base.value * scale, rel=1e-13), scale
         np.testing.assert_allclose(pair.vectors, base.vectors, rtol=0, atol=1e-12)
-
-
-def test_residual_near_overflow_keeps_finite_residuals_and_rescales_overflowing_ones():
-    # the residual's bits where d * d is finite; where only the squares overflow, 2^e times
-    # that of 2^-e d, exactly; an inf or a NaN in d stays inf or NaN
-    rng = np.random.default_rng(22)
-    for cols in (1, 3):
-        d = rng.standard_normal((7, cols))
-        norm = float(np.sqrt((d * d).sum(axis=0)).max())
-        for k in range(-1074, 1024, 37):
-            x = np.ldexp(d, k)
-            with np.errstate(over="ignore", under="ignore"):
-                plain = float(np.sqrt((x * x).sum(axis=0)).max())
-            got = spectra_core._residual_near_overflow(x)
-            if plain < np.inf:
-                assert got == plain, k
-            else:
-                assert got == np.ldexp(norm, k), k
-    assert spectra_core._residual_near_overflow(np.array([[np.inf], [1.0]])) == np.inf
-    assert np.isnan(spectra_core._residual_near_overflow(np.array([[np.nan], [1e300]])))
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +441,84 @@ def test_subset_route_is_scale_free_to_rounding(shape, subset_calls):
             np.testing.assert_allclose(sol.basis @ sol.basis.T, base.basis @ base.basis.T,
                                        rtol=0, atol=1e-14, err_msg=f"k = {k}")
             assert sol.lambda_max == pytest.approx(np.ldexp(base.lambda_max, 2 * k), rel=1e-14)
+
+
+def exactly_scaled(a, k):
+    """``2^k a`` if every entry scales exactly (nothing overflows or loses a bit), else None."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(a, k)
+    return out if np.array_equal(np.ldexp(out, -k), a) else None
+
+
+def gram_exponent(s):
+    """The f with ``2^-2f s`` peaked in [1, 4): max_eigenpair's prescale, 0 inside ``2^±2W``."""
+    f = (math.frexp(float(np.abs(s).max()))[1] - 1) >> 1
+    return f if abs(f) > spectra_core._EXP_WINDOW else 0
+
+
+@pytest.mark.parametrize("mult", [1, 2])
+@pytest.mark.parametrize("order, side", [(6, "n"), (4, "M"), (40, "n"), (40, "M")],
+                         ids=["eigh", "eigh_M", "dsyevr", "dsyevr_M"])
+def test_max_eigenpair_is_exactly_scaled_at_every_exponent(order, side, mult):
+    # at every k where 2^k s (and 2^k rows) is exact: lambda_max and the residual are exactly
+    # 2^k (2^2k on the M side) times a reference and the basis has its bits, or MaximumOverflow
+    # where lambda_max leaves float64.  The reference is the unscaled pair on the eigh route; on
+    # the dsyevr route, that of the prescaled matrix, as dsyevr's vectors move by an ulp with the
+    # scale inside the window, where the pair is compared to rounding instead.
+    m, n = (order, 3 * order) if side == "M" else (3 * order, order)
+    b = np.concatenate(clustered_stack(np.random.default_rng([order, mult, m]), m, n, mult))
+    rows = b if side == "M" else None
+    s = gram_sum((b.T,) if side == "M" else (b,))
+    base = max_eigenpair(s, rows)
+    assert base.vectors.shape[1] == mult
+    refs = {}
+    checked = 0
+    for k in range(-1100, 1100):
+        ks = 2 * k if side == "M" else k
+        s_k, rows_k = exactly_scaled(s, ks), None if rows is None else exactly_scaled(rows, k)
+        if s_k is None or (side == "M" and rows_k is None):
+            continue
+        checked += 1
+        f = gram_exponent(s_k)
+        if order < CROSSOVER or f:
+            if order < CROSSOVER:
+                ref, shift = base, ks
+            else:  # the matrix the prescale produces: one reference for each
+                j = ks - 2 * f
+                if j not in refs:
+                    refs[j] = max_eigenpair(np.ldexp(s, j), None if rows is None
+                                            else np.ldexp(rows, j // 2))
+                ref, shift = refs[j], 2 * f
+            try:
+                want = math.ldexp(ref.value, shift)
+            except OverflowError:
+                with pytest.raises(MaximumOverflow):
+                    max_eigenpair(s_k, rows_k)
+                continue
+            pair = max_eigenpair(s_k, rows_k)
+            assert pair.value == want, k
+            assert pair.residual == math.ldexp(ref.residual, shift), k
+            np.testing.assert_array_equal(pair.vectors, ref.vectors, err_msg=f"k = {k}")
+        else:  # dsyevr inside the window
+            pair = max_eigenpair(s_k, rows_k)
+            assert pair.value == pytest.approx(math.ldexp(base.value, ks), rel=1e-14), k
+            assert pair.vectors.shape[1] == mult, k
+            np.testing.assert_allclose(pair.vectors @ pair.vectors.T,
+                                       base.vectors @ base.vectors.T, rtol=0, atol=1e-14)
+    assert checked > (900 if side == "M" else 1900)
+
+
+def test_max_eigenpair_near_the_top_of_float64_is_one_prescaled_solve(subset_calls):
+    # an order-40 Gram with its peak in [2^1023, 2^1024): dsyevr's own rescale left an inf - inf
+    # in the top-cluster test (a RuntimeWarning, an error here) and asked for k = 2 up to 40
+    # before lambda_max overflowed; the prescaled matrix takes one call
+    a = np.random.default_rng(40).standard_normal((40, 40))
+    s = a @ a.T
+    s = np.ldexp(s, 1023 - (math.frexp(float(s.max()))[1] - 1))
+    assert 2.0 ** 1023 <= s.max() < np.inf
+    with pytest.raises(MaximumOverflow, match=r"^lambda_max = \S+ \* 2\*\*1022 exceeds"):
+        max_eigenpair(s)
+    assert subset_calls == [2]
 
 
 def test_subset_route_merge_boundary_is_exact():
