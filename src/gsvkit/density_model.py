@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentOutOfRange, MassExceedsOne, NegativeProbability, ShapeMismatch
-from .gsv_solver import gsv_solve
+from .gsv_solver import _whole, gsv_solve
 from .spectra_core import _frozen_array, _peak, _symmetrized, _vector
 
 _MASS_ATOL = 1e-12
@@ -51,7 +51,9 @@ class DensityModel:
         return self.probs.shape[0]
 
     def truncated(self, k):
-        """The first ``k`` states, the rest in the tail; ArgumentOutOfRange unless 1 <= k <= N."""
+        """The first ``k`` states, the rest in the tail; ArgumentOutOfRange unless ``k`` is a
+        whole number in [1, N]."""
+        k = _whole(k, "truncation index")
         if not 1 <= k <= self.n_states:
             raise ArgumentOutOfRange(f"truncation index must lie in [1, {self.n_states}], got {k}")
         return DensityModel(self.probs[:k])

@@ -11,6 +11,7 @@ path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -33,21 +34,30 @@ _NORMAL_MIN = float(np.finfo(float).tiny)
 class OperatorStack:
     """Read-only views of real m_i x n matrices sharing the column count n; ``peak`` is max |a_ij|.
 
-    Building one reads every entry for the exact peak, so a NaN or an inf raises NonFiniteInput
-    here.  The stack does not own its arrays: do not write into an input while it is in use.
+    The views are made here, so a caller's array keeps its write flag.  Building one reads every
+    entry for the exact peak, so a NaN or an inf raises NonFiniteInput here.  The stack does not
+    own its arrays: do not write into an input while it is in use.
     """
 
     mats: tuple
     peak: float = field(init=False)
 
     def __post_init__(self):
-        mats = validated_matrices(self.mats)
+        mats = _read_only(validated_matrices(self.mats))
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "peak", _stack_peak(mats))
 
     @property
     def ncols(self):
         return self.mats[0].shape[1]
+
+
+def _read_only(arrays):
+    """Read-only views of ``arrays``, for a record that keeps them; each keeps its own flag."""
+    views = tuple(a.view() for a in arrays)
+    for v in views:
+        v.setflags(write=False)
+    return views
 
 
 def as_stack(stack):
@@ -170,16 +180,16 @@ class WeightedProblem:
     """Field matrices E_x, E_y, E_z (H_i x N, any heights) with an SPD resistance R (N x N).
 
     The solve maximizes the summed squared field responses subject to the quadratic energy
-    constraint ``psi^T R psi = 1``.  ``fields`` are read-only views, as in OperatorStack, and so
-    is ``resistance`` when R is exactly symmetric (else it is R's average with R^T, see
-    ``_symmetrized``): do not write into either while the problem is in use.
+    constraint ``psi^T R psi = 1``.  ``fields`` are read-only views made here, as in
+    OperatorStack, and ``resistance`` is one made by ``_symmetrized`` when R is exactly symmetric
+    (else it is R's average with R^T): do not write into either while the problem is in use.
     """
 
     fields: tuple
     resistance: np.ndarray
 
     def __post_init__(self):
-        fields = validated_matrices(self.fields)
+        fields = _read_only(validated_matrices(self.fields))
         _stack_peak(fields)  # NonFiniteInput here, where the problem is built
         n = fields[0].shape[1]
         try:  # a fault of R carries its position after the fields, as a field's carries its own
@@ -251,6 +261,18 @@ def _gaussian_panels(seed, n, count):
         yield rng.standard_normal((n, min(p, count - start)))
 
 
+def _whole(x, name):
+    """``int(x)`` for an int, a numpy int or a whole float within the float64 range; for anything
+    else ArgumentOutOfRange ``<name> must be a whole number, got <x>`` or ``<name> exceeds ...``."""
+    try:  # a NaN or an inf is not whole, nor a string or None, which are no Real
+        whole = isinstance(x, numbers.Real) and float(x).is_integer()
+    except OverflowError:  # an int past the float64 range, as 10**400
+        raise ArgumentOutOfRange(f"{name} exceeds the float64 range") from None
+    if not whole:
+        raise ArgumentOutOfRange(f"{name} must be a whole number, got {x}")
+    return int(x)
+
+
 def brute_force_max(stack, samples, seed):
     """Sampled lower bound for the stacked objective over the unit sphere.
 
@@ -260,23 +282,18 @@ def brute_force_max(stack, samples, seed):
     a desk-scale oracle, so the ambient dimension is capped at 10.  Memory is one
     draw and its products, whatever ``samples`` is.  The stack is sampled rescaled as in
     :func:`gsv_solve` and the value scaled back, so it is finite wherever lambda_max is.
-    ``seed`` is a non-negative integer.  Raises DimensionTooLarge past that cap, and
-    ArgumentOutOfRange unless ``samples`` is a whole number from 1 within the float64 range and
-    ``seed`` at least 0.
+    Raises DimensionTooLarge past that cap, and ArgumentOutOfRange unless ``samples`` and
+    ``seed`` are whole numbers within the float64 range (see ``_whole``), ``samples`` at least 1
+    and ``seed`` at least 0.
     """
     stack = as_stack(stack)
     n = stack.ncols
     if n > _ORACLE_MAX_DIM:
         raise DimensionTooLarge(f"sampling oracle supports n <= {_ORACLE_MAX_DIM}, got {n}")
-    try:
-        whole = float(samples).is_integer()  # a NaN or an inf fails too
-    except OverflowError:  # an int past the float64 range, as 10**400
-        raise ArgumentOutOfRange("samples exceeds the float64 range") from None
-    if not whole:
-        raise ArgumentOutOfRange(f"samples must be a whole number, got {samples}")
-    samples = int(samples)
+    samples = _whole(samples, "samples")
     if samples < 1:
         raise ArgumentOutOfRange(f"samples must be at least 1, got {samples}")
+    seed = _whole(seed, "seed")
     if seed < 0:
         raise ArgumentOutOfRange(f"seed must be at least 0, got {seed}")
     mats, e = _rescaled(stack.mats, stack.peak)

@@ -151,11 +151,12 @@ def _symmetrized(a, name):
 def validated_matrices(mats):
     """Check the structure of a sequence of real matrices sharing a column count, not its values.
 
-    Returns read-only views of 2-D C-ordered float64 arrays (only a list, another dtype or
-    byte order, or a non-C layout is copied, to convert it).  Raises EmptyStack, ShapeMismatch
-    (a non-2-D input or unequal column counts, carrying the matrix's ``index``; no column: R^0
-    has no unit vector) or ComplexInput.  No entry is read: ``_stack_peak`` finds a NaN or an
-    inf, or ``gsv_solve`` reads it off the Gram's diagonal.
+    Returns 2-D C-ordered float64 arrays, copied only to convert (a list, another dtype or byte
+    order, or a non-C layout), with no view made or flag set: ``OperatorStack`` and
+    ``WeightedProblem`` make read-only views of what they keep, ``gsv_solve`` writes none.  Raises
+    EmptyStack, ShapeMismatch (a non-2-D input or unequal column counts, carrying the matrix's
+    ``index``; no column: R^0 has no unit vector) or ComplexInput.  No entry is read:
+    ``_stack_peak`` finds a NaN or an inf, or ``gsv_solve`` reads it off the Gram's diagonal.
     """
     arrays = []
     for k, m in enumerate(mats):
@@ -165,8 +166,7 @@ def validated_matrices(mats):
             raise ComplexInput(f"matrix {k} {exc}") from None
         if a.ndim != 2:
             raise ShapeMismatch(f"matrix {k} is not 2-D (ndim={a.ndim})", index=k)
-        arrays.append(a.view())  # the caller's array keeps its own write flag
-        arrays[-1].setflags(write=False)
+        arrays.append(a)
     if not arrays:
         raise EmptyStack("no matrices supplied")
     ncols = arrays[0].shape[1]
@@ -192,9 +192,14 @@ def fix_column_signs(vectors):
     complex, and ShapeMismatch unless ``vectors`` is 1-D or 2-D with at least one row.
     """
     v = _real(vectors, "vector array is complex")
-    ndim = v.ndim  # read once: the one-column branch below is on every solve's path
-    if not (0 < ndim < 3 and len(v)):  # an (n, 0) block passes, and comes back unchanged
+    if not (0 < v.ndim < 3 and len(v)):  # an (n, 0) block passes, and comes back unchanged
         raise ShapeMismatch(f"expected a 1-D or 2-D array with a row, got shape {v.shape}")
+    return _oriented(v)
+
+
+def _oriented(v):
+    """:func:`fix_column_signs` unchecked, for a float64 array it accepts (``max_eigenpair``'s)."""
+    ndim = v.ndim  # read once: the one-column branch below is on every solve's path
     if ndim == 1 or v.shape[1] == 1:  # one column, as in nearly every solve
         if len(v) < _SUBSET_MIN_ORDER:  # short, as on the small route: floats beat numpy calls
             col = (v if ndim == 1 else v[:, 0]).tolist()
@@ -298,19 +303,19 @@ def max_eigenpair(s, rows=None):
     lam = float(w[-1])
     tol = GAP_RTOL * abs(lam)
     # w ascends to lam: the cluster is the tail lam - w <= tol, the same as |w - lam| <= tol
-    if len(w) == 1 or not lam - w[-2] <= tol:  # one column, as in nearly every solve
-        top = v[:, -1:]
-    else:
-        top = v[:, lam - w <= tol]
+    single = len(w) == 1 or not lam - w[-2] <= tol  # one column, as in nearly every solve
+    top = v[:, -1:] if single else v[:, lam - w <= tol]
     if rows is None:
-        basis = fix_column_signs(top)  # a fresh array, whatever the layout of top
+        basis = _oriented(top)  # a fresh array, whatever the layout of top
         image = s @ basis
     else:
         x = rows.T @ np.ascontiguousarray(top)  # unit stride, as the mask gives: the same gemv
-        basis = fix_column_signs(x / np.sqrt(np.add.reduce(x * x, 0)))  # (x * x).sum(axis=0)
+        basis = _oriented(x / np.sqrt(np.add.reduce(x * x, 0)))  # (x * x).sum(axis=0)
         image = rows.T @ (rows @ basis)
-    d = image - lam * basis  # sqrt((d * d).sum(axis=0)).max(), by the ufuncs behind the methods
-    residual = float(np.maximum.reduce(np.sqrt(np.add.reduce(d * d, 0)), None))
+    d = image - lam * basis  # sqrt((d * d).sum(axis=0)).max(), by the ufuncs behind the methods;
+    # one column's max is its norm: the same squares added in the same order, sqrt rounded alike
+    residual = (math.sqrt(np.add.reduce(d * d, None)) if single
+                else float(np.maximum.reduce(np.sqrt(np.add.reduce(d * d, 0)), None)))
     if not residual <= RESIDUAL_RTOL * abs(lam):  # a NaN fails too
         _peak(s, _NON_FINITE)
         raise ConvergenceFailure(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |lambda|")

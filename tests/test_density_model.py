@@ -281,6 +281,17 @@ def test_truncation_bounds():
             d.truncated(k)
 
 
+def test_truncation_index_is_a_whole_number():
+    # a fractional k escaped as the slice's bare TypeError; a whole float or numpy int is its int
+    d = DensityModel(np.array([0.2, 0.3, 0.1]))
+    for k in (1.5, "2"):  # a string is no number, whole or not
+        message = f"^truncation index must be a whole number, got {k}$"
+        with pytest.raises(ArgumentOutOfRange, match=message):
+            d.truncated(k)
+    for k in (2.0, np.int64(2)):
+        assert d.truncated(k).probs.tolist() == [0.2, 0.3]
+
+
 # ---------------------------------------------------------------------------
 # joint magnitude state
 

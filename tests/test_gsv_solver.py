@@ -455,6 +455,25 @@ def test_validation_keeps_read_only_views_of_float64_inputs():
     assert r_asym.flags.writeable
 
 
+def test_solvers_leave_a_callers_writable_arrays_writable_and_unchanged():
+    # gsv_solve holds a caller's C-ordered float64 arrays themselves: none is written or frozen
+    rng = np.random.default_rng(23)
+    tall = [rng.normal(size=(6, 4)), rng.normal(size=(5, 4))]
+    wide = [rng.normal(size=(2, 9))]
+    fields = [rng.normal(size=(2, 5)) for _ in range(3)]
+    r = np.eye(5) + 0.1 * np.ones((5, 5))
+    x = rng.normal(size=4)
+    arrays = [*tall, *wide, *fields, r, x]
+    before = [a.tobytes() for a in arrays]
+    gsv_solve(tall)
+    gsv_solve(wide)
+    objective_value(tall, x)
+    weighted_gsv_solve(WeightedProblem(fields, r))
+    brute_force_max(tall, 100, 0)
+    for a, data in zip(arrays, before):
+        assert a.flags.writeable and a.tobytes() == data
+
+
 @pytest.mark.parametrize(
     "convert",
     [
@@ -870,6 +889,14 @@ def test_oracle_argument_domain(samples, seed, message):
     with pytest.raises(ArgumentOutOfRange, match=f"^{message}$") as exc_info:
         brute_force_max([np.eye(2)], samples, seed)
     assert exc_info.value.exit_code == 2
+
+
+def test_oracle_seed_is_a_whole_number():
+    # a fractional seed escaped as numpy's bare TypeError; a whole float is taken as its int
+    with pytest.raises(ArgumentOutOfRange, match="^seed must be a whole number, got 1.5$"):
+        brute_force_max([np.eye(2)], 10, 1.5)
+    stack = [np.diag([1.0, 2.0])]
+    assert brute_force_max(stack, 100, 3.0) == brute_force_max(stack, 100, 3)
 
 
 def test_oracle_reproducible():

@@ -74,6 +74,8 @@ def stream(rng):
                 yield np.array_split(a * scale, 3)
                 if b.shape[0] < n:
                     yield [b * scale]
+    # a one-column residual of 150 entries, past numpy's 128-entry pairwise block (dsyevr route)
+    yield [rng.standard_normal((600, 150)) for _ in range(3)]
 
 
 def test_outputs_keep_the_bits_of_the_plain_expressions():
