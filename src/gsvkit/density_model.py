@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentOutOfRange, MassExceedsOne, NegativeProbability, ShapeMismatch
-from .gsv_solver import _whole, gsv_solve
-from .spectra_core import _frozen_array, _peak, _symmetrized, _vector
+from .gsv_solver import gsv_solve
+from .spectra_core import _peak, _read_only, _symmetrized, _vector, _whole
 
 _MASS_ATOL = 1e-12
 
@@ -23,7 +23,8 @@ _MASS_ATOL = 1e-12
 @dataclass(frozen=True)
 class DensityModel:
     """Real, finite probabilities (rho_1 ... rho_N) in [0, 1], summing to at most 1 (within
-    1e-12), as a read-only copy; the remainder ``1 - sum`` is the recorded ``tail`` mass.
+    1e-12), a read-only view of a caller's C-ordered float64 array (do not write into it while
+    in use) or of its one conversion; the remainder ``1 - sum`` is the recorded ``tail`` mass.
     Raises ComplexInput, ShapeMismatch (not a nonempty 1-D vector), NonFiniteInput,
     NegativeProbability or MassExceedsOne."""
 
@@ -32,7 +33,7 @@ class DensityModel:
 
     def __post_init__(self):
         message = "probability vector is complex"
-        p = _frozen_array(_vector(self.probs, message), message)
+        p = _read_only(_vector(self.probs, message, order="C"))
         if p.shape[0] < 1:
             raise ShapeMismatch("at least one probability is required")
         _peak(p, "probabilities contain non-finite entries")
@@ -51,8 +52,8 @@ class DensityModel:
         return self.probs.shape[0]
 
     def truncated(self, k):
-        """The first ``k`` states, the rest in the tail; ArgumentOutOfRange unless ``k`` is a
-        whole number in [1, N]."""
+        """The first ``k`` states, the rest in the tail, a view of this model's array;
+        ArgumentOutOfRange unless ``k`` is a whole number in [1, N]."""
         k = _whole(k, "truncation index")
         if not 1 <= k <= self.n_states:
             raise ArgumentOutOfRange(f"truncation index must lie in [1, {self.n_states}], got {k}")

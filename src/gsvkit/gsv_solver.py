@@ -11,7 +11,6 @@ path.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -20,8 +19,9 @@ import numpy as np
 from . import _lapack
 from .errors import (AllZero, ArgumentOutOfRange, ConvergenceFailure, DimensionTooLarge, GsvError,
                      MaximumOverflow, NonFiniteInput, NotSPD, ShapeMismatch)
-from .spectra_core import (_GRAM_MAX, _GRAM_MIN, _rescaled, _scaled_back, _stack_peak, _symmetrized,
-                           _vector, gram_sum, max_eigenpair, validated_matrices)
+from .spectra_core import (_GRAM_MAX, _GRAM_MIN, _read_only, _rescaled, _scaled_back, _stack_peak,
+                           _symmetrized, _vector, _whole, gram_sum, max_eigenpair,
+                           validated_matrices)
 
 _ORACLE_MAX_DIM = 10
 # Values per seeded Gaussian draw of the oracle: its memory is bounded by it, not by the count.
@@ -43,21 +43,13 @@ class OperatorStack:
     peak: float = field(init=False)
 
     def __post_init__(self):
-        mats = _read_only(validated_matrices(self.mats))
+        mats = tuple(map(_read_only, validated_matrices(self.mats)))
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "peak", _stack_peak(mats))
 
     @property
     def ncols(self):
         return self.mats[0].shape[1]
-
-
-def _read_only(arrays):
-    """Read-only views of ``arrays``, for a record that keeps them; each keeps its own flag."""
-    views = tuple(a.view() for a in arrays)
-    for v in views:
-        v.setflags(write=False)
-    return views
 
 
 def as_stack(stack):
@@ -189,7 +181,7 @@ class WeightedProblem:
     resistance: np.ndarray
 
     def __post_init__(self):
-        fields = _read_only(validated_matrices(self.fields))
+        fields = tuple(map(_read_only, validated_matrices(self.fields)))
         _stack_peak(fields)  # NonFiniteInput here, where the problem is built
         n = fields[0].shape[1]
         try:  # a fault of R carries its position after the fields, as a field's carries its own
@@ -259,18 +251,6 @@ def _gaussian_panels(seed, n, count):
     p = max(1, _PANEL_VALUES // n)
     for start in range(0, count, p):
         yield rng.standard_normal((n, min(p, count - start)))
-
-
-def _whole(x, name):
-    """``int(x)`` for an int, a numpy int or a whole float within the float64 range; for anything
-    else ArgumentOutOfRange ``<name> must be a whole number, got <x>`` or ``<name> exceeds ...``."""
-    try:  # a NaN or an inf is not whole, nor a string or None, which are no Real
-        whole = isinstance(x, numbers.Real) and float(x).is_integer()
-    except OverflowError:  # an int past the float64 range, as 10**400
-        raise ArgumentOutOfRange(f"{name} exceeds the float64 range") from None
-    if not whole:
-        raise ArgumentOutOfRange(f"{name} must be a whole number, got {x}")
-    return int(x)
 
 
 def brute_force_max(stack, samples, seed):

@@ -11,13 +11,14 @@ post-condition and residual bound.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _lapack
-from .errors import (ComplexInput, ConvergenceFailure, EmptyStack, MaximumOverflow, NonFiniteInput,
-                     NotSymmetric, ShapeMismatch)
+from .errors import (ArgumentOutOfRange, ComplexInput, ConvergenceFailure, EmptyStack,
+                     MaximumOverflow, NonFiniteInput, NotSymmetric, ShapeMismatch)
 
 # Relative Frobenius asymmetry above this is a caller bug, not round-off.
 ASYMMETRY_RTOL = 1e-10
@@ -98,19 +99,31 @@ def _real(a, message, order=None):
     return np.asarray(a, dtype=float, order=order)
 
 
-def _vector(x, message):
-    """``_real(x, message)`` if it is 1-D, else ShapeMismatch: the package's one vector rule."""
-    x = _real(x, message)
+def _vector(x, message, order=None):
+    """``_real(x, message, order)`` if 1-D, else ShapeMismatch: the package's one vector rule."""
+    x = _real(x, message, order)
     if x.ndim != 1:
         raise ShapeMismatch(f"expected a 1-D vector, got shape {x.shape}")
     return x
 
 
-def _frozen_array(a, message):
-    """A C-ordered, read-only float64 copy of ``a``; ComplexInput(message) if ``a`` is complex."""
-    out = np.array(_real(a, message), order="C")
-    out.setflags(write=False)
-    return out
+def _whole(x, name):
+    """``int(x)`` for an int, a numpy int or a whole float within the float64 range; for anything
+    else ArgumentOutOfRange ``<name> must be a whole number, got <x>`` or ``<name> exceeds ...``."""
+    try:  # a NaN or an inf is not whole, nor a string or None, which are no Real
+        whole = isinstance(x, numbers.Real) and float(x).is_integer()
+    except OverflowError:  # an int past the float64 range, as 10**400
+        raise ArgumentOutOfRange(f"{name} exceeds the float64 range") from None
+    if not whole:
+        raise ArgumentOutOfRange(f"{name} must be a whole number, got {x}")
+    return int(x)
+
+
+def _read_only(a):
+    """A read-only view of ``a`` for a record to keep, no copy: ``a`` keeps its own write flag."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _symmetrized(a, name):
@@ -131,21 +144,18 @@ def _symmetrized(a, name):
     # triangle is compared with the lower in 64-row panels, so no N x N temporary is made
     u = a.view(np.uint64)
     if all(np.array_equal(u[i : i + 64, i:], u[i:, i : i + 64].T) for i in range(0, len(u), 64)):
-        out = a.view()  # the caller's array keeps its own write flag
-    else:
-        (a,), e = _rescaled((a,), peak)
-        out = a.T.copy()  # the one strided pass
-        asym, norm = np.linalg.norm(a - out), np.linalg.norm(a)
-        if asym > ASYMMETRY_RTOL * norm:
-            raise NotSymmetric(
-                f"{name} is not symmetric: relative asymmetry {asym / norm:.3e} "
-                f"exceeds {ASYMMETRY_RTOL:.0e}"
-            )
-        out += a
-        out /= 2.0
-        out = np.ldexp(out, e, out=out) if e else out
-    out.flags.writeable = False
-    return out
+        return _read_only(a)
+    (a,), e = _rescaled((a,), peak)
+    out = a.T.copy()  # the one strided pass
+    asym, norm = np.linalg.norm(a - out), np.linalg.norm(a)
+    if asym > ASYMMETRY_RTOL * norm:
+        raise NotSymmetric(
+            f"{name} is not symmetric: relative asymmetry {asym / norm:.3e} "
+            f"exceeds {ASYMMETRY_RTOL:.0e}"
+        )
+    out += a
+    out /= 2.0
+    return _read_only(np.ldexp(out, e, out=out) if e else out)
 
 
 def validated_matrices(mats):

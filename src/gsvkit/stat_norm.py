@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConstantVector, NotStandardized, ShapeMismatch, TooShort
 from .gsv_solver import gsv_solve
-from .spectra_core import _frozen_array, _peak, _real, _rescaled, _vector
+from .spectra_core import _peak, _read_only, _real, _rescaled, _vector
 
 # The published membership bound: |sum x| and |sum x^2 - m| at most _SNV_RTOL * m.
 _SNV_RTOL = 1e-10
@@ -66,7 +66,8 @@ def is_snv(x):
 
 @dataclass(frozen=True)
 class StatMatrix:
-    """Column-standardized data, a read-only float64 copy; ``from_raw`` standardizes a raw table.
+    """Column-standardized data, a read-only view of a caller's C-ordered float64 array (do not
+    write into it while in use) or of its one conversion; ``from_raw`` standardizes a raw table.
 
     The constructor applies :func:`is_snv` to every column of ``data``: NotStandardized names
     the first column off the rule; else ComplexInput, ShapeMismatch (not 2-D) or NonFiniteInput.
@@ -75,7 +76,7 @@ class StatMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        data = _frozen_array(self.data, "data matrix is complex")
+        data = _read_only(_real(self.data, "data matrix is complex", order="C"))
         if data.ndim != 2:
             raise ShapeMismatch(f"expected a 2-D data matrix, got shape {data.shape}")
         _peak(data, "data matrix contains non-finite entries")
@@ -108,7 +109,7 @@ class StatMatrix:
             raise ShapeMismatch(f"{len(names)} column names for {n} columns")
         if m < 2:
             raise TooShort(f"standardization needs m >= 2 rows, got m={m}")
-        data = np.empty_like(raw)
+        data = np.empty(raw.shape)  # C-ordered, so the constructor keeps it without a copy
         for j in range(n):
             try:
                 data[:, j] = _standardized(raw[:, j])

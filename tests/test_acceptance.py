@@ -26,12 +26,9 @@ from gsvkit.gsv_solver import (
 )
 from gsvkit.stat_norm import StatMatrix
 
+from helpers import standardized
+
 SAMPLE_CSV = str(importlib.resources.files("gsvkit") / "data" / "sample_locations.csv")
-
-
-def standardized(x):
-    """``x`` standardized as the one column of ``StatMatrix.from_raw``: a read-only view."""
-    return StatMatrix.from_raw(np.reshape(x, (-1, 1))).data[:, 0]
 
 
 def _report(number, name, passed):

@@ -453,6 +453,25 @@ def test_validation_keeps_read_only_views_of_float64_inputs():
     assert not np.shares_memory(prob.resistance, r_asym) and not prob.resistance.flags.writeable
     np.testing.assert_array_equal(prob.resistance, (r_asym + r_asym.T) / 2)
     assert r_asym.flags.writeable
+    # StatMatrix and DensityModel (truncated too) keep read-only views of such an input as well;
+    # z's columns of +-1 are standardized in float32 too
+    z = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]])
+    p = np.full(8, 0.1)
+    model = DensityModel(p)
+    for kept, given in ((StatMatrix(z).data, z), (model.probs, p), (model.truncated(3).probs, p)):
+        assert np.shares_memory(kept, given) and not kept.flags.writeable
+    assert z.flags.writeable and p.flags.writeable
+    # an F-ordered (a vector: reversed), strided, float32 or list input is converted once, into
+    # a C-ordered float64 array of the record's own
+    records = (lambda m: OperatorStack((m,)).mats[0], lambda m: StatMatrix(m).data,
+               lambda v: DensityModel(v).probs)
+    for record, given in zip(records, (a, z, np.full(16, 0.05))):
+        for converted in (np.asfortranarray(given) if given.ndim == 2 else given[::-1],
+                          given[..., ::2], given.astype(np.float32), given.tolist()):
+            kept = record(converted)
+            assert kept.dtype == np.float64 and kept.flags.c_contiguous
+            assert not np.shares_memory(kept, converted) and not kept.flags.writeable
+            np.testing.assert_array_equal(kept, np.asarray(converted, dtype=float))
 
 
 def test_solvers_leave_a_callers_writable_arrays_writable_and_unchanged():

@@ -40,10 +40,7 @@ from gsvkit.spectra_core import (
 )
 from gsvkit.stat_norm import StatMatrix, is_snv
 
-
-def standardized(x):
-    """``x`` standardized as the one column of ``StatMatrix.from_raw``: a read-only view."""
-    return StatMatrix.from_raw(np.reshape(x, (-1, 1))).data[:, 0]
+from helpers import standardized
 
 
 def eig2x2_sym(a, b, c):

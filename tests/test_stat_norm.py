@@ -22,10 +22,7 @@ from gsvkit.gsv_solver import gsv_solve
 from gsvkit.matrix_io import read_table_csv
 from gsvkit.stat_norm import StatMatrix, is_snv, rank_by_score, score_rows
 
-
-def standardized(x):
-    """``x`` standardized as the one column of ``StatMatrix.from_raw``: a read-only view."""
-    return StatMatrix.from_raw(np.reshape(x, (-1, 1))).data[:, 0]
+from helpers import standardized
 
 
 def random_unit_snv(rng, n):
